@@ -34,7 +34,13 @@ from .search import (
     iteration_bound,
     solve,
 )
-from .setfn import SetFunctionOracle, build_coverage, build_diversity, build_table
+from .setfn import (
+    DiversityFunction,
+    SetFunctionOracle,
+    build_coverage,
+    build_diversity,
+    build_table,
+)
 
 SCHEMA_VERSION = 1
 
@@ -96,7 +102,9 @@ def parse_instance(doc: dict) -> tuple[SetFunctionOracle, MatroidOracle]:
         n = int(doc["n"])
         fn = build_function(n, doc["function"])
         M = build_matroid(n, doc["matroid"])
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed instance document: {exc!r}") from exc
     return fn, M
 
@@ -109,6 +117,8 @@ def load_instance(path: str | None) -> dict:
             return json.load(f)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"instance is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read instance: {exc}") from exc
 
 
 # --------------------------------------------------------------- generators
@@ -204,7 +214,7 @@ def cmd_analyze(args) -> int:
     fn, M = parse_instance(instance)
     results: dict = {"matroid": {"rank": M.rank, "min_circuit_size": M.min_circuit_size}}
     meta = instance.get("metadata", {})
-    if isinstance(fn.distance if hasattr(fn, "distance") else None, np.ndarray):
+    if isinstance(fn, DiversityFunction):
         D = fn.distance
         sigma = metric.semi_metric_parameter(D)
         neg, top = metric.is_negative_type(D, tol=args.tolerance)

@@ -30,11 +30,13 @@ class ExactTables:
 
     def __init__(self, fn: SetFunctionOracle):
         _guard(fn.n, EXTENSION_N_MAX)
-        self.fn = fn
         self.n = fn.n
         self.values = fn.value_table()
         self.masks = np.arange(1 << fn.n, dtype=np.int64)
-        self.sizes = np.array([m.bit_count() for m in range(1 << fn.n)], dtype=np.int64)
+        sizes = np.zeros(1, dtype=np.int64)
+        for _ in range(fn.n):
+            sizes = np.concatenate([sizes, sizes + 1])
+        self.sizes = sizes
         self._marginals: dict[int, np.ndarray] = {}
         self._seconds: dict[tuple[int, int], np.ndarray] = {}
 
@@ -70,6 +72,13 @@ class ExactTables:
         return p
 
 
+def _tables(fn: SetFunctionOracle) -> ExactTables:
+    """The oracle's one ExactTables; oracles are immutable, so it is kept on them."""
+    if fn._exact_tables is None:
+        fn._exact_tables = ExactTables(fn)
+    return fn._exact_tables
+
+
 @dataclass(frozen=True)
 class GammaReport:
     gamma: float
@@ -101,7 +110,7 @@ def gamma_parameter(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX) -> GammaR
     with a non-positive denominator makes the parameter infinite.
     """
     _guard(fn.n, n_max)
-    t = ExactTables(fn)
+    t = _tables(fn)
     best = 0.0
     witness = None
     vacuous = True
@@ -153,7 +162,7 @@ class ClassificationReport:
 def classify(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX, tol: float = ABS_TOL) -> ClassificationReport:
     """Exhaustive sign checks of B_i, A_ij, and the A_ij set-monotonicity."""
     _guard(fn.n, n_max)
-    t = ExactTables(fn)
+    t = _tables(fn)
     witnesses: dict = {}
 
     monotone = True
@@ -193,13 +202,13 @@ def classify(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX, tol: float = ABS
 
 def multilinear_exact(fn: SetFunctionOracle, x) -> float:
     """F(x) by full enumeration."""
-    t = ExactTables(fn)
+    t = _tables(fn)
     return float(t.values @ t.probabilities(np.asarray(x, dtype=float)))
 
 
 def multilinear_gradient_exact(fn: SetFunctionOracle, x, i: int) -> float:
     """Partial derivative of F at x: the expectation of B_i under x."""
-    t = ExactTables(fn)
+    t = _tables(fn)
     return float(t.marginals(i) @ t.probabilities(np.asarray(x, dtype=float)))
 
 
@@ -207,7 +216,7 @@ def multilinear_hessian_exact(fn: SetFunctionOracle, x, i: int, j: int) -> float
     """Mixed second derivative of F at x: the expectation of A_ij under x."""
     if i == j:
         return 0.0
-    t = ExactTables(fn)
+    t = _tables(fn)
     return float(t.seconds(i, j) @ t.probabilities(np.asarray(x, dtype=float)))
 
 
@@ -248,7 +257,7 @@ def check_one_sided_smooth(fn: SetFunctionOracle, x, u, sigma: float) -> Smoothn
     x_norm = float(x.sum())
     if x_norm <= 0:
         raise GuardError("one-sided smoothness is defined only at x != 0")
-    t = ExactTables(fn)
+    t = _tables(fn)
     p = t.probabilities(x)
     grad = np.array([t.marginals(i) @ p for i in range(t.n)])
     lhs = 0.0
@@ -266,7 +275,7 @@ def check_one_sided_smooth(fn: SetFunctionOracle, x, u, sigma: float) -> Smoothn
 def check_expectation_inequality(fn: SetFunctionOracle, x, i: int, j: int, sigma: float) -> float:
     """Residual of |x|_1 H_ij(x) <= sigma (grad_i(x) + grad_j(x))."""
     x = np.asarray(x, dtype=float)
-    t = ExactTables(fn)
+    t = _tables(fn)
     p = t.probabilities(x)
     lhs = float(x.sum()) * float(t.seconds(i, j) @ p)
     rhs = sigma * float((t.marginals(i) + t.marginals(j)) @ p)
@@ -313,34 +322,39 @@ def pair_seed_constant(r: int, gamma: float) -> float:
 
 
 def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int = 0) -> LemmaCheck:
-    """B_i(R) = f({i}) + sum_j A_{i v_j}(prefix) for sampled orderings of every R."""
-    t = ExactTables(fn)
+    """B_i(R) = f({i}) + sum_j A_{i v_j}(prefix) for sampled orderings of every R.
+
+    Each draw is one permutation of the ground set, and every R is walked in
+    the order it inherits from it, all masks at once. Elements outside R add
+    an exact zero, so each mask's total is bit for bit the scalar walk over R.
+    """
+    t = _tables(fn)
     rng = np.random.default_rng(seed)
+    perms = [[int(v) for v in rng.permutation(t.n)] for _ in range(orderings)]
+    inside = [((t.masks >> v) & 1).astype(bool) for v in range(t.n)]
     worst = 0.0
     witness: dict = {}
-    passed = True
-    singletons = [t.values[1 << i] for i in range(t.n)]
     for i in range(t.n):
         b = t.marginals(i)
-        for mask in range(1 << t.n):
-            elems = elements_of(mask)
-            r = len(elems)
-            for _ in range(min(orderings, math.factorial(r)) if r else 1):
-                order = list(rng.permutation(elems)) if r > 1 else elems
-                total = singletons[i]
-                prefix = 0
-                for v in order:
-                    total += float(t.seconds(i, int(v))[prefix])
-                    prefix |= 1 << int(v)
-                err = abs(total - b[mask])
-                rel = err / max(ABS_TOL, REL_TOL * max(abs(total), abs(b[mask])))
-                if err > max(ABS_TOL, REL_TOL * max(abs(total), abs(b[mask]))):
-                    passed = False
-                    if not witness:
-                        witness = {"i": i, "R": elems, "order": [int(v) for v in order],
-                                   "lhs": float(b[mask]), "rhs": total}
-                worst = max(worst, err)
-    return LemmaCheck("discrete_integral", passed, worst_slack=worst, detail=witness)
+        totals, failed = [], []
+        for perm in perms:
+            total = np.full(1 << t.n, t.values[1 << i])
+            before = 0
+            for v in perm:
+                total += np.where(inside[v], t.seconds(i, v)[t.masks & before], 0.0)
+                before |= 1 << v
+            err = np.abs(total - b)
+            worst = max(worst, float(err.max()))
+            totals.append(total)
+            failed.append(err > np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(total), np.abs(b))))
+        if not witness and np.any(failed):
+            # the first failure in (mask, draw) order, as a scalar walk meets it
+            mask = int(np.argmax(np.any(failed, axis=0)))
+            k = next(k for k in range(len(perms)) if failed[k][mask])
+            witness = {"i": i, "R": elements_of(mask),
+                       "order": [v for v in perms[k] if inside[v][mask]],
+                       "lhs": float(b[mask]), "rhs": float(totals[k][mask])}
+    return LemmaCheck("discrete_integral", not witness, worst_slack=worst, detail=witness)
 
 
 def verify_lemmas(
@@ -353,7 +367,7 @@ def verify_lemmas(
     """Structural-inequality battery; checks skip (and say so) when their
     hypotheses fail for the given oracle."""
     _guard(fn.n, n_max)
-    t = ExactTables(fn)
+    t = _tables(fn)
     cls = classify(fn, n_max=n_max)
     g = gamma_parameter(fn, n_max=n_max)
     gamma = None if g.is_infinite else g.gamma

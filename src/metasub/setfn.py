@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GuardError, ValidationError
 
 MAX_GROUND_SET = 62
 TABLE_GUARD = 20
@@ -59,6 +59,7 @@ class SetFunctionOracle:
         self.n = n
         self._offset: float | None = None
         self._table: np.ndarray | None = None
+        self._exact_tables = None  # diag.ExactTables, built on first use
 
     def _raw_value(self, mask: int) -> float:
         raise NotImplementedError
@@ -98,16 +99,18 @@ class SetFunctionOracle:
         """Dense vector of f over all 2^n masks (cached; n capped)."""
         if self._table is None:
             if self.n > TABLE_GUARD:
-                from .errors import GuardError
-
                 raise GuardError(f"value table needs n <= {TABLE_GUARD}, got {self.n}")
-            if self._offset is None:
-                self._offset = self._raw_value(0)
-            vals = np.empty(1 << self.n)
-            for mask in range(1 << self.n):
-                vals[mask] = self._raw_value(mask) - self._offset
-            self._table = vals
+            self._table = self._fill_table()
         return self._table
+
+    def _fill_table(self) -> np.ndarray:
+        """One _raw_value call per mask: the reference that fast fills must match."""
+        if self._offset is None:
+            self._offset = self._raw_value(0)
+        vals = np.empty(1 << self.n)
+        for mask in range(1 << self.n):
+            vals[mask] = self._raw_value(mask) - self._offset
+        return vals
 
 
 class DiversityFunction(SetFunctionOracle):
@@ -137,6 +140,19 @@ class DiversityFunction(SetFunctionOracle):
         if self.weights is not None and idx:
             total += float(self.weights[idx].sum())
         return total
+
+    def _fill_table(self) -> np.ndarray:
+        # subset doubling: the masks with top bit i are those below it plus
+        # i, which gains sum_{j < i, j in S} d(j, i) (+ w_i)
+        tab = np.zeros(1)
+        for i in range(self.n):
+            gain = np.zeros(1)
+            for j in range(i):
+                gain = np.concatenate([gain, gain + self.distance[j, i]])
+            if self.weights is not None:
+                gain += self.weights[i]
+            tab = np.concatenate([tab, tab + gain])
+        return tab
 
     def marginal(self, i: int, mask: int) -> float:
         if not 0 <= i < self.n:
@@ -218,6 +234,9 @@ class WeightedSumFunction(SetFunctionOracle):
 
     def _raw_value(self, mask: int) -> float:
         return sum(coeff * fn.value(mask) for fn, coeff in self.components)
+
+    def _fill_table(self) -> np.ndarray:
+        return sum(coeff * fn.value_table() for fn, coeff in self.components)
 
 
 def build_diversity(distance, weights=None) -> DiversityFunction:

@@ -134,3 +134,17 @@ def test_unknown_generator_params_rejected(tmp_path):
                      "--out", str(tmp_path / "x.json")]) == 2
     assert cli.main(["gen", "metric-random", "--n", "1",
                      "--out", str(tmp_path / "y.json")]) == 2
+
+
+def test_unreadable_or_non_numeric_instance_exits_2(tmp_path, capsys):
+    assert cli.main(["solve", str(tmp_path / "missing.json")]) == 2
+    bad = tmp_path / "non_numeric.json"
+    bad.write_text(json.dumps({
+        "n": 2,
+        "function": {"kind": "diversity", "distance": [[0, "x"], ["x", 0]]},
+        "matroid": {"kind": "uniform", "r": 1},
+    }))
+    assert cli.main(["solve", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from metasub.diag import (
+    ExactTables,
     check_discrete_integral,
     check_expectation_inequality,
     check_one_sided_smooth,
@@ -16,7 +17,15 @@ from metasub.diag import (
 )
 from metasub.errors import GuardError
 from metasub.matroid import UniformMatroid
-from metasub.setfn import build_coverage, build_diversity, build_table, build_weighted_sum, mask_of
+from metasub.setfn import (
+    ABS_TOL,
+    REL_TOL,
+    build_coverage,
+    build_diversity,
+    build_table,
+    build_weighted_sum,
+    mask_of,
+)
 from util import random_coverage, random_diversity, random_metric, random_mixed_oracle
 
 
@@ -208,6 +217,73 @@ def test_discrete_integral_modular_and_random():
     rng = np.random.default_rng(11)
     for _ in range(5):
         assert check_discrete_integral(random_mixed_oracle(rng, 6)).passed
+
+
+def scalar_discrete_integral(fn, orderings, seed):
+    """Reference: one Python walk per (i, R, ordering) over the same seeded
+    permutations, each R taken in the order it inherits from them."""
+    t = ExactTables(fn)
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(fn.n) for _ in range(orderings)]
+    passed, worst = True, 0.0
+    for i in range(fn.n):
+        b = t.marginals(i)
+        for mask in range(1 << fn.n):
+            for perm in perms:
+                total = t.values[1 << i]
+                prefix = 0
+                for v in perm:
+                    if (mask >> int(v)) & 1:
+                        total += float(t.seconds(i, int(v))[prefix])
+                        prefix |= 1 << int(v)
+                err = abs(total - b[mask])
+                if err > max(ABS_TOL, REL_TOL * max(abs(total), abs(b[mask]))):
+                    passed = False
+                worst = max(worst, err)
+    return passed, worst
+
+
+def test_discrete_integral_matches_scalar_walk():
+    rng = np.random.default_rng(21)
+    for trial in range(12):
+        n = 4 + trial % 4
+        fn = random_mixed_oracle(rng, n)
+        check = check_discrete_integral(fn, orderings=3, seed=trial)
+        passed, worst = scalar_discrete_integral(fn, 3, trial)
+        assert check.passed is passed
+        assert check.worst_slack == worst
+
+
+def test_discrete_integral_reports_a_failure(monkeypatch):
+    seconds = ExactTables.seconds
+    monkeypatch.setattr(ExactTables, "seconds", lambda self, i, j: seconds(self, i, j) + 1.0)
+    fn = random_diversity(np.random.default_rng(22), 5)
+    check = check_discrete_integral(fn)
+    assert check.passed is False
+    w = check.detail
+    assert set(w) == {"i", "R", "order", "lhs", "rhs"}
+    # the first failing walk: i=0 over R={0}, which adds one shifted A_00 = 1.0
+    assert (w["i"], w["R"], w["order"]) == (0, [0], [0])
+    assert w["lhs"] == fn.marginal(0, mask_of(w["R"]))
+    assert w["rhs"] - w["lhs"] == pytest.approx(1.0)
+    assert check.worst_slack >= 1.0 - 1e-9
+
+
+def test_analysis_builds_one_table_per_oracle(monkeypatch):
+    built = []
+    init = ExactTables.__init__
+
+    def counting_init(self, fn):
+        built.append(fn)
+        init(self, fn)
+
+    monkeypatch.setattr(ExactTables, "__init__", counting_init)
+    fn = random_diversity(np.random.default_rng(23), 6)
+    gamma_parameter(fn)
+    classify(fn)
+    verify_lemmas(fn, matroid=UniformMatroid(6, 3))
+    multilinear_exact(fn, np.full(6, 0.5))
+    assert built == [fn]
 
 
 def test_verify_lemmas_metric_diversity():

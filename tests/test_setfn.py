@@ -9,10 +9,11 @@ from metasub.setfn import (
     build_diversity,
     build_table,
     build_weighted_sum,
+    close,
     elements_of,
     mask_of,
 )
-from util import random_metric, random_mixed_oracle
+from util import random_coverage, random_diversity, random_metric, random_mixed_oracle, random_table
 
 
 def test_mask_helpers_roundtrip():
@@ -100,12 +101,24 @@ def test_second_difference_symmetry_and_insensitivity():
     assert fn.second_difference(2, 2, 11) == 0.0
 
 
-def test_value_table_matches_value_and_guards():
-    rng = np.random.default_rng(4)
-    fn = random_mixed_oracle(rng, 5)
-    table = fn.value_table()
-    for mask in range(1 << 5):
-        assert table[mask] == fn.value(mask)
+def fresh_oracles(n: int):
+    """One newly built oracle of every kind over a ground set of size n."""
+    rng = np.random.default_rng(n)
+    yield random_diversity(rng, n)
+    yield build_diversity(random_metric(rng, n), weights=rng.random(n))
+    yield random_coverage(rng, n)
+    yield random_table(rng, n)
+    yield build_weighted_sum([(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)])
+
+
+def test_value_table_matches_raw_value_loop_and_guards():
+    for n in (1, 5, 10):
+        for fn in fresh_oracles(n):
+            reference = [fn._raw_value(mask) - fn._raw_value(0) for mask in range(1 << n)]
+            table = fn.value_table()
+            assert table.shape == (1 << n,)
+            for mask, expect in enumerate(reference):
+                assert close(table[mask], expect), (fn.kind, n, mask, table[mask], expect)
 
     big = build_coverage([[0]] * 21, [1.0])
     with pytest.raises(GuardError):
