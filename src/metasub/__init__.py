@@ -17,10 +17,6 @@ from .setfn import (
     SetFunctionOracle,
     TableFunction,
     WeightedSumFunction,
-    build_coverage,
-    build_diversity,
-    build_table,
-    build_weighted_sum,
     elements_of,
     mask_of,
 )
@@ -40,10 +36,6 @@ __all__ = [
     "CoverageFunction",
     "TableFunction",
     "WeightedSumFunction",
-    "build_diversity",
-    "build_coverage",
-    "build_table",
-    "build_weighted_sum",
     "mask_of",
     "elements_of",
     "SolveConfig",

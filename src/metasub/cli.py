@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
 import time
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import diag, metric
 from .errors import GuardError, ValidationError
-from .matching import max_weight_matching_k
+from .matching import exhaustive_matching, max_weight_matching_k
 from .matroid import (
     GraphicMatroid,
     MatroidOracle,
@@ -34,15 +33,9 @@ from .search import (
     iteration_bound,
     solve,
 )
-from .setfn import (
-    DiversityFunction,
-    SetFunctionOracle,
-    build_coverage,
-    build_diversity,
-    build_table,
-)
+from .setfn import CoverageFunction, DiversityFunction, SetFunctionOracle, TableFunction
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class PropertyFailure(Exception):
@@ -66,17 +59,17 @@ def build_function(n: int, desc: dict) -> SetFunctionOracle:
         D = np.asarray(desc["distance"], dtype=float)
         if D.shape != (n, n):
             raise ValidationError(f"distance shape {D.shape} does not match n={n}")
-        return build_diversity(D, desc.get("weights"))
+        return DiversityFunction(D, desc.get("weights"))
     if kind == "coverage":
         incidence = desc["incidence"]
         if len(incidence) != n:
             raise ValidationError(f"incidence length {len(incidence)} does not match n={n}")
-        return build_coverage(incidence, desc["universe_weights"])
+        return CoverageFunction(incidence, desc["universe_weights"])
     if kind == "table":
         values = desc["values"]
         if len(values) != 1 << n:
             raise ValidationError(f"table length {len(values)} does not match n={n}")
-        return build_table(values)
+        return TableFunction(values)
     raise ValidationError(f"unknown function kind {kind!r}")
 
 
@@ -124,11 +117,6 @@ def load_instance(path: str | None) -> dict:
 # --------------------------------------------------------------- generators
 
 
-def _euclidean(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
-
-
 def generate(kind: str, n: int, seed: int, args) -> dict:
     if n < 2:
         raise ValidationError("generated instances need n >= 2")
@@ -136,18 +124,18 @@ def generate(kind: str, n: int, seed: int, args) -> dict:
     meta: dict = {"generator": kind, "seed": seed}
     matroid = {"kind": "uniform", "r": args.r if args.r is not None else max(2, n // 3)}
     if kind == "metric-random":
-        D = _euclidean(rng.standard_normal((n, args.dim)))
+        D = metric.euclidean(rng.standard_normal((n, args.dim)))
         meta["sigma"] = 1.0
         function = {"kind": "diversity", "distance": D.tolist()}
     elif kind == "semimetric-power":
         if args.power < 1:
             raise ValidationError("power must be >= 1")
-        D = _euclidean(rng.standard_normal((n, args.dim))) ** args.power
+        D = metric.euclidean(rng.standard_normal((n, args.dim))) ** args.power
         meta["sigma"] = 2.0 ** (args.power - 1)
         meta["power"] = args.power
         function = {"kind": "diversity", "distance": D.tolist()}
     elif kind == "negtype-sqeuclid":
-        D = _euclidean(rng.standard_normal((n, args.dim))) ** 2
+        D = metric.euclidean(rng.standard_normal((n, args.dim))) ** 2
         meta["sigma"] = 2.0
         meta["negative_type"] = True
         function = {"kind": "diversity", "distance": D.tolist()}
@@ -180,17 +168,20 @@ def make_report(command: str, inputs, results: dict, work: dict) -> dict:
         "command": command,
         "inputs_digest": digest(inputs),
         "results": results,
-        "timings": work,  # deterministic work counters, not wall clock
+        "work": work,  # deterministic work counters, not wall clock
     }
 
 
-def emit(doc: dict, args) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def emit(doc: dict, args) -> None:
+    write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args)
 
 
 def trace_csv(result_dict: dict) -> str:
@@ -231,10 +222,10 @@ def cmd_analyze(args) -> int:
         results["gamma"] = g.to_dict()
         if "gamma" in meta and not g.is_infinite:
             results["gamma"]["declared_delta"] = g.gamma - meta["gamma"]
-        results["classification"] = diag.classify(fn, n_max=args.n_max).to_dict()
+        cls = diag.classify(fn, n_max=args.n_max)
+        results["classification"] = cls.to_dict()
         results["lemmas"] = {
-            name: chk.to_dict()
-            for name, chk in diag.verify_lemmas(fn, n_max=args.n_max, matroid=M).items()
+            name: chk.to_dict() for name, chk in diag.lemma_checks(fn, cls, g, matroid=M).items()
         }
     else:
         results["skipped"] = f"exhaustive diagnostics need n <= {args.n_max}, instance has n={fn.n}"
@@ -246,7 +237,7 @@ def cmd_analyze(args) -> int:
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     fn, M = parse_instance(instance)
-    config = SolveConfig(epsilon=args.epsilon, pivot=args.pivot, seed=args.seed)
+    config = SolveConfig(epsilon=args.epsilon, pivot=args.pivot)
     result = solve(fn, M, config)
     payload = result.to_dict()
     if args.with_opt:
@@ -259,18 +250,12 @@ def cmd_solve(args) -> int:
         }
     work = {"iterations": result.iterations, "evaluations": result.evaluations}
     if args.format == "csv":
-        text = trace_csv(payload)
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        write(trace_csv(payload), args)
         return 0
     inputs = {
         "instance": instance,
         "epsilon": args.epsilon,
         "pivot": args.pivot,
-        "seed": args.seed,
         "with_opt": args.with_opt,
     }
     emit(make_report("solve", inputs, payload, work), args)
@@ -281,20 +266,10 @@ def cmd_solve(args) -> int:
 
 
 def _random_diversity(rng, n: int, kind: str = "metric"):
-    points = rng.standard_normal((n, 3))
-    D = _euclidean(points)
+    D = metric.euclidean(rng.standard_normal((n, 3)))
     if kind == "squared":
         D = D**2
-    return build_diversity(D)
-
-
-def _exhaustive_matching(w: np.ndarray, k: int) -> float:
-    best = -np.inf
-    rows, cols = w.shape
-    for rsub in itertools.combinations(range(rows), k):
-        for csub in itertools.permutations(range(cols), k):
-            best = max(best, sum(w[i, j] for i, j in zip(rsub, csub)))
-    return float(best) if k else 0.0
+    return DiversityFunction(D)
 
 
 def verify_lemma_suite(rng, samples: int, n: int) -> list[dict]:
@@ -336,7 +311,7 @@ def verify_matching_suite(rng, samples: int) -> list[dict]:
         w = rng.standard_normal((rows, cols))
         for k in range(min(rows, cols) + 1):
             got = max_weight_matching_k(w, k)
-            want = _exhaustive_matching(w, k)
+            want = exhaustive_matching(w, k)
             if abs(got.total_weight - want) > 1e-9:
                 failures.append({"trial": t, "k": k, "got": got.total_weight, "want": want})
     return failures
@@ -435,14 +410,8 @@ def cmd_verify(args) -> int:
 # -------------------------------------------------------------------- main
 
 
-def _add_common(p) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--n-max", dest="n_max", type=int, default=diag.DEFAULT_N_MAX)
-    p.add_argument("--out", default=None)
-
-
 def make_parser() -> argparse.ArgumentParser:
+    """Each subcommand declares only the options it reads."""
     parser = argparse.ArgumentParser(prog="metasub")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -456,12 +425,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", type=int, default=4)
     p.add_argument("--universe", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("analyze", help="structural diagnostics for an instance")
     p.add_argument("instance", nargs="?", default=None)
-    _add_common(p)
+    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--n-max", dest="n_max", type=int, default=diag.DEFAULT_N_MAX)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("solve", help="run the local-search pipeline")
@@ -470,14 +440,17 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--pivot", choices=["first", "best"], default="first")
     p.add_argument("--with-opt", dest="with_opt", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="run a randomized property suite")
     p.add_argument("suite", choices=["lemmas", "smoothness", "matching", "matroid", "ratios"])
     p.add_argument("--samples", type=int, default=20)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-max", dest="n_max", type=int, default=diag.DEFAULT_N_MAX)
     p.set_defaults(func=cmd_verify)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 

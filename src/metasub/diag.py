@@ -85,7 +85,6 @@ class GammaReport:
     is_infinite: bool = False
     witness: tuple[int, int, int] | None = None  # (S mask, i, j)
     vacuous: bool = False
-    zero_denominators: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -99,7 +98,6 @@ class GammaReport:
             }
             if self.witness
             else None,
-            "zero_denominators": self.zero_denominators,
         }
 
 
@@ -114,7 +112,6 @@ def gamma_parameter(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX) -> GammaR
     best = 0.0
     witness = None
     vacuous = True
-    zero_den = 0
     nonempty = t.sizes > 0
     for i in range(t.n):
         for j in range(i + 1, t.n):
@@ -127,10 +124,7 @@ def gamma_parameter(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX) -> GammaR
             bad = active & (den <= ABS_TOL)
             if bad.any():
                 mask = int(t.masks[bad][0])
-                return GammaReport(
-                    0.0, is_infinite=True, witness=(mask, i, j),
-                    zero_denominators=int(bad.sum()),
-                )
+                return GammaReport(0.0, is_infinite=True, witness=(mask, i, j))
             ratio = np.where(active, t.sizes * a / np.where(active, den, 1.0), -np.inf)
             k = int(np.argmax(ratio))
             if ratio[k] > best or witness is None:
@@ -138,7 +132,7 @@ def gamma_parameter(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX) -> GammaR
                 witness = (int(t.masks[k]), i, j)
     if vacuous:
         return GammaReport(0.0, vacuous=True)
-    return GammaReport(best, witness=witness, zero_denominators=zero_den)
+    return GammaReport(best, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,7 @@ class ClassificationReport:
         }
 
 
-def classify(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX, tol: float = ABS_TOL) -> ClassificationReport:
+def classify(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX) -> ClassificationReport:
     """Exhaustive sign checks of B_i, A_ij, and the A_ij set-monotonicity."""
     _guard(fn.n, n_max)
     t = _tables(fn)
@@ -169,7 +163,7 @@ def classify(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX, tol: float = ABS
     for i in range(t.n):
         b = t.marginals(i)
         k = int(np.argmin(b))
-        if b[k] < -tol:
+        if b[k] < -ABS_TOL:
             monotone = False
             witnesses["monotone"] = {"i": i, "S": elements_of(int(k)), "B": float(b[k])}
             break
@@ -180,10 +174,10 @@ def classify(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX, tol: float = ABS
         for j in range(i + 1, t.n):
             a = t.seconds(i, j)
             hi, lo = int(np.argmax(a)), int(np.argmin(a))
-            if submodular and a[hi] > tol:
+            if submodular and a[hi] > ABS_TOL:
                 submodular = False
                 witnesses["submodular"] = {"i": i, "j": j, "S": elements_of(hi), "A": float(a[hi])}
-            if supermodular and a[lo] < -tol:
+            if supermodular and a[lo] < -ABS_TOL:
                 supermodular = False
                 witnesses["supermodular"] = {"i": i, "j": j, "S": elements_of(lo), "A": float(a[lo])}
             if second:
@@ -191,7 +185,7 @@ def classify(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX, tol: float = ABS
                     bit = 1 << k
                     diff = a[t.masks | bit] - a[t.masks & ~bit]
                     w = int(np.argmax(diff))
-                    if diff[w] > tol:
+                    if diff[w] > ABS_TOL:
                         second = False
                         witnesses["second_order_submodular"] = {
                             "i": i, "j": j, "k": k, "S": elements_of(w), "delta": float(diff[w]),
@@ -367,9 +361,21 @@ def verify_lemmas(
     """Structural-inequality battery; checks skip (and say so) when their
     hypotheses fail for the given oracle."""
     _guard(fn.n, n_max)
+    return lemma_checks(fn, classify(fn, n_max=n_max), gamma_parameter(fn, n_max=n_max),
+                        matroid=matroid, seed=seed, sample_points=sample_points)
+
+
+def lemma_checks(
+    fn: SetFunctionOracle,
+    cls: ClassificationReport,
+    g: GammaReport,
+    matroid=None,
+    seed: int = 0,
+    sample_points: int = 10,
+) -> dict[str, LemmaCheck]:
+    """The battery of verify_lemmas, given the oracle's classification and
+    gamma reports."""
     t = _tables(fn)
-    cls = classify(fn, n_max=n_max)
-    g = gamma_parameter(fn, n_max=n_max)
     gamma = None if g.is_infinite else g.gamma
     checks: dict[str, LemmaCheck] = {}
 
@@ -404,7 +410,7 @@ def verify_lemmas(
             worst_slack=float(slack[k]), detail={"R": elements_of(int(t.masks[k]))})
 
     checks["gradient_growth"] = _check_gradient_growth(t, cls, gamma, seed, sample_points)
-    checks["kleinberg_equivalence"] = _check_kleinberg(t)
+    checks["kleinberg_equivalence"] = _check_kleinberg(t, g)
     if matroid is not None:
         checks["pair_seed_bound"] = _check_pair_seed(fn, t, matroid, cls, gamma)
     return checks
@@ -457,24 +463,26 @@ def _check_gradient_growth(t, cls, gamma, seed, sample_points) -> LemmaCheck:
                       detail=detail)
 
 
-def _check_kleinberg(t: ExactTables) -> LemmaCheck:
+def _check_kleinberg(t: ExactTables, g: GammaReport) -> LemmaCheck:
     """Zero-parameter meta-submodularity against the diminishing-marginals
-    form quantified over sets with an outside element."""
-    zero_ms = True
+    form quantified over sets with an outside element.
+
+    A_ij(S) = A_ij(S - {i, j}), so gamma is vacuous exactly when that form
+    holds and no A_ij of the empty set is positive.
+    """
     outside_form = True
+    empty_ok = True
     nonempty = t.sizes > 0
     for i in range(t.n):
         for j in range(i + 1, t.n):
             a = t.seconds(i, j)
-            if np.any(nonempty & (a > ABS_TOL)):
-                zero_ms = False
             outside = nonempty & (((t.masks >> i) & 1) == 0) & (((t.masks >> j) & 1) == 0)
             if np.any(outside & (a > ABS_TOL)):
                 outside_form = False
-    # zero_ms must imply the outside-element form
-    passed = (not zero_ms) or outside_form
-    return LemmaCheck("kleinberg_equivalence", passed,
-                      detail={"zero_ms": zero_ms, "kleinberg_form": outside_form})
+            if a[0] > ABS_TOL:
+                empty_ok = False
+    return LemmaCheck("kleinberg_equivalence", g.vacuous == (outside_form and empty_ok),
+                      detail={"zero_ms": g.vacuous, "kleinberg_form": outside_form})
 
 
 def _check_pair_seed(fn, t, matroid, cls, gamma) -> LemmaCheck:

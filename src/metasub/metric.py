@@ -118,6 +118,12 @@ def is_sqrt_metric(D: np.ndarray, tol: float = 1e-9) -> tuple[bool, tuple[int, i
     return True, None
 
 
+def euclidean(points: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances between the rows of a point matrix."""
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff**2).sum(axis=2))
+
+
 def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """Jensen-Shannon divergence with natural logarithm; 0*log(0) := 0."""
     m = (p + q) / 2.0

@@ -28,7 +28,6 @@ class SolveConfig:
     epsilon: float = DEFAULT_EPSILON
     pivot: str = "first"  # "first" or "best"
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    seed: int = 0  # reserved for randomized pivots; the default rules are deterministic
 
     def __post_init__(self):
         if not self.epsilon > 0:

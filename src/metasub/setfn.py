@@ -154,16 +154,6 @@ class DiversityFunction(SetFunctionOracle):
             tab = np.concatenate([tab, tab + gain])
         return tab
 
-    def marginal(self, i: int, mask: int) -> float:
-        if not 0 <= i < self.n:
-            raise ValidationError(f"element {i} out of range")
-        check_mask(mask, self.n)
-        others = elements_of(mask & ~(1 << i))
-        total = float(self.distance[i, others].sum()) if others else 0.0
-        if self.weights is not None:
-            total += float(self.weights[i])
-        return total
-
 
 class CoverageFunction(SetFunctionOracle):
     """Weighted coverage: value of the union of per-element universe subsets."""
@@ -238,18 +228,3 @@ class WeightedSumFunction(SetFunctionOracle):
     def _fill_table(self) -> np.ndarray:
         return sum(coeff * fn.value_table() for fn, coeff in self.components)
 
-
-def build_diversity(distance, weights=None) -> DiversityFunction:
-    return DiversityFunction(distance, weights)
-
-
-def build_coverage(incidence, universe_weights) -> CoverageFunction:
-    return CoverageFunction(incidence, universe_weights)
-
-
-def build_table(values) -> TableFunction:
-    return TableFunction(values)
-
-
-def build_weighted_sum(components) -> WeightedSumFunction:
-    return WeightedSumFunction(components)

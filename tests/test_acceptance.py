@@ -33,7 +33,7 @@ from metasub.search import (
     iteration_bound,
     solve,
 )
-from metasub.setfn import build_diversity, build_weighted_sum
+from metasub.setfn import DiversityFunction, WeightedSumFunction
 from metasub import cli
 from util import (
     euclidean,
@@ -116,7 +116,7 @@ def test_criterion_04_gamma_class_theorems():
         ok = ok and gamma_parameter(random_diversity(rng, n)).gamma <= 1 + 1e-6
         p = 1.5 if trial % 2 else 2.0
         ok = ok and gamma_parameter(random_diversity(rng, n, power=p)).gamma <= 2 ** (p - 1) + 1e-6
-        mixed = build_weighted_sum(
+        mixed = WeightedSumFunction(
             [(random_coverage(rng, n), 1.0), (random_diversity(rng, n), 1.0)]
         )
         ok = ok and gamma_parameter(mixed).gamma <= 1 + 1e-6

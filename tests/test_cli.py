@@ -1,8 +1,9 @@
+import io
 import json
 
 import pytest
 
-from metasub import cli
+from metasub import cli, diag
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -148,3 +149,55 @@ def test_unreadable_or_non_numeric_instance_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error: ") == 2
     assert "Traceback" not in err
+
+
+def test_reports_follow_schema_v2(tmp_path):
+    _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "4", "--r", "3"], tmp_path,
+                  "inst.json")
+    for argv in (["analyze", str(inst)], ["solve", str(inst), "--with-opt"],
+                 ["verify", "matching", "--samples", "2"]):
+        code, out = run(argv, tmp_path, "report.json")
+        assert code == 0, argv
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"command", "inputs_digest", "results", "schema_version", "work"}
+        assert doc["schema_version"] == 2
+        if argv[0] == "analyze":
+            assert "zero_denominators" not in doc["results"]["gamma"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "inst.json", "--seed", "3"],
+    ["solve", "inst.json", "--tolerance", "1e-9"],
+    ["solve", "inst.json", "--n-max", "10"],
+    ["gen", "metric-random", "--n", "5", "--tolerance", "1e-9"],
+    ["gen", "metric-random", "--n", "5", "--n-max", "10"],
+    ["verify", "matching", "--tolerance", "1e-9"],
+])
+def test_removed_options_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_analyze_reads_the_instance_from_stdin(tmp_path, monkeypatch, capsys):
+    _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "8"], tmp_path, "inst.json")
+    _, from_file = run(["analyze", str(inst)], tmp_path, "file.json")
+    monkeypatch.setattr("sys.stdin", io.StringIO(inst.read_text()))
+    assert cli.main(["analyze", "-"]) == 0
+    assert capsys.readouterr().out == from_file.read_text()
+
+
+def test_analyze_computes_gamma_and_classification_once(tmp_path, monkeypatch):
+    _, inst = run(["gen", "metric-random", "--n", "7", "--seed", "6"], tmp_path, "inst.json")
+    calls = []
+    for name in ("gamma_parameter", "classify"):
+        original = getattr(diag, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(diag, name, counted)
+    code, _ = run(["analyze", str(inst)], tmp_path, "analyze.json")
+    assert code == 0
+    assert sorted(calls) == ["classify", "gamma_parameter"]

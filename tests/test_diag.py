@@ -8,6 +8,7 @@ from metasub.diag import (
     check_one_sided_smooth,
     classify,
     gamma_parameter,
+    lemma_checks,
     multilinear_exact,
     multilinear_gradient_exact,
     multilinear_hessian_exact,
@@ -20,17 +21,16 @@ from metasub.matroid import UniformMatroid
 from metasub.setfn import (
     ABS_TOL,
     REL_TOL,
-    build_coverage,
-    build_diversity,
-    build_table,
-    build_weighted_sum,
+    DiversityFunction,
+    TableFunction,
+    WeightedSumFunction,
     mask_of,
 )
 from util import random_coverage, random_diversity, random_metric, random_mixed_oracle
 
 
 def all_ones_diversity(n=4):
-    return build_diversity(np.ones((n, n)) - np.eye(n))
+    return DiversityFunction(np.ones((n, n)) - np.eye(n))
 
 
 def test_gamma_all_ones_diversity():
@@ -53,22 +53,21 @@ def test_gamma_submodular_is_vacuous():
 
 def test_gamma_squared_line_diversity():
     D = np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]], dtype=float)
-    report = gamma_parameter(build_diversity(D))
+    report = gamma_parameter(DiversityFunction(D))
     assert report.gamma <= 2 + 1e-6
 
 
 def test_gamma_infinite_flag():
     # a positive second difference with zero marginals
-    fn = build_table([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+    fn = TableFunction([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
     report = gamma_parameter(fn)
     assert report.is_infinite
-    assert report.zero_denominators >= 1
 
 
 def test_gamma_scale_invariant():
     rng = np.random.default_rng(1)
     fn = random_diversity(rng, 5)
-    doubled = build_weighted_sum([(fn, 2.0)])
+    doubled = WeightedSumFunction([(fn, 2.0)])
     assert gamma_parameter(fn).gamma == pytest.approx(gamma_parameter(doubled).gamma)
 
 
@@ -91,7 +90,7 @@ def test_classify_coverage():
 
 
 def test_classify_non_monotone_witness():
-    rep = classify(build_table([0.0, 1.0, 1.0, 0.5]))
+    rep = classify(TableFunction([0.0, 1.0, 1.0, 0.5]))
     assert not rep.monotone
     w = rep.witnesses["monotone"]
     assert w["B"] == pytest.approx(-0.5)
@@ -117,7 +116,7 @@ def test_multilinear_quadratic_closed_form():
     rng = np.random.default_rng(5)
     D = random_metric(rng, 5)
     g = rng.random(5)
-    fn = build_diversity(D, g)
+    fn = DiversityFunction(D, g)
     for _ in range(20):
         x = rng.random(5)
         closed = 0.5 * x @ D @ x + g @ x
@@ -212,7 +211,7 @@ def test_subdomain_smoothness():
 
 
 def test_discrete_integral_modular_and_random():
-    modular = build_diversity(np.zeros((4, 4)), weights=[1.0, 2.0, 3.0, 4.0])
+    modular = DiversityFunction(np.zeros((4, 4)), weights=[1.0, 2.0, 3.0, 4.0])
     assert check_discrete_integral(modular).passed
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -301,11 +300,41 @@ def test_verify_lemmas_metric_diversity():
         assert checks[name].passed, (name, checks[name])
 
 
+def test_kleinberg_equivalence_matches_vacuous_gamma():
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        fn = random_mixed_oracle(rng, 5)
+        check = verify_lemmas(fn)["kleinberg_equivalence"]
+        assert check.passed is True
+        assert check.detail["zero_ms"] is gamma_parameter(fn).vacuous
+
+
+def test_kleinberg_equivalence_reports_a_failure(monkeypatch):
+    seconds = ExactTables.seconds
+
+    def shifted(self, i, j):
+        # positive on every mask holding i, so gamma is not vacuous, while
+        # the sets outside i and j and the empty set keep A_ij <= 0
+        return seconds(self, i, j) + np.where((self.masks >> i) & 1, 1.0, 0.0)
+
+    monkeypatch.setattr(ExactTables, "seconds", shifted)
+    check = verify_lemmas(random_coverage(np.random.default_rng(25), 5))["kleinberg_equivalence"]
+    assert check.passed is False
+    assert check.detail == {"zero_ms": False, "kleinberg_form": True}
+
+
 def test_verify_lemmas_skips_when_hypotheses_fail():
-    non_monotone = build_table([0.0, 1.0, 1.0, 0.5])
+    non_monotone = TableFunction([0.0, 1.0, 1.0, 0.5])
     checks = verify_lemmas(non_monotone)
     assert checks["marginal_sum_bound"].passed is None
     assert checks["marginal_sum_bound"].skipped_reason
+
+
+def test_lemma_checks_reuse_the_given_reports():
+    fn = random_diversity(np.random.default_rng(26), 6)
+    M = UniformMatroid(6, 3)
+    given = lemma_checks(fn, classify(fn), gamma_parameter(fn), matroid=M)
+    assert given == verify_lemmas(fn, matroid=M)
 
 
 def test_pair_seed_constant_small_cases():

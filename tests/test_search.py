@@ -16,12 +16,12 @@ from metasub.search import (
     matching_step,
     solve,
 )
-from metasub.setfn import build_diversity, build_table, mask_of
+from metasub.setfn import DiversityFunction, TableFunction, mask_of
 from util import random_coverage, random_diversity, random_metric
 
 
 def all_ones_diversity(n=4):
-    return build_diversity(np.ones((n, n)) - np.eye(n))
+    return DiversityFunction(np.ones((n, n)) - np.eye(n))
 
 
 def test_config_validation():
@@ -40,11 +40,11 @@ def test_best_pair_symmetric_tie_is_lexicographic():
 def test_best_pair_dominant_entry():
     D = np.ones((4, 4)) - np.eye(4)
     D[2, 3] = D[3, 2] = 9.0
-    assert best_pair_init(build_diversity(D), UniformMatroid(4, 2)) == mask_of([2, 3])
+    assert best_pair_init(DiversityFunction(D), UniformMatroid(4, 2)) == mask_of([2, 3])
 
 
 def test_best_pair_rank_one_fallback():
-    fn = build_diversity(np.zeros((2, 2)), weights=[1.0, 5.0])
+    fn = DiversityFunction(np.zeros((2, 2)), weights=[1.0, 5.0])
     assert best_pair_init(fn, UniformMatroid(2, 1)) == mask_of([1])
 
 
@@ -145,7 +145,7 @@ def test_matching_step_supermodular_value_dominates_weight():
 
 
 def test_solve_single_element_ground_set():
-    fn = build_table([0.0, 3.0])
+    fn = TableFunction([0.0, 3.0])
     result = solve(fn, UniformMatroid(1, 1))
     assert result.chosen == 1 and result.chosen_value == 3.0
 
@@ -154,7 +154,7 @@ def test_solve_modular_reaches_optimum():
     rng = np.random.default_rng(6)
     for _ in range(10):
         w = rng.random(7)
-        fn = build_diversity(np.zeros((7, 7)), weights=w)
+        fn = DiversityFunction(np.zeros((7, 7)), weights=w)
         M = UniformMatroid(7, 3)
         result = solve(fn, M)
         _, opt = brute_force_opt(fn, M)
@@ -186,7 +186,7 @@ def test_brute_force_known_cases():
     assert value == 1.0
     table = [0.0] * 16
     table[mask_of([1, 3])] = 7.0
-    mask, value = brute_force_opt(build_table(table), UniformMatroid(4, 2))
+    mask, value = brute_force_opt(TableFunction(table), UniformMatroid(4, 2))
     assert mask == mask_of([1, 3]) and value == 7.0
 
 

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from metasub.errors import GuardError, ValidationError
 from metasub.setfn import (
-    build_coverage,
-    build_diversity,
-    build_table,
-    build_weighted_sum,
+    CoverageFunction,
+    DiversityFunction,
+    TableFunction,
+    WeightedSumFunction,
     close,
     elements_of,
     mask_of,
@@ -31,7 +31,7 @@ def test_empty_set_is_zero_for_all_builders():
 
 def test_diversity_value_is_pairwise_sum():
     D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 4.0], [2.0, 4.0, 0.0]])
-    fn = build_diversity(D)
+    fn = DiversityFunction(D)
     assert fn.value(mask_of([0, 1])) == 1.0
     assert fn.value(mask_of([0, 1, 2])) == 7.0
     assert fn.value(mask_of([2])) == 0.0
@@ -39,24 +39,15 @@ def test_diversity_value_is_pairwise_sum():
 
 def test_diversity_modular_weights():
     D = np.array([[0.0, 1.0], [1.0, 0.0]])
-    fn = build_diversity(D, weights=[2.0, 3.0])
+    fn = DiversityFunction(D, weights=[2.0, 3.0])
     assert fn.value(mask_of([0])) == 2.0
     assert fn.value(mask_of([0, 1])) == 6.0
     with pytest.raises(ValidationError):
-        build_diversity(D, weights=[-1.0, 0.0])
-
-
-def test_diversity_fast_marginal_matches_generic():
-    rng = np.random.default_rng(1)
-    fn = build_diversity(random_metric(rng, 6), weights=rng.random(6))
-    for mask in range(1 << 6):
-        for i in range(6):
-            generic = fn.value(mask | (1 << i)) - fn.value(mask & ~(1 << i))
-            assert fn.marginal(i, mask) == pytest.approx(generic, abs=1e-12)
+        DiversityFunction(D, weights=[-1.0, 0.0])
 
 
 def test_coverage_is_union_weight():
-    fn = build_coverage([[0, 1], [1, 2], [3]], [1.0, 2.0, 4.0, 8.0])
+    fn = CoverageFunction([[0, 1], [1, 2], [3]], [1.0, 2.0, 4.0, 8.0])
     assert fn.value(mask_of([0])) == 3.0
     assert fn.value(mask_of([0, 1])) == 7.0
     assert fn.value(mask_of([0, 1, 2])) == 15.0
@@ -64,26 +55,26 @@ def test_coverage_is_union_weight():
 
 def test_table_validation():
     with pytest.raises(ValidationError):
-        build_table([0.0, 1.0, 2.0])  # not a power of two
+        TableFunction([0.0, 1.0, 2.0])  # not a power of two
     with pytest.raises(ValidationError):
-        build_table([1.0, 2.0])  # empty set must map to 0
+        TableFunction([1.0, 2.0])  # empty set must map to 0
     with pytest.raises(ValidationError):
-        build_table([0.0, np.inf])
-    fn = build_table([0.0, 1.0, 2.0, 5.0])
+        TableFunction([0.0, np.inf])
+    fn = TableFunction([0.0, 1.0, 2.0, 5.0])
     assert fn.n == 2
     assert fn.value(3) == 5.0
 
 
 def test_weighted_sum_requires_positive_coeffs_and_shared_n():
     rng = np.random.default_rng(2)
-    a = build_diversity(random_metric(rng, 4))
-    b = build_diversity(random_metric(rng, 5))
+    a = DiversityFunction(random_metric(rng, 4))
+    b = DiversityFunction(random_metric(rng, 5))
     with pytest.raises(ValidationError):
-        build_weighted_sum([(a, 1.0), (b, 1.0)])
+        WeightedSumFunction([(a, 1.0), (b, 1.0)])
     with pytest.raises(ValidationError):
-        build_weighted_sum([(a, 0.0)])
-    c = build_diversity(random_metric(rng, 4))
-    s = build_weighted_sum([(a, 2.0), (c, 0.5)])
+        WeightedSumFunction([(a, 0.0)])
+    c = DiversityFunction(random_metric(rng, 4))
+    s = WeightedSumFunction([(a, 2.0), (c, 0.5)])
     m = mask_of([1, 3])
     assert s.value(m) == pytest.approx(2.0 * a.value(m) + 0.5 * c.value(m))
 
@@ -105,10 +96,10 @@ def fresh_oracles(n: int):
     """One newly built oracle of every kind over a ground set of size n."""
     rng = np.random.default_rng(n)
     yield random_diversity(rng, n)
-    yield build_diversity(random_metric(rng, n), weights=rng.random(n))
+    yield DiversityFunction(random_metric(rng, n), weights=rng.random(n))
     yield random_coverage(rng, n)
     yield random_table(rng, n)
-    yield build_weighted_sum([(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)])
+    yield WeightedSumFunction([(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)])
 
 
 def test_value_table_matches_raw_value_loop_and_guards():
@@ -120,18 +111,18 @@ def test_value_table_matches_raw_value_loop_and_guards():
             for mask, expect in enumerate(reference):
                 assert close(table[mask], expect), (fn.kind, n, mask, table[mask], expect)
 
-    big = build_coverage([[0]] * 21, [1.0])
+    big = CoverageFunction([[0]] * 21, [1.0])
     with pytest.raises(GuardError):
         big.value_table()
 
 
 def test_ground_set_bounds():
     with pytest.raises(ValidationError):
-        build_table([0.0])
+        TableFunction([0.0])
     with pytest.raises(ValidationError):
-        build_coverage([], [])
+        CoverageFunction([], [])
     with pytest.raises(ValidationError):
-        build_coverage([[0]] * 63, [1.0])
+        CoverageFunction([[0]] * 63, [1.0])
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,21 +1,16 @@
 """Shared instance generators and brute-force oracles for the tests."""
 
-import itertools
-
 import numpy as np
 
+from metasub.matching import exhaustive_matching  # noqa: F401 (re-exported)
+from metasub.metric import euclidean
 from metasub.setfn import (
+    CoverageFunction,
+    DiversityFunction,
     SetFunctionOracle,
-    build_coverage,
-    build_diversity,
-    build_table,
-    build_weighted_sum,
+    TableFunction,
+    WeightedSumFunction,
 )
-
-
-def euclidean(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
 
 
 def random_metric(rng, n: int, dim: int = 3) -> np.ndarray:
@@ -23,13 +18,13 @@ def random_metric(rng, n: int, dim: int = 3) -> np.ndarray:
 
 
 def random_diversity(rng, n: int, power: float = 1.0):
-    return build_diversity(random_metric(rng, n) ** power)
+    return DiversityFunction(random_metric(rng, n) ** power)
 
 
 def random_coverage(rng, n: int, m: int | None = None):
     m = m or 2 * n
     incidence = [list(np.flatnonzero(rng.random(m) < 0.4)) for _ in range(n)]
-    return build_coverage(incidence, rng.random(m))
+    return CoverageFunction(incidence, rng.random(m))
 
 
 def random_table(rng, n: int, monotone: bool = False):
@@ -41,7 +36,7 @@ def random_table(rng, n: int, monotone: bool = False):
             for i in range(n):
                 if mask & (1 << i):
                     vals[mask] = max(vals[mask], vals[mask & ~(1 << i)])
-    return build_table(vals)
+    return TableFunction(vals)
 
 
 def random_mixed_oracle(rng, n: int) -> SetFunctionOracle:
@@ -52,18 +47,7 @@ def random_mixed_oracle(rng, n: int) -> SetFunctionOracle:
         return random_coverage(rng, n)
     if roll == 2:
         return random_table(rng, n)
-    return build_weighted_sum(
+    return WeightedSumFunction(
         [(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)]
     )
 
-
-def exhaustive_matching(w: np.ndarray, k: int) -> float:
-    """Brute-force best weight of an exactly-k matching."""
-    if k == 0:
-        return 0.0
-    rows, cols = w.shape
-    best = -np.inf
-    for rsub in itertools.combinations(range(rows), k):
-        for csub in itertools.permutations(range(cols), k):
-            best = max(best, sum(w[i, j] for i, j in zip(rsub, csub)))
-    return float(best)
