@@ -1,8 +1,8 @@
 """Command-line surface: instance generation, diagnostics, solving, and
 property verification, all emitting deterministic JSON reports.
 
-Exit codes: 0 success, 2 invalid input, 3 size/iteration guard exceeded,
-4 property failure.
+Exit codes: 0 success, 2 invalid input (including magnitudes that overflow
+floating point), 3 size/iteration guard exceeded, 4 property failure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,13 @@ from .search import (
     iteration_bound,
     solve,
 )
-from .setfn import CoverageFunction, DiversityFunction, SetFunctionOracle, TableFunction
+from .setfn import (
+    MAX_GROUND_SET,
+    CoverageFunction,
+    DiversityFunction,
+    SetFunctionOracle,
+    TableFunction,
+)
 
 SCHEMA_VERSION = 2
 
@@ -53,8 +59,14 @@ def digest(doc) -> str:
 # ---------------------------------------------------------------- instances
 
 
+def _section(desc, name: str) -> dict:
+    if not isinstance(desc, dict):
+        raise ValidationError(f"{name} must be a JSON object")
+    return desc
+
+
 def build_function(n: int, desc: dict) -> SetFunctionOracle:
-    kind = desc.get("kind")
+    kind = _section(desc, "function").get("kind")
     if kind in ("diversity", "diversity_plus_modular"):
         D = np.asarray(desc["distance"], dtype=float)
         if D.shape != (n, n):
@@ -74,10 +86,12 @@ def build_function(n: int, desc: dict) -> SetFunctionOracle:
 
 
 def build_matroid(n: int, desc: dict) -> MatroidOracle:
-    kind = desc.get("kind")
+    kind = _section(desc, "matroid").get("kind")
     if kind == "uniform":
         return UniformMatroid(n, int(desc["r"]))
     if kind == "partition":
+        if not all(0 <= v < n for block in desc["blocks"] for v in block):
+            raise ValidationError(f"partition blocks must hold elements of [0, {n})")
         M = PartitionMatroid(desc["blocks"], desc["caps"])
         if M.n != n:
             raise ValidationError(f"partition blocks cover {M.n} elements, not n={n}")
@@ -93,11 +107,13 @@ def build_matroid(n: int, desc: dict) -> MatroidOracle:
 def parse_instance(doc: dict) -> tuple[SetFunctionOracle, MatroidOracle]:
     try:
         n = int(doc["n"])
+        if not 1 <= n <= MAX_GROUND_SET:
+            raise ValidationError(f"ground set size {n} outside [1, {MAX_GROUND_SET}]")
         fn = build_function(n, doc["function"])
         M = build_matroid(n, doc["matroid"])
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed instance document: {exc!r}") from exc
     return fn, M
 
@@ -181,7 +197,13 @@ def write(text: str, args) -> None:
 
 
 def emit(doc: dict, args) -> None:
-    write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args)
+    """Write a strict-JSON report. Inputs are finite, so a NaN or infinity
+    here comes from arithmetic that overflowed on the instance's magnitudes."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise OverflowError(str(exc)) from exc
+    write(text + "\n", args)
 
 
 def trace_csv(result_dict: dict) -> str:
@@ -200,11 +222,18 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _declared(meta: dict, key: str) -> float:
+    value = meta[key]
+    if type(value) not in (int, float) or not -1e308 <= value <= 1e308:
+        raise ValidationError(f"metadata {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def cmd_analyze(args) -> int:
     instance = load_instance(args.instance)
     fn, M = parse_instance(instance)
     results: dict = {"matroid": {"rank": M.rank, "min_circuit_size": M.min_circuit_size}}
-    meta = instance.get("metadata", {})
+    meta = _section(instance.get("metadata", {}), "metadata")
     if isinstance(fn, DiversityFunction):
         D = fn.distance
         sigma = metric.semi_metric_parameter(D)
@@ -216,12 +245,12 @@ def cmd_analyze(args) -> int:
             "sqrt_metric": {"holds": sqrt_ok, "witness": sqrt_witness},
         }
         if "sigma" in meta and not sigma.is_infinite:
-            results["metric"]["declared_sigma_delta"] = sigma.sigma - meta["sigma"]
+            results["metric"]["declared_sigma_delta"] = sigma.sigma - _declared(meta, "sigma")
     if fn.n <= args.n_max:
         g = diag.gamma_parameter(fn, n_max=args.n_max)
         results["gamma"] = g.to_dict()
         if "gamma" in meta and not g.is_infinite:
-            results["gamma"]["declared_delta"] = g.gamma - meta["gamma"]
+            results["gamma"]["declared_delta"] = g.gamma - _declared(meta, "gamma")
         cls = diag.classify(fn, n_max=args.n_max)
         results["classification"] = cls.to_dict()
         results["lemmas"] = {
@@ -461,6 +490,9 @@ def main(argv=None) -> int:
         code = args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: the instance's magnitudes overflow floating point: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)

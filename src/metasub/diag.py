@@ -388,6 +388,9 @@ def lemma_checks(
     if not cls.monotone or gamma is None:
         checks["marginal_sum_bound"] = LemmaCheck(
             "marginal_sum_bound", None, skipped_reason="needs a monotone function with finite gamma")
+    elif not big.any():
+        checks["marginal_sum_bound"] = LemmaCheck(
+            "marginal_sum_bound", None, skipped_reason="needs two or more elements")
     else:
         bound = (5.0 * gamma + 2.0) * t.values[big]
         slack = marg_sum[big] - bound

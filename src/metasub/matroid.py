@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ValidationError
-from .setfn import check_mask, elements_of, iter_elements
+from .setfn import check_mask, elements_of, iter_elements, split
 
 
 class MatroidOracle:
@@ -26,6 +28,21 @@ class MatroidOracle:
 
     def is_independent(self, mask: int) -> bool:
         raise NotImplementedError
+
+    def swap_feasible(self, mask: int) -> np.ndarray:
+        """Independence of S - i + j for i in S (rows) and j not in S
+        (columns), in elements_of order.
+
+        One is_independent call per entry: the reference that the overrides,
+        which may assume S independent, must match.
+        """
+        check_mask(mask, self.n)
+        inside, outside = split(mask, self.n)
+        feasible = [
+            self.is_independent((mask & ~(1 << int(i))) | (1 << int(j)))
+            for i in inside for j in outside
+        ]
+        return np.array(feasible, dtype=bool).reshape(len(inside), len(outside))
 
     def rank_of(self, mask: int) -> int:
         """Greedy closure size inside mask, ascending element order."""
@@ -62,10 +79,9 @@ class MatroidOracle:
                 raise ValidationError(f"set {base:#x} is not a base")
         left = elements_of(S & ~T)
         right = elements_of(T & ~S)
-        adm = {
-            i: [j for j in right if self.is_independent((S & ~(1 << i)) | (1 << j))]
-            for i in left
-        }
+        inside, outside = split(S, self.n)
+        feasible = self.swap_feasible(S)[np.isin(inside, left)][:, np.isin(outside, right)]
+        adm = {i: [j for j, ok in zip(right, row) if ok] for i, row in zip(left, feasible)}
         match_of: dict[int, int] = {}  # right element -> left element
 
         def try_assign(i: int, seen: set[int]) -> bool:
@@ -99,6 +115,12 @@ class UniformMatroid(MatroidOracle):
         check_mask(mask, self.n)
         return mask.bit_count() <= self.r
 
+    def swap_feasible(self, mask: int) -> np.ndarray:
+        # a swap keeps |S|
+        check_mask(mask, self.n)
+        size = mask.bit_count()
+        return np.full((size, self.n - size), size <= self.r)
+
 
 class PartitionMatroid(MatroidOracle):
     kind = "partition"
@@ -121,6 +143,9 @@ class PartitionMatroid(MatroidOracle):
             raise ValidationError("blocks must cover the ground set densely")
         super().__init__(n)
         self.block_masks = masks
+        self._block_of = np.empty(n, dtype=np.int64)
+        for b, m in enumerate(masks):
+            self._block_of[elements_of(m)] = b
         self.caps = [int(c) for c in caps]
         if any(c < 0 for c in self.caps):
             raise ValidationError("caps must be non-negative")
@@ -135,6 +160,17 @@ class PartitionMatroid(MatroidOracle):
         return all(
             (mask & m).bit_count() <= c for m, c in zip(self.block_masks, self.caps)
         )
+
+    def swap_feasible(self, mask: int) -> np.ndarray:
+        # from an independent S, S - i + j is independent when i and j share a
+        # block or j's block is below its cap in S
+        if not self.is_independent(mask):
+            return super().swap_feasible(mask)
+        inside, outside = split(mask, self.n)
+        below_cap = np.array([(mask & m).bit_count() < c
+                              for m, c in zip(self.block_masks, self.caps)])
+        into = self._block_of[outside]
+        return (self._block_of[inside][:, None] == into) | below_cap[into]
 
 
 class GraphicMatroid(MatroidOracle):
@@ -152,12 +188,18 @@ class GraphicMatroid(MatroidOracle):
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValidationError(f"edge ({u},{v}) references unknown vertex")
             self.edges.append((int(u), int(v)))
+        # queries number only the vertices some edge touches, so their cost
+        # does not grow with isolated vertices
+        touched = sorted({v for e in self.edges for v in e})
+        label = {v: k for k, v in enumerate(touched)}
+        self._order = len(touched)
+        self._ends = [(label[u], label[v]) for u, v in self.edges]
         self._finish_init()
         self.min_circuit_size = self._girth()
 
     def is_independent(self, mask: int) -> bool:
         check_mask(mask, self.n)
-        parent = list(range(self.num_vertices))
+        parent = list(range(self._order))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -166,7 +208,7 @@ class GraphicMatroid(MatroidOracle):
             return x
 
         for e in iter_elements(mask):
-            u, v = self.edges[e]
+            u, v = self._ends[e]
             ru, rv = find(u), find(v)
             if ru == rv:
                 return False
@@ -174,21 +216,21 @@ class GraphicMatroid(MatroidOracle):
         return True
 
     def _girth(self) -> int | None:
-        if any(u == v for u, v in self.edges):
+        if any(u == v for u, v in self._ends):
             return 1
         pair_count: dict[tuple[int, int], int] = {}
-        for u, v in self.edges:
+        for u, v in self._ends:
             key = (min(u, v), max(u, v))
             pair_count[key] = pair_count.get(key, 0) + 1
         if any(c > 1 for c in pair_count.values()):
             return 2
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        adj: list[list[int]] = [[] for _ in range(self._order)]
         for u, v in pair_count:
             adj[u].append(v)
             adj[v].append(u)
         best: int | None = None
         # BFS from every root finds some vertex of each shortest cycle
-        for root in range(self.num_vertices):
+        for root in range(self._order):
             dist = {root: 0}
             par = {root: -1}
             queue = [root]

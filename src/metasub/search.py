@@ -10,13 +10,14 @@ wins.
 from __future__ import annotations
 
 import math
-
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import GuardError, ValidationError
 from .matching import Matching, max_weight_matching_k
 from .matroid import MatroidOracle
-from .setfn import ABS_TOL, SetFunctionOracle, elements_of, iter_elements
+from .setfn import ABS_TOL, SetFunctionOracle, elements_of, split
 
 DEFAULT_EPSILON = 0.1
 DEFAULT_MAX_ITERATIONS = 1_000_000
@@ -77,27 +78,25 @@ def best_pair_init(fn: SetFunctionOracle, M: MatroidOracle) -> int:
         raise ValidationError("oracle and matroid ground sets differ")
     best_mask = 0
     best_value = None
-    for i in range(fn.n):
-        for j in range(i + 1, fn.n):
-            mask = (1 << i) | (1 << j)
-            if not M.is_independent(mask):
-                continue
-            v = fn.value(mask)
-            if best_value is None or v > best_value:
-                best_mask, best_value = mask, v
+    for i in range(fn.n - 1):
+        _, add, _ = fn.neighbourhood(1 << i)
+        partners = [j for j in range(i + 1, fn.n) if M.is_independent((1 << i) | (1 << j))]
+        if not partners:
+            continue
+        values = add[np.array(partners) - 1]  # j > i sits at j - 1 outside {i}
+        k = int(np.argmax(values))  # first maximum, as in a strict-> scan
+        if best_value is None or values[k] > best_value:
+            best_mask, best_value = (1 << i) | (1 << partners[k]), values[k]
     if best_value is not None:
         return best_mask
+    _, singles, _ = fn.neighbourhood(0)
     for i in range(fn.n):
-        mask = 1 << i
-        if not M.is_independent(mask):
-            continue
-        v = fn.value(mask)
-        if best_value is None or v > best_value:
-            best_mask, best_value = mask, v
+        if M.is_independent(1 << i) and (best_value is None or singles[i] > best_value):
+            best_mask, best_value = 1 << i, singles[i]
     return best_mask
 
 
-def _accepts(current: float, candidate: float, threshold: float) -> bool:
+def _accepts(current: float, candidate: np.ndarray, threshold: float) -> np.ndarray:
     if current > ABS_TOL:
         return candidate >= threshold * current
     return candidate > current + ABS_TOL
@@ -113,48 +112,42 @@ def local_search(
 
     A swap S - i + j is accepted when it clears the multiplicative threshold
     1 + epsilon/n^2 (absolute improvement when the current value is zero).
+    Each round scores the whole neighbourhood at once and picks the first
+    accepted swap in (i, j) scan order, or the first best one; evaluations
+    count the feasible swaps a one-at-a-time scan would have scored.
     """
     n = fn.n
     threshold = 1.0 + config.epsilon / (n * n)
     S = start
-    full = (1 << n) - 1
     iterations = 0
     evaluations = 0
     trace: list[dict] = []
     current = fn.value(S)
-    improved = True
-    while improved:
-        improved = False
-        best_swap = None
-        best_value = current
-        for i in iter_elements(S):
-            for j in iter_elements(full & ~S):
-                cand = (S & ~(1 << i)) | (1 << j)
-                if not M.is_independent(cand):
-                    continue
-                v = fn.value(cand)
-                evaluations += 1
-                if not _accepts(current, v, threshold):
-                    continue
-                if config.pivot == "first":
-                    best_swap, best_value = (i, j), v
-                    break
-                if best_swap is None or v > best_value:
-                    best_swap, best_value = (i, j), v
-            if config.pivot == "first" and best_swap is not None:
-                break
-        if best_swap is not None:
-            i, j = best_swap
-            S = (S & ~(1 << i)) | (1 << j)
-            current = best_value
-            iterations += 1
-            trace.append({"iteration": iterations, "removed": i, "inserted": j, "value": current})
-            if iterations >= config.max_iterations:
-                raise GuardError(
-                    f"local search exceeded {config.max_iterations} accepted swaps; "
-                    f"last value {current!r}"
-                )
-            improved = True
+    while True:
+        inside, outside = split(S, n)
+        values = fn.neighbourhood(S)[2].ravel()
+        feasible = M.swap_feasible(S).ravel()
+        accepted = np.flatnonzero(feasible & _accepts(current, values, threshold))
+        if not accepted.size:
+            evaluations += int(feasible.sum())
+            break
+        if config.pivot == "first":
+            pick = accepted[0]
+            evaluations += int(feasible[: pick + 1].sum())
+        else:
+            pick = accepted[np.argmax(values[accepted])]
+            evaluations += int(feasible.sum())
+        a, b = divmod(int(pick), len(outside))
+        i, j = int(inside[a]), int(outside[b])
+        S = (S & ~(1 << i)) | (1 << j)
+        current = fn.value(S)
+        iterations += 1
+        trace.append({"iteration": iterations, "removed": i, "inserted": j, "value": current})
+        if iterations >= config.max_iterations:
+            raise GuardError(
+                f"local search exceeded {config.max_iterations} accepted swaps; "
+                f"last value {current!r}"
+            )
     return S, iterations, evaluations, trace
 
 
@@ -177,13 +170,17 @@ def matching_step(
     k = matching_cardinality(M, S)
     if k <= 0:
         return 0, None, 0
-    left = elements_of(S)
-    right = elements_of(((1 << M.n) - 1) & ~S)
-    weights = [[fn.second_difference(i, j, S) for j in right] for i in left]
+    inside, outside = split(S, M.n)
+    base = fn.value(S)
+    drop, add, swap = fn.neighbourhood(S)
+    # A_ij(S) = f(S+j) - f(S) - f(S-i+j) + f(S-i), summed in the order of
+    # second_difference, which names the pair's sets by (min, max)
+    j_first = outside[None, :] < inside[:, None]
+    weights = (add - np.where(j_first, swap, base)) - np.where(j_first, base, swap) + drop[:, None]
     matching = max_weight_matching_k(weights, k)
     mask = 0
     for a, b in matching.pairs:
-        mask |= (1 << left[a]) | (1 << right[b])
+        mask |= (1 << int(inside[a])) | (1 << int(outside[b]))
     return mask, matching, k
 
 

@@ -7,6 +7,7 @@ difference that the structural diagnostics are built from.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +38,12 @@ def iter_elements(mask: int):
 
 def elements_of(mask: int) -> list[int]:
     return list(iter_elements(mask))
+
+
+def split(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elements of S = mask and of its complement, ascending (elements_of order)."""
+    member = (np.int64(mask) >> np.arange(n, dtype=np.int64)) & 1
+    return np.flatnonzero(member), np.flatnonzero(member == 0)
 
 
 def check_mask(mask: int, n: int) -> None:
@@ -71,6 +78,31 @@ class SetFunctionOracle:
         if self._offset is None:
             self._offset = self._raw_value(0)
         return self._raw_value(mask) - self._offset
+
+    def _check_finite_total(self) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = self._raw_value((1 << self.n) - 1)
+        if not math.isfinite(total):
+            raise ValidationError(f"{self.kind} value of the whole ground set is {total!r}, "
+                                  "not a finite number")
+
+    def neighbourhood(self, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values one step from S = mask: f(S-i) for i in S, f(S+j) for j not
+        in S, and the |S| x |S-bar| matrix of f(S-i+j), in elements_of order.
+
+        One value call per entry (a filled table is gathered instead): the
+        reference that closed-form overrides must match.
+        """
+        check_mask(mask, self.n)
+        inside, outside = split(mask, self.n)
+        one = np.int64(1)
+        drop = np.int64(mask) ^ (one << inside)
+        add = np.int64(mask) | (one << outside)
+        swap = drop[:, None] | (one << outside)[None, :]
+        if self._table is not None:
+            return self._table[drop], self._table[add], self._table[swap]
+        value = np.vectorize(lambda m: self.value(int(m)), otypes=[float])
+        return value(drop), value(add), value(swap)
 
     def marginal(self, i: int, mask: int) -> float:
         """f(S+i) - f(S-i); independent of whether i is already in S."""
@@ -133,6 +165,7 @@ class DiversityFunction(SetFunctionOracle):
         else:
             self.kind = "diversity"
         self.weights = weights
+        self._check_finite_total()
 
     def _raw_value(self, mask: int) -> float:
         idx = elements_of(mask)
@@ -154,6 +187,18 @@ class DiversityFunction(SetFunctionOracle):
             tab = np.concatenate([tab, tab + gain])
         return tab
 
+    def neighbourhood(self, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # with g = D[:, S].sum(1) (+ w): f(S-i) = f(S) - g_i, f(S+j) = f(S) + g_j
+        # and f(S-i+j) = f(S) - g_i + g_j - d(i,j)
+        base = self.value(mask)
+        inside, outside = split(mask, self.n)
+        g = self.distance[:, inside].sum(axis=1)
+        if self.weights is not None:
+            g = g + self.weights
+        drop = base - g[inside]
+        swap = drop[:, None] + g[outside] - self.distance[np.ix_(inside, outside)]
+        return drop, base + g[outside], swap
+
 
 class CoverageFunction(SetFunctionOracle):
     """Weighted coverage: value of the union of per-element universe subsets."""
@@ -163,24 +208,43 @@ class CoverageFunction(SetFunctionOracle):
     def __init__(self, incidence: Sequence[Iterable[int]], universe_weights: Sequence[float]):
         super().__init__(len(incidence))
         weights = np.asarray(universe_weights, dtype=float)
+        if weights.ndim != 1:
+            raise ValidationError("universe weights must be a flat list")
         if np.any(weights < 0):
             raise ValidationError("universe weights must be non-negative")
         m = len(weights)
         self.universe_weights = weights
         self._covers: list[int] = []
-        for items in incidence:
+        self._incidence = np.zeros((self.n, m), dtype=bool)
+        for v, items in enumerate(incidence):
             cover = 0
             for u in items:
                 if not 0 <= u < m:
                     raise ValidationError(f"incidence references unknown universe item {u}")
                 cover |= 1 << u
             self._covers.append(cover)
+            self._incidence[v, elements_of(cover)] = True
+        self._check_finite_total()
 
     def _raw_value(self, mask: int) -> float:
         union = 0
         for v in iter_elements(mask):
             union |= self._covers[v]
         return float(self.universe_weights[elements_of(union)].sum()) if union else 0.0
+
+    def neighbourhood(self, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the union of each set one step away, from per-item cover counts;
+        # each union is summed as _raw_value sums it, so equal unions tie exactly
+        check_mask(mask, self.n)
+        inside, outside = split(mask, self.n)
+        inc, w = self._incidence, self.universe_weights
+        count = inc[inside].sum(axis=0)
+        kept = (count - inc[inside]) > 0
+        values = []
+        for union in (kept, (count > 0) | inc[outside], kept[:, None] | inc[outside]):
+            rows = union.reshape(math.prod(union.shape[:-1]), len(w))
+            values.append(np.array([w[row].sum() for row in rows]).reshape(union.shape[:-1]))
+        return tuple(values)
 
 
 class TableFunction(SetFunctionOracle):
@@ -228,3 +292,6 @@ class WeightedSumFunction(SetFunctionOracle):
     def _fill_table(self) -> np.ndarray:
         return sum(coeff * fn.value_table() for fn, coeff in self.components)
 
+    def neighbourhood(self, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        parts = [(coeff, fn.neighbourhood(mask)) for fn, coeff in self.components]
+        return tuple(sum(coeff * arrays[k] for coeff, arrays in parts) for k in range(3))

@@ -201,3 +201,44 @@ def test_analyze_computes_gamma_and_classification_once(tmp_path, monkeypatch):
     code, _ = run(["analyze", str(inst)], tmp_path, "analyze.json")
     assert code == 0
     assert sorted(calls) == ["classify", "gamma_parameter"]
+
+
+def _diversity_doc(D, weights=None, r=2):
+    function = {"kind": "diversity", "distance": D}
+    if weights is not None:
+        function["weights"] = weights
+    return {"n": len(D), "function": function, "matroid": {"kind": "uniform", "r": r}}
+
+
+HUGE = [[0.0 if i == j else 1e308 for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("doc, solve_code", [
+    (_diversity_doc(HUGE), 2),  # the total overflows
+    ({"n": 2, "function": {"kind": "coverage", "incidence": [[0], [1]],
+                           "universe_weights": [1e308, 1e308]},
+      "matroid": {"kind": "uniform", "r": 2}}, 2),
+    (_diversity_doc([[0.0, 0.0], [0.0, 0.0]], weights=[0.0, 1e308], r=0), 0),  # a slack
+    (_diversity_doc([[0.0, 0.0, 1.0], [0.0, 0.0, 1e154], [1.0, 1e154, 0.0]], r=0), 0),  # gamma
+], ids=["diversity-total", "coverage-total", "analyze-slack", "analyze-power"])
+def test_overflowing_instances_exit_2_without_a_report(doc, solve_code, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    for command, code in (("solve", solve_code), ("analyze", 2)):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, str(inst), "--out", str(out)]) == code, command
+        if code == 0:
+            json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))
+        else:
+            assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_analyze_a_single_element_instance(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_diversity_doc([[0.0]], r=1)))
+    code, out = run(["analyze", str(inst)], tmp_path)
+    assert code == 0
+    lemmas = json.loads(out.read_text())["results"]["lemmas"]
+    assert lemmas["marginal_sum_bound"]["passed"] is None

@@ -6,11 +6,12 @@ import pytest
 from metasub.errors import ValidationError
 from metasub.matroid import (
     GraphicMatroid,
+    MatroidOracle,
     PartitionMatroid,
     UniformMatroid,
     generic_min_circuit,
 )
-from metasub.setfn import mask_of
+from metasub.setfn import elements_of, mask_of
 
 
 def all_independent(M):
@@ -62,6 +63,10 @@ def test_graphic_triangle():
     assert M.rank == 2  # |V| - 1 for a connected graph
     assert M.min_circuit_size == 3
     check_axioms(M)
+    # isolated vertices add no work: queries touch only the vertices of some edge
+    far = GraphicMatroid(10**12, [(0, 10**12 - 1), (10**12 - 1, 7), (7, 0)])
+    assert far.rank == 2 and far.min_circuit_size == 3
+    assert not far.is_independent(0b111) and far.is_independent(0b110)
 
 
 def test_graphic_girth_cases():
@@ -155,3 +160,35 @@ def test_exchange_bijection_rejects_non_bases():
     M = UniformMatroid(4, 2)
     with pytest.raises(ValidationError):
         M.exchange_bijection(mask_of([0]), mask_of([1, 2]))
+
+
+def loop_swap_feasible(M, mask):
+    inside = elements_of(mask)
+    outside = elements_of(((1 << M.n) - 1) & ~mask)
+    rows = [[M.is_independent((mask & ~(1 << i)) | (1 << j)) for j in outside] for i in inside]
+    return np.array(rows, dtype=bool).reshape(len(inside), len(outside))
+
+
+def test_swap_feasible_overrides_match_the_independence_loop():
+    for M in (
+        UniformMatroid(7, 3),
+        UniformMatroid(7, 7),
+        PartitionMatroid([[0, 1, 2], [3, 4], [5, 6]], [2, 1, 0]),
+        PartitionMatroid([[0, 3, 5], [1, 2, 4, 6]], [1, 2]),
+        GraphicMatroid(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (0, 0)]),
+    ):
+        for mask in range(1 << M.n):  # dependent sets too: overrides fall back
+            want = loop_swap_feasible(M, mask)
+            for got in (M.swap_feasible(mask), MatroidOracle.swap_feasible(M, mask)):
+                assert got.dtype == bool and got.shape == want.shape
+                np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {mask:#x}")
+
+
+def test_partition_swaps_at_the_cap_stay_inside_a_block():
+    M = PartitionMatroid([[0, 1, 2], [3, 4]], [2, 1])
+    # both blocks at their cap: rows 0, 1, 3 and columns 2, 4 pair only within a block
+    np.testing.assert_array_equal(M.swap_feasible(mask_of([0, 1, 3])),
+                                  [[True, False], [True, False], [False, True]])
+    # the first block has room, so anything may move into it
+    np.testing.assert_array_equal(M.swap_feasible(mask_of([0, 3])),
+                                  [[True, True, False], [True, True, True]])

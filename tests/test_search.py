@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from metasub.diag import classify, gamma_parameter
+from metasub import search
 from metasub.errors import GuardError, ValidationError
-from metasub.matroid import GraphicMatroid, UniformMatroid
+from metasub.matching import max_weight_matching_k
+from metasub.matroid import GraphicMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
 from metasub.search import (
     SolveConfig,
     best_pair_init,
@@ -16,8 +18,16 @@ from metasub.search import (
     matching_step,
     solve,
 )
-from metasub.setfn import DiversityFunction, TableFunction, mask_of
-from util import random_coverage, random_diversity, random_metric
+from metasub.setfn import (
+    ABS_TOL,
+    DiversityFunction,
+    SetFunctionOracle,
+    TableFunction,
+    close,
+    elements_of,
+    mask_of,
+)
+from util import fresh_oracles, random_coverage, random_diversity
 
 
 def all_ones_diversity(n=4):
@@ -238,3 +248,104 @@ def test_submodular_coverage_sanity_ratio():
         if opt > 0:
             # classic local-search sanity bound for submodular objectives
             assert opt / max(result.chosen_value, 1e-300) <= 3 + 0.1
+
+
+# ------------------------------------------- fast paths against reference loops
+
+
+def scalar_best_pair(fn, M):
+    """Lexicographic pair scan, one value call per independent pair."""
+    best_mask, best_value = 0, None
+    for i in range(fn.n):
+        for j in range(i + 1, fn.n):
+            mask = (1 << i) | (1 << j)
+            if M.is_independent(mask):
+                v = fn.value(mask)
+                if best_value is None or v > best_value:
+                    best_mask, best_value = mask, v
+    return best_mask
+
+
+def scalar_local_search(fn, M, S, config):
+    """One candidate at a time: value and independence per swap, stopping at
+    the first accepted swap under the "first" pivot."""
+    n = fn.n
+    threshold = 1.0 + config.epsilon / (n * n)
+    iterations = evaluations = 0
+    trace = []
+    current = fn.value(S)
+    while True:
+        pick = None
+        for i in elements_of(S):
+            for j in elements_of(((1 << n) - 1) & ~S):
+                cand = (S & ~(1 << i)) | (1 << j)
+                if not M.is_independent(cand):
+                    continue
+                v = fn.value(cand)
+                evaluations += 1
+                if v >= threshold * current if current > ABS_TOL else v > current + ABS_TOL:
+                    if pick is None or v > pick[2]:
+                        pick = (i, j, v)
+                    if config.pivot == "first":
+                        break
+            if config.pivot == "first" and pick is not None:
+                break
+        if pick is None:
+            return S, iterations, evaluations, trace
+        S = (S & ~(1 << pick[0])) | (1 << pick[1])
+        current = pick[2]
+        iterations += 1
+        trace.append({"iteration": iterations, "removed": pick[0], "inserted": pick[1],
+                      "value": current})
+
+
+def force_reference_loops(monkeypatch):
+    """Route every override of the two neighbourhood methods to the base loop."""
+    for base, name in ((SetFunctionOracle, "neighbourhood"), (MatroidOracle, "swap_feasible")):
+        todo = list(base.__subclasses__())
+        while todo:
+            cls = todo.pop()
+            todo += cls.__subclasses__()
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, getattr(base, name))
+
+
+MATROIDS = {
+    "uniform": lambda: UniformMatroid(9, 4),
+    "partition": lambda: PartitionMatroid([[0, 1, 2, 3], [4, 5, 6, 7, 8]], [2, 2]),
+    "graphic": lambda: GraphicMatroid(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
+                                          (5, 3), (1, 4), (0, 5)]),
+}
+
+
+@pytest.mark.parametrize("pivot", ["first", "best"])
+@pytest.mark.parametrize("matroid", sorted(MATROIDS))
+def test_solve_with_overrides_matches_the_reference_loops(matroid, pivot, monkeypatch):
+    config = SolveConfig(epsilon=0.01, pivot=pivot)
+    for seed in range(3):
+        for fn in fresh_oracles(np.random.default_rng([seed, 9]), 9):
+            M = MATROIDS[matroid]()
+            fast = solve(fn, M, config)
+            fast_from_empty = local_search(fn, M, M.extend_to_base(0), config)
+            weights = []
+            with monkeypatch.context() as m:
+                force_reference_loops(m)
+                m.setattr(search, "max_weight_matching_k",
+                          lambda w, k: weights.append(w) or max_weight_matching_k(w, k))
+                ref = solve(fn, M, config)
+                ref_from_empty = local_search(fn, M, M.extend_to_base(0), config)
+                sd = [[fn.second_difference(i, j, ref.S) for j in range(9) if not ref.S >> j & 1]
+                      for i in elements_of(ref.S)]
+            case = (matroid, pivot, seed, fn.kind)
+            assert fast_from_empty == ref_from_empty, case
+            assert ref_from_empty == scalar_local_search(fn, M, M.extend_to_base(0), config), case
+            assert ref.initial == scalar_best_pair(fn, M), case
+            for key in ("initial", "S", "S_prime", "chosen", "trace", "iterations",
+                        "evaluations", "matching_k", "S_value", "S_prime_value", "chosen_value"):
+                assert getattr(fast, key) == getattr(ref, key), (case, key)
+            assert (fast.matching is None) == (ref.matching is None), case
+            if ref.matching is not None:
+                assert fast.matching.pairs == ref.matching.pairs, case
+                assert close(fast.matching.total_weight, ref.matching.total_weight), case
+                # the base loops give the second differences bit for bit
+                np.testing.assert_array_equal(weights[0], sd, err_msg=str(case))

@@ -7,13 +7,14 @@ from metasub.errors import GuardError, ValidationError
 from metasub.setfn import (
     CoverageFunction,
     DiversityFunction,
+    SetFunctionOracle,
     TableFunction,
     WeightedSumFunction,
     close,
     elements_of,
     mask_of,
 )
-from util import random_coverage, random_diversity, random_metric, random_mixed_oracle, random_table
+from util import fresh_oracles, random_metric, random_mixed_oracle
 
 
 def test_mask_helpers_roundtrip():
@@ -92,19 +93,9 @@ def test_second_difference_symmetry_and_insensitivity():
     assert fn.second_difference(2, 2, 11) == 0.0
 
 
-def fresh_oracles(n: int):
-    """One newly built oracle of every kind over a ground set of size n."""
-    rng = np.random.default_rng(n)
-    yield random_diversity(rng, n)
-    yield DiversityFunction(random_metric(rng, n), weights=rng.random(n))
-    yield random_coverage(rng, n)
-    yield random_table(rng, n)
-    yield WeightedSumFunction([(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)])
-
-
 def test_value_table_matches_raw_value_loop_and_guards():
     for n in (1, 5, 10):
-        for fn in fresh_oracles(n):
+        for fn in fresh_oracles(np.random.default_rng(n), n):
             reference = [fn._raw_value(mask) - fn._raw_value(0) for mask in range(1 << n)]
             table = fn.value_table()
             assert table.shape == (1 << n,)
@@ -136,3 +127,31 @@ def test_second_difference_is_discrete_mixed_difference(mask, i, j, seed):
         fn.value(base | bi | bj) - fn.value(base | bi) - fn.value(base | bj) + fn.value(base)
     )
     assert fn.second_difference(i, j, mask) == pytest.approx(expect, abs=1e-12)
+
+
+def loop_neighbourhood(fn, mask):
+    """The three neighbourhood arrays, one value call per entry."""
+    inside = elements_of(mask)
+    outside = elements_of(((1 << fn.n) - 1) & ~mask)
+    drop = [fn.value(mask & ~(1 << i)) for i in inside]
+    add = [fn.value(mask | (1 << j)) for j in outside]
+    swap = [[fn.value((mask & ~(1 << i)) | (1 << j)) for j in outside] for i in inside]
+    return np.array(drop), np.array(add), np.reshape(swap, (len(inside), len(outside)))
+
+
+def test_neighbourhood_overrides_match_the_value_loop():
+    for n in (1, 2, 7):
+        rng = np.random.default_rng(n)
+        masks = {0, 1, (1 << n) - 1, *(int(m) for m in rng.integers(0, 1 << n, size=4))}
+        for fn in [*fresh_oracles(rng, n), CoverageFunction([[]] * n, [])]:
+            for filled in (False, True):
+                if filled:
+                    fn.value_table()  # the base method now gathers from the table
+                for mask in masks:
+                    expect = loop_neighbourhood(fn, mask)
+                    base = SetFunctionOracle.neighbourhood(fn, mask)
+                    for got, want, ref in zip(fn.neighbourhood(mask), expect, base):
+                        assert got.shape == want.shape, (fn.kind, mask)
+                        np.testing.assert_array_equal(ref, want)
+                        assert all(close(a, b) for a, b in zip(got.ravel(), want.ravel())), \
+                            (fn.kind, n, mask, got, want)

@@ -51,3 +51,12 @@ def random_mixed_oracle(rng, n: int) -> SetFunctionOracle:
         [(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)]
     )
 
+
+
+def fresh_oracles(rng, n: int):
+    """One newly built oracle of every kind over a ground set of size n."""
+    yield random_diversity(rng, n)
+    yield DiversityFunction(random_metric(rng, n), weights=rng.random(n))
+    yield random_coverage(rng, n)
+    yield random_table(rng, n)
+    yield WeightedSumFunction([(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)])
