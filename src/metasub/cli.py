@@ -26,6 +26,7 @@ from .matroid import (
     generic_min_circuit,
 )
 from .search import (
+    DEFAULT_EPSILON,
     SolveConfig,
     brute_force_opt,
     guarantee_general,
@@ -39,6 +40,7 @@ from .setfn import (
     DiversityFunction,
     SetFunctionOracle,
     TableFunction,
+    elements_of,
 )
 
 SCHEMA_VERSION = 2
@@ -65,6 +67,14 @@ def _section(desc, name: str) -> dict:
     return desc
 
 
+def _integer(value, what: str) -> int:
+    """A count or index from an instance document: fractions, booleans and
+    strings are rejected rather than truncated."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def build_function(n: int, desc: dict) -> SetFunctionOracle:
     kind = _section(desc, "function").get("kind")
     if kind in ("diversity", "diversity_plus_modular"):
@@ -73,7 +83,8 @@ def build_function(n: int, desc: dict) -> SetFunctionOracle:
             raise ValidationError(f"distance shape {D.shape} does not match n={n}")
         return DiversityFunction(D, desc.get("weights"))
     if kind == "coverage":
-        incidence = desc["incidence"]
+        incidence = [[_integer(u, "incidence item") for u in items]
+                     for items in desc["incidence"]]
         if len(incidence) != n:
             raise ValidationError(f"incidence length {len(incidence)} does not match n={n}")
         return CoverageFunction(incidence, desc["universe_weights"])
@@ -88,25 +99,27 @@ def build_function(n: int, desc: dict) -> SetFunctionOracle:
 def build_matroid(n: int, desc: dict) -> MatroidOracle:
     kind = _section(desc, "matroid").get("kind")
     if kind == "uniform":
-        return UniformMatroid(n, int(desc["r"]))
+        return UniformMatroid(n, _integer(desc["r"], "uniform rank r"))
     if kind == "partition":
-        if not all(0 <= v < n for block in desc["blocks"] for v in block):
+        blocks = [[_integer(v, "partition block element") for v in block]
+                  for block in desc["blocks"]]
+        if not all(0 <= v < n for block in blocks for v in block):
             raise ValidationError(f"partition blocks must hold elements of [0, {n})")
-        M = PartitionMatroid(desc["blocks"], desc["caps"])
+        M = PartitionMatroid(blocks, [_integer(c, "partition cap") for c in desc["caps"]])
         if M.n != n:
             raise ValidationError(f"partition blocks cover {M.n} elements, not n={n}")
         return M
     if kind == "graphic":
-        edges = [tuple(e) for e in desc["edges"]]
+        edges = [tuple(_integer(v, "edge endpoint") for v in e) for e in desc["edges"]]
         if len(edges) != n:
             raise ValidationError(f"graphic matroid needs n={n} edges, got {len(edges)}")
-        return GraphicMatroid(int(desc["vertices"]), edges)
+        return GraphicMatroid(_integer(desc["vertices"], "vertex count"), edges)
     raise ValidationError(f"unknown matroid kind {kind!r}")
 
 
 def parse_instance(doc: dict) -> tuple[SetFunctionOracle, MatroidOracle]:
     try:
-        n = int(doc["n"])
+        n = _integer(doc["n"], "n")
         if not 1 <= n <= MAX_GROUND_SET:
             raise ValidationError(f"ground set size {n} outside [1, {MAX_GROUND_SET}]")
         fn = build_function(n, doc["function"])
@@ -134,8 +147,12 @@ def load_instance(path: str | None) -> dict:
 
 
 def generate(kind: str, n: int, seed: int, args) -> dict:
-    if n < 2:
-        raise ValidationError("generated instances need n >= 2")
+    if not 2 <= n <= MAX_GROUND_SET:
+        raise ValidationError(f"generated instances need 2 <= n <= {MAX_GROUND_SET}, got {n}")
+    for name, low in (("dim", 0), ("support", 1), ("universe", 0), ("r", 0)):
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise ValidationError(f"--{name} must be at least {low}, got {value}")
     rng = np.random.default_rng(seed)
     meta: dict = {"generator": kind, "seed": seed}
     matroid = {"kind": "uniform", "r": args.r if args.r is not None else max(2, n // 3)}
@@ -273,7 +290,7 @@ def cmd_solve(args) -> int:
         opt_mask, opt_value = brute_force_opt(fn, M)
         ratio = opt_value / result.chosen_value if result.chosen_value > 0 else None
         payload["opt"] = {
-            "S": sorted(diag.elements_of(opt_mask)),
+            "S": elements_of(opt_mask),
             "value": opt_value,
             "ratio": ratio,
         }
@@ -368,13 +385,7 @@ def verify_matroid_suite(rng, samples: int, n: int) -> list[dict]:
         if M.min_circuit_size != generic_min_circuit(M):
             failures.append({"trial": t, "kind": M.kind, "bad": "min_circuit_size"})
         base1 = M.extend_to_base(0)
-        perm = rng.permutation(M.n)
-        acc = 0
-        for v in perm:
-            if M.is_independent(acc | (1 << int(v))):
-                acc |= 1 << int(v)
-        pairs = M.exchange_bijection(base1, acc).pairs
-        for i, j in pairs:
+        for i, j in M.exchange_bijection(base1, M.greedy(rng.permutation(M.n))):
             if not M.is_independent((base1 & ~(1 << i)) | (1 << j)):
                 failures.append({"trial": t, "kind": M.kind, "bad": "exchange", "pair": [i, j]})
     return failures
@@ -396,17 +407,16 @@ def verify_ratio_suite(rng, samples: int, n: int) -> list[dict]:
             continue
         ratio = opt_value / result.chosen_value
         cls = diag.classify(fn)
-        bound = guarantee_general(gamma, M.rank, 0.1, n)
+        bound = guarantee_general(gamma, M.rank, DEFAULT_EPSILON, n)
         if cls.supermodular:
             bound = min(
                 bound,
-                guarantee_supermodular(
-                    gamma, M.rank, 0.1, n, M.min_circuit_size, cls.second_order_submodular
-                ),
+                guarantee_supermodular(gamma, M.rank, DEFAULT_EPSILON, n, M.min_circuit_size,
+                                       cls.second_order_submodular),
             )
         if ratio > bound * (1 + 1e-9):
             failures.append({"trial": t, "ratio": ratio, "bound": bound})
-        limit = iteration_bound(n, M.rank, gamma, 0.1)
+        limit = iteration_bound(n, M.rank, gamma, DEFAULT_EPSILON)
         if result.iterations > limit:
             failures.append({"trial": t, "iterations": result.iterations, "limit": limit})
     return failures
@@ -465,7 +475,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the local-search pipeline")
     p.add_argument("instance", nargs="?", default=None)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--pivot", choices=["first", "best"], default="first")
     p.add_argument("--with-opt", dest="with_opt", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import search
 from .errors import GuardError
 from .setfn import ABS_TOL, REL_TOL, SetFunctionOracle, elements_of
 
 DEFAULT_N_MAX = 14
 EXTENSION_N_MAX = 20
+GRADIENT_SAMPLE_POINTS = 10  # sets R drawn by the gradient-growth check
 
 
 def _guard(n: int, n_max: int) -> None:
@@ -298,23 +300,6 @@ def _leq(lhs: float, rhs: float, tol: float = REL_TOL) -> bool:
     return lhs <= rhs + tol * max(1.0, abs(rhs))
 
 
-def pair_seed_constant(r: int, gamma: float) -> float:
-    """Explicit constant bounding f(optimum) / f(best independent pair).
-
-    Follows the induction chain: the stage-2 marginal bound 2*gamma + 1 grows
-    by a factor (1 + 2*gamma/k) per added element.
-    """
-    if r <= 2:
-        return 1.0
-    total = 1.0
-    c = 2.0 * gamma + 1.0
-    for i in range(3, r + 1):
-        # c bounds the marginals onto the first i-1 chosen elements
-        total += c
-        c *= 1.0 + 2.0 * gamma / (i - 1)
-    return total
-
-
 def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int = 0) -> LemmaCheck:
     """B_i(R) = f({i}) + sum_j A_{i v_j}(prefix) for sampled orderings of every R.
 
@@ -356,13 +341,12 @@ def verify_lemmas(
     n_max: int = DEFAULT_N_MAX,
     matroid=None,
     seed: int = 0,
-    sample_points: int = 10,
 ) -> dict[str, LemmaCheck]:
     """Structural-inequality battery; checks skip (and say so) when their
     hypotheses fail for the given oracle."""
     _guard(fn.n, n_max)
     return lemma_checks(fn, classify(fn, n_max=n_max), gamma_parameter(fn, n_max=n_max),
-                        matroid=matroid, seed=seed, sample_points=sample_points)
+                        matroid=matroid, seed=seed)
 
 
 def lemma_checks(
@@ -371,7 +355,6 @@ def lemma_checks(
     g: GammaReport,
     matroid=None,
     seed: int = 0,
-    sample_points: int = 10,
 ) -> dict[str, LemmaCheck]:
     """The battery of verify_lemmas, given the oracle's classification and
     gamma reports."""
@@ -412,7 +395,7 @@ def lemma_checks(
             "second_order_marginal_bound", bool(np.all(_leq_vec(marg_sum, bound))),
             worst_slack=float(slack[k]), detail={"R": elements_of(int(t.masks[k]))})
 
-    checks["gradient_growth"] = _check_gradient_growth(t, cls, gamma, seed, sample_points)
+    checks["gradient_growth"] = _check_gradient_growth(t, cls, gamma, seed)
     checks["kleinberg_equivalence"] = _check_kleinberg(t, g)
     if matroid is not None:
         checks["pair_seed_bound"] = _check_pair_seed(fn, t, matroid, cls, gamma)
@@ -428,7 +411,7 @@ def _gradient(t: ExactTables, x: np.ndarray) -> np.ndarray:
     return np.array([float(t.marginals(i) @ p) for i in range(t.n)])
 
 
-def _check_gradient_growth(t, cls, gamma, seed, sample_points) -> LemmaCheck:
+def _check_gradient_growth(t, cls, gamma, seed) -> LemmaCheck:
     """Directional-derivative growth along 1_R -> 1_R + u, two bounds at once:
     the 2^(4*gamma) cap and the (norm ratio)^(2*sigma) cap with sigma = 2*gamma."""
     if not cls.monotone or gamma is None:
@@ -439,7 +422,7 @@ def _check_gradient_growth(t, cls, gamma, seed, sample_points) -> LemmaCheck:
     passed = True
     detail: dict = {}
     cap = 2.0 ** (4.0 * gamma)
-    for _ in range(sample_points):
+    for _ in range(GRADIENT_SAMPLE_POINTS):
         mask = int(rng.integers(1, 1 << t.n))
         r = mask.bit_count()
         ind = np.array([(mask >> i) & 1 for i in range(t.n)], dtype=float)
@@ -495,11 +478,9 @@ def _check_pair_seed(fn, t, matroid, cls, gamma) -> LemmaCheck:
                           skipped_reason="needs a monotone function with finite gamma")
     if matroid.rank < 2:
         return LemmaCheck("pair_seed_bound", None, skipped_reason="matroid rank below 2")
-    from .search import best_pair_init, brute_force_opt
-
-    seed_mask = best_pair_init(fn, matroid)
-    opt_mask, opt_value = brute_force_opt(fn, matroid)
-    bound = pair_seed_constant(matroid.rank, gamma) * fn.value(seed_mask)
+    seed_mask = search.best_pair_init(fn, matroid)
+    opt_mask, opt_value = search.brute_force_opt(fn, matroid)
+    bound = search.pair_seed_constant(matroid.rank, gamma) * fn.value(seed_mask)
     return LemmaCheck("pair_seed_bound", _leq(opt_value, bound),
                       worst_slack=opt_value - bound,
                       detail={"optimum": elements_of(opt_mask), "seed": elements_of(seed_mask)})

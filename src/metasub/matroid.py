@@ -7,13 +7,13 @@ ascending element order everywhere, so runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .setfn import check_mask, elements_of, iter_elements, split
+from .matching import max_weight_matching_k
+from .setfn import check_mask, elements_of, iter_elements, mask_of, split
 
 
 class MatroidOracle:
@@ -44,32 +44,30 @@ class MatroidOracle:
         ]
         return np.array(feasible, dtype=bool).reshape(len(inside), len(outside))
 
+    def greedy(self, order: Iterable[int], start: int = 0) -> int:
+        """Greedy independent superset of start: each element of order, in
+        turn, joins when the set stays independent."""
+        acc = start
+        for v in order:
+            bit = 1 << int(v)
+            if not acc & bit and self.is_independent(acc | bit):
+                acc |= bit
+        return acc
+
     def rank_of(self, mask: int) -> int:
         """Greedy closure size inside mask, ascending element order."""
         check_mask(mask, self.n)
-        acc = 0
-        for v in iter_elements(mask):
-            if self.is_independent(acc | (1 << v)):
-                acc |= 1 << v
-        return acc.bit_count()
+        return self.greedy(iter_elements(mask)).bit_count()
 
     def extend_to_base(self, mask: int) -> int:
         """Smallest-first greedy superset base of an independent set."""
         check_mask(mask, self.n)
         if not self.is_independent(mask):
             raise ValidationError(f"set {mask:#x} is not independent")
-        acc = mask
-        for v in range(self.n):
-            bit = 1 << v
-            if not acc & bit and self.is_independent(acc | bit):
-                acc |= bit
-        return acc
+        return self.greedy(range(self.n), mask)
 
-    def _finish_init(self) -> None:
-        self.rank = self.rank_of((1 << self.n) - 1)
-
-    def exchange_bijection(self, S: int, T: int) -> "ExchangeBijection":
-        """Pairing of S\\T onto T\\S with every single swap independent.
+    def exchange_bijection(self, S: int, T: int) -> list[tuple[int, int]]:
+        """Sorted pairing of S\\T onto T\\S with every single swap independent.
 
         Found as a perfect matching of the bipartite exchangeability graph;
         a failure indicates a broken oracle, not bad input.
@@ -81,23 +79,10 @@ class MatroidOracle:
         right = elements_of(T & ~S)
         inside, outside = split(S, self.n)
         feasible = self.swap_feasible(S)[np.isin(inside, left)][:, np.isin(outside, right)]
-        adm = {i: [j for j, ok in zip(right, row) if ok] for i, row in zip(left, feasible)}
-        match_of: dict[int, int] = {}  # right element -> left element
-
-        def try_assign(i: int, seen: set[int]) -> bool:
-            for j in adm[i]:
-                if j in seen:
-                    continue
-                seen.add(j)
-                if j not in match_of or try_assign(match_of[j], seen):
-                    match_of[j] = i
-                    return True
-            return False
-
-        for i in left:
-            if not try_assign(i, set()):
-                raise AssertionError("exchange bijection must exist for two bases")
-        return ExchangeBijection(sorted((i, j) for j, i in match_of.items()))
+        matching = max_weight_matching_k(feasible.astype(float), len(left))
+        if matching.total_weight != len(left):
+            raise AssertionError("exchange bijection must exist for two bases")
+        return [(left[a], right[b]) for a, b in matching.pairs]
 
 
 class UniformMatroid(MatroidOracle):
@@ -131,9 +116,7 @@ class PartitionMatroid(MatroidOracle):
         seen = 0
         masks = []
         for block in blocks:
-            m = 0
-            for v in block:
-                m |= 1 << v
+            m = mask_of(block)
             if m & seen:
                 raise ValidationError("blocks must be disjoint")
             seen |= m
@@ -194,7 +177,7 @@ class GraphicMatroid(MatroidOracle):
         label = {v: k for k, v in enumerate(touched)}
         self._order = len(touched)
         self._ends = [(label[u], label[v]) for u, v in self.edges]
-        self._finish_init()
+        self.rank = self.greedy(range(self.n)).bit_count()
         self.min_circuit_size = self._girth()
 
     def is_independent(self, mask: int) -> bool:
@@ -250,20 +233,12 @@ class GraphicMatroid(MatroidOracle):
         return best
 
 
-@dataclass(frozen=True)
-class ExchangeBijection:
-    pairs: list[tuple[int, int]]
-
-
 def generic_min_circuit(M: MatroidOracle) -> int | None:
     """Exponential smallest-dependent-set search; test oracle only."""
     from itertools import combinations
 
     for size in range(1, M.n + 1):
         for combo in combinations(range(M.n), size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            if not M.is_independent(m):
+            if not M.is_independent(mask_of(combo)):
                 return size
     return None

@@ -262,7 +262,22 @@ def iteration_bound(n: int, r: int, gamma: float, epsilon: float) -> int:
     """Accepted-swap cap for monotone instances: every swap multiplies the
     value by at least 1 + epsilon/n^2 and the optimum is within an explicit
     factor of the starting pair."""
-    from .diag import pair_seed_constant
-
     arg = max(r, 1) * (1.0 + gamma) ** max(r - 2, 0) * pair_seed_constant(r, gamma)
     return math.ceil(n * n * math.log(max(arg, 1.0)) / epsilon)
+
+
+def pair_seed_constant(r: int, gamma: float) -> float:
+    """Explicit constant bounding f(optimum) / f(best independent pair).
+
+    Follows the induction chain: the stage-2 marginal bound 2*gamma + 1 grows
+    by a factor (1 + 2*gamma/k) per added element.
+    """
+    if r <= 2:
+        return 1.0
+    total = 1.0
+    c = 2.0 * gamma + 1.0
+    for i in range(3, r + 1):
+        # c bounds the marginals onto the first i-1 chosen elements
+        total += c
+        c *= 1.0 + 2.0 * gamma / (i - 1)
+    return total

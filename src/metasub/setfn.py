@@ -8,6 +8,7 @@ difference that the structural diagnostics are built from.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ ABS_TOL = 1e-12
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
     for v in elements:
-        m |= 1 << int(v)
+        m |= 1 << operator.index(v)
     return m
 
 
@@ -64,7 +65,6 @@ class SetFunctionOracle:
         if n < 1 or n > MAX_GROUND_SET:
             raise ValidationError(f"ground set size {n} outside [1, {MAX_GROUND_SET}]")
         self.n = n
-        self._offset: float | None = None
         self._table: np.ndarray | None = None
         self._exact_tables = None  # diag.ExactTables, built on first use
 
@@ -75,9 +75,7 @@ class SetFunctionOracle:
         check_mask(mask, self.n)
         if self._table is not None:
             return float(self._table[mask])
-        if self._offset is None:
-            self._offset = self._raw_value(0)
-        return self._raw_value(mask) - self._offset
+        return self._raw_value(mask)
 
     def _check_finite_total(self) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -137,12 +135,7 @@ class SetFunctionOracle:
 
     def _fill_table(self) -> np.ndarray:
         """One _raw_value call per mask: the reference that fast fills must match."""
-        if self._offset is None:
-            self._offset = self._raw_value(0)
-        vals = np.empty(1 << self.n)
-        for mask in range(1 << self.n):
-            vals[mask] = self._raw_value(mask) - self._offset
-        return vals
+        return np.array([self._raw_value(mask) for mask in range(1 << self.n)], dtype=float)
 
 
 class DiversityFunction(SetFunctionOracle):
@@ -214,23 +207,18 @@ class CoverageFunction(SetFunctionOracle):
             raise ValidationError("universe weights must be non-negative")
         m = len(weights)
         self.universe_weights = weights
-        self._covers: list[int] = []
         self._incidence = np.zeros((self.n, m), dtype=bool)
         for v, items in enumerate(incidence):
-            cover = 0
+            items = [operator.index(u) for u in items]
             for u in items:
                 if not 0 <= u < m:
                     raise ValidationError(f"incidence references unknown universe item {u}")
-                cover |= 1 << u
-            self._covers.append(cover)
-            self._incidence[v, elements_of(cover)] = True
+            self._incidence[v, items] = True
         self._check_finite_total()
 
     def _raw_value(self, mask: int) -> float:
-        union = 0
-        for v in iter_elements(mask):
-            union |= self._covers[v]
-        return float(self.universe_weights[elements_of(union)].sum()) if union else 0.0
+        covered = self._incidence[elements_of(mask)].any(axis=0)
+        return float(self.universe_weights[covered].sum())
 
     def neighbourhood(self, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # the union of each set one step away, from per-item cover counts;

@@ -172,11 +172,21 @@ def test_reports_follow_schema_v2(tmp_path):
     ["gen", "metric-random", "--n", "5", "--tolerance", "1e-9"],
     ["gen", "metric-random", "--n", "5", "--n-max", "10"],
     ["verify", "matching", "--tolerance", "1e-9"],
+    # generator sizes that would crash or write an instance no command accepts
+    ["gen", "metric-random", "--n", "4", "--dim", "-1"],
+    ["gen", "coverage-random", "--n", "4", "--universe", "-1"],
+    ["gen", "metric-random", "--n", "70"],
+    ["gen", "js-random", "--n", "4", "--support", "-1"],
+    ["gen", "metric-random", "--n", "4", "--r", "-1"],
 ])
-def test_removed_options_are_rejected(argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
+def test_removed_options_are_rejected(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse
+        code = exc.code
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
 
 
 def test_analyze_reads_the_instance_from_stdin(tmp_path, monkeypatch, capsys):
@@ -233,6 +243,48 @@ def test_overflowing_instances_exit_2_without_a_report(doc, solve_code, tmp_path
             assert not out.exists()
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err
+
+
+MATROIDS = {
+    "uniform": {"kind": "uniform", "r": 2},
+    "partition": {"kind": "partition", "blocks": [[0, 1], [2]], "caps": [1, 1]},
+    "graphic": {"kind": "graphic", "vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]},
+}
+
+
+def _small_doc(matroid="uniform", **changes):
+    """A valid 3-element coverage instance with the named entries replaced."""
+    doc = {"n": 3, "function": {"kind": "coverage", "incidence": [[0], [1], [0, 1]],
+                                "universe_weights": [1.0, 2.0]},
+           "matroid": dict(MATROIDS[matroid])}
+    for key, value in changes.items():
+        next(d for d in (doc, doc["function"], doc["matroid"]) if key in d)[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _small_doc(n=3.5),
+    _small_doc(n=3.0),
+    _small_doc(r=1.9),
+    _small_doc(r=True),
+    _small_doc(r="2"),
+    _small_doc("partition", caps=[1.5, 1]),
+    _small_doc("partition", blocks=[[0, 1.0], [2]]),
+    _small_doc("graphic", vertices=3.7),
+    _small_doc("graphic", edges=[[0, 1.5], [1, 2], [2, 0]]),
+    _small_doc("graphic", edges=[[0, 1], [1, False], [2, 0]]),
+    _small_doc(incidence=[[0.0], [1], [0, 1]]),
+], ids=["n", "n-float", "r", "r-bool", "r-string", "caps", "block-element", "vertices",
+        "edge", "edge-bool", "incidence-item"])
+def test_non_integer_counts_and_indices_exit_2(doc, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    for command in ("solve", "analyze"):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, str(inst), "--out", str(out)]) == 2, command
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("must be an integer") == 2 and "Traceback" not in err
 
 
 def test_analyze_a_single_element_instance(tmp_path):

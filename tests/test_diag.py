@@ -13,11 +13,11 @@ from metasub.diag import (
     multilinear_gradient_exact,
     multilinear_hessian_exact,
     multilinear_mc,
-    pair_seed_constant,
     verify_lemmas,
 )
 from metasub.errors import GuardError
 from metasub.matroid import UniformMatroid
+from metasub.search import pair_seed_constant
 from metasub.setfn import (
     ABS_TOL,
     REL_TOL,

@@ -133,12 +133,12 @@ def test_extend_to_base():
 def test_exchange_bijection_uniform():
     M = UniformMatroid(4, 2)
     S, T = mask_of([0, 1]), mask_of([2, 3])
-    pairs = M.exchange_bijection(S, T).pairs
+    pairs = M.exchange_bijection(S, T)
     assert sorted(i for i, _ in pairs) == [0, 1]
     assert sorted(j for _, j in pairs) == [2, 3]
     for i, j in pairs:
         assert M.is_independent((S & ~(1 << i)) | (1 << j))
-    assert M.exchange_bijection(S, S).pairs == []
+    assert M.exchange_bijection(S, S) == []
 
 
 def test_exchange_bijection_random_bases():
@@ -147,7 +147,8 @@ def test_exchange_bijection_random_bases():
     bases = [m for m in all_independent(M) if m.bit_count() == M.rank]
     for _ in range(40):
         S, T = rng.choice(bases, size=2)
-        pairs = M.exchange_bijection(int(S), int(T)).pairs
+        pairs = M.exchange_bijection(int(S), int(T))
+        assert pairs == sorted(pairs)
         lefts = {i for i, _ in pairs}
         rights = {j for _, j in pairs}
         assert lefts == set(np.flatnonzero([(int(S) & ~int(T)) >> b & 1 for b in range(M.n)]))
@@ -160,6 +161,21 @@ def test_exchange_bijection_rejects_non_bases():
     M = UniformMatroid(4, 2)
     with pytest.raises(ValidationError):
         M.exchange_bijection(mask_of([0]), mask_of([1, 2]))
+
+
+def test_exchange_bijection_fails_loudly_without_feasible_swaps(monkeypatch):
+    M = UniformMatroid(4, 2)
+    monkeypatch.setattr(M, "swap_feasible", lambda mask: np.zeros((2, 2), dtype=bool))
+    with pytest.raises(AssertionError):
+        M.exchange_bijection(mask_of([0, 1]), mask_of([2, 3]))
+
+
+def test_greedy_follows_the_given_order():
+    M = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
+    assert M.greedy([2, 0, 1]) == mask_of([0, 2])
+    assert M.greedy(range(M.n), mask_of([1])) == mask_of([0, 1])
+    assert M.greedy(np.array([1, 1, 2])) == mask_of([1, 2])
+    assert PartitionMatroid([[0, 1], [2]], [1, 1]).greedy([1, 0, 2]) == mask_of([1, 2])
 
 
 def loop_swap_feasible(M, mask):

@@ -80,6 +80,16 @@ def test_weighted_sum_requires_positive_coeffs_and_shared_n():
     assert s.value(m) == pytest.approx(2.0 * a.value(m) + 0.5 * c.value(m))
 
 
+def test_weighted_sum_value_is_the_same_before_and_after_its_table():
+    # a table may hold f(empty) within ABS_TOL of 0; value must not shift by it
+    table = TableFunction([5e-13, 0.1, 0.2, 0.35, 0.4, 0.55, 0.6, 0.9])
+    coverage = CoverageFunction([[0], [1], [0, 2]], [0.5, 0.25, 0.125])
+    fn = WeightedSumFunction([(table, 1.0), (coverage, 2.0)])
+    before = [fn.value(mask) for mask in range(8)]
+    fn.value_table()
+    assert [fn.value(mask) for mask in range(8)] == before
+
+
 def test_second_difference_symmetry_and_insensitivity():
     rng = np.random.default_rng(3)
     fn = random_mixed_oracle(rng, 6)
