@@ -8,6 +8,7 @@ floating point), 3 size/iteration guard exceeded, 4 property failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -40,6 +41,7 @@ from .setfn import (
     DiversityFunction,
     SetFunctionOracle,
     TableFunction,
+    check_integer,
     elements_of,
 )
 
@@ -67,14 +69,6 @@ def _section(desc, name: str) -> dict:
     return desc
 
 
-def _integer(value, what: str) -> int:
-    """A count or index from an instance document: fractions, booleans and
-    strings are rejected rather than truncated."""
-    if type(value) is not int:
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def build_function(n: int, desc: dict) -> SetFunctionOracle:
     kind = _section(desc, "function").get("kind")
     if kind in ("diversity", "diversity_plus_modular"):
@@ -83,8 +77,7 @@ def build_function(n: int, desc: dict) -> SetFunctionOracle:
             raise ValidationError(f"distance shape {D.shape} does not match n={n}")
         return DiversityFunction(D, desc.get("weights"))
     if kind == "coverage":
-        incidence = [[_integer(u, "incidence item") for u in items]
-                     for items in desc["incidence"]]
+        incidence = desc["incidence"]
         if len(incidence) != n:
             raise ValidationError(f"incidence length {len(incidence)} does not match n={n}")
         return CoverageFunction(incidence, desc["universe_weights"])
@@ -99,27 +92,27 @@ def build_function(n: int, desc: dict) -> SetFunctionOracle:
 def build_matroid(n: int, desc: dict) -> MatroidOracle:
     kind = _section(desc, "matroid").get("kind")
     if kind == "uniform":
-        return UniformMatroid(n, _integer(desc["r"], "uniform rank r"))
+        return UniformMatroid(n, desc["r"])
     if kind == "partition":
-        blocks = [[_integer(v, "partition block element") for v in block]
+        blocks = [[check_integer(v, "partition block element") for v in block]
                   for block in desc["blocks"]]
         if not all(0 <= v < n for block in blocks for v in block):
             raise ValidationError(f"partition blocks must hold elements of [0, {n})")
-        M = PartitionMatroid(blocks, [_integer(c, "partition cap") for c in desc["caps"]])
+        M = PartitionMatroid(blocks, desc["caps"])
         if M.n != n:
             raise ValidationError(f"partition blocks cover {M.n} elements, not n={n}")
         return M
     if kind == "graphic":
-        edges = [tuple(_integer(v, "edge endpoint") for v in e) for e in desc["edges"]]
+        edges = desc["edges"]
         if len(edges) != n:
             raise ValidationError(f"graphic matroid needs n={n} edges, got {len(edges)}")
-        return GraphicMatroid(_integer(desc["vertices"], "vertex count"), edges)
+        return GraphicMatroid(desc["vertices"], edges)
     raise ValidationError(f"unknown matroid kind {kind!r}")
 
 
 def parse_instance(doc: dict) -> tuple[SetFunctionOracle, MatroidOracle]:
     try:
-        n = _integer(doc["n"], "n")
+        n = check_integer(doc["n"], "n")
         if not 1 <= n <= MAX_GROUND_SET:
             raise ValidationError(f"ground set size {n} outside [1, {MAX_GROUND_SET}]")
         fn = build_function(n, doc["function"])
@@ -449,8 +442,10 @@ def cmd_verify(args) -> int:
 # -------------------------------------------------------------------- main
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    """Each subcommand declares only the options it reads."""
+    """Each subcommand declares only the options it reads. Built once: parsing
+    leaves the parser unchanged."""
     parser = argparse.ArgumentParser(prog="metasub")
     sub = parser.add_subparsers(dest="cmd", required=True)
 

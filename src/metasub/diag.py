@@ -216,22 +216,6 @@ def multilinear_hessian_exact(fn: SetFunctionOracle, x, i: int, j: int) -> float
     return float(t.seconds(i, j) @ t.probabilities(np.asarray(x, dtype=float)))
 
 
-def multilinear_mc(fn: SetFunctionOracle, x, samples: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo estimate of F(x) with its standard error."""
-    if samples < 1:
-        raise GuardError("need at least one sample")
-    x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(seed)
-    draws = rng.random((samples, fn.n)) < x
-    vals = np.empty(samples)
-    bits = 1 << np.arange(fn.n, dtype=np.int64)
-    for s in range(samples):
-        vals[s] = fn.value(int((bits[draws[s]]).sum()))
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return mean, stderr
-
-
 @dataclass(frozen=True)
 class SmoothnessCheck:
     sigma: float

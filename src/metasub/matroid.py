@@ -13,13 +13,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .matching import max_weight_matching_k
-from .setfn import check_mask, elements_of, iter_elements, mask_of, split
+from .setfn import check_integer, check_mask, elements_of, iter_elements, mask_of, split
 
 
 class MatroidOracle:
     kind = "abstract"
 
     def __init__(self, n: int):
+        n = check_integer(n, "ground set size")
         if n < 1:
             raise ValidationError("ground set must be non-empty")
         self.n = n
@@ -43,6 +44,19 @@ class MatroidOracle:
             for i in inside for j in outside
         ]
         return np.array(feasible, dtype=bool).reshape(len(inside), len(outside))
+
+    def pair_feasible(self) -> np.ndarray:
+        """Independence of {i, j} for i != j as an n x n boolean matrix, with
+        a False diagonal.
+
+        One is_independent call per pair: the reference that the closed
+        forms must match.
+        """
+        feasible = np.zeros((self.n, self.n), dtype=bool)
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                feasible[i, j] = feasible[j, i] = self.is_independent((1 << i) | (1 << j))
+        return feasible
 
     def greedy(self, order: Iterable[int], start: int = 0) -> int:
         """Greedy independent superset of start: each element of order, in
@@ -90,6 +104,7 @@ class UniformMatroid(MatroidOracle):
 
     def __init__(self, n: int, r: int):
         super().__init__(n)
+        r = check_integer(r, "uniform rank r")
         if r < 0:
             raise ValidationError("rank bound must be non-negative")
         self.r = min(r, n)
@@ -106,17 +121,21 @@ class UniformMatroid(MatroidOracle):
         size = mask.bit_count()
         return np.full((size, self.n - size), size <= self.r)
 
+    def pair_feasible(self) -> np.ndarray:
+        return ~np.eye(self.n, dtype=bool) & (self.r >= 2)
+
 
 class PartitionMatroid(MatroidOracle):
     kind = "partition"
 
     def __init__(self, blocks: Sequence[Sequence[int]], caps: Sequence[int]):
+        caps = [check_integer(c, "partition cap") for c in caps]
         if len(blocks) != len(caps):
             raise ValidationError("one cap per block required")
         seen = 0
         masks = []
         for block in blocks:
-            m = mask_of(block)
+            m = mask_of(check_integer(v, "partition block element") for v in block)
             if m & seen:
                 raise ValidationError("blocks must be disjoint")
             seen |= m
@@ -129,7 +148,7 @@ class PartitionMatroid(MatroidOracle):
         self._block_of = np.empty(n, dtype=np.int64)
         for b, m in enumerate(masks):
             self._block_of[elements_of(m)] = b
-        self.caps = [int(c) for c in caps]
+        self.caps = caps
         if any(c < 0 for c in self.caps):
             raise ValidationError("caps must be non-negative")
         self.rank = sum(min(c, m.bit_count()) for c, m in zip(self.caps, masks))
@@ -155,6 +174,15 @@ class PartitionMatroid(MatroidOracle):
         into = self._block_of[outside]
         return (self._block_of[inside][:, None] == into) | below_cap[into]
 
+    def pair_feasible(self) -> np.ndarray:
+        # two elements of one block need its cap >= 2; of two blocks, both caps >= 1
+        block = self._block_of
+        cap = np.array(self.caps)[block]
+        same = block[:, None] == block
+        feasible = np.where(same, cap[:, None] >= 2, (cap[:, None] >= 1) & (cap >= 1))
+        np.fill_diagonal(feasible, False)
+        return feasible
+
 
 class GraphicMatroid(MatroidOracle):
     """Ground set = edges of a graph; independent sets are forests."""
@@ -162,15 +190,15 @@ class GraphicMatroid(MatroidOracle):
     kind = "graphic"
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]]):
-        super().__init__(len(edges))
+        self.edges = [tuple(check_integer(v, "edge endpoint") for v in e) for e in edges]
+        num_vertices = check_integer(num_vertices, "vertex count")
+        super().__init__(len(self.edges))
         if num_vertices < 1:
             raise ValidationError("graph needs at least one vertex")
         self.num_vertices = num_vertices
-        self.edges = []
-        for u, v in edges:
+        for u, v in self.edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValidationError(f"edge ({u},{v}) references unknown vertex")
-            self.edges.append((int(u), int(v)))
         # queries number only the vertices some edge touches, so their cost
         # does not grow with isolated vertices
         touched = sorted({v for e in self.edges for v in e})
@@ -179,6 +207,14 @@ class GraphicMatroid(MatroidOracle):
         self._ends = [(label[u], label[v]) for u, v in self.edges]
         self.rank = self.greedy(range(self.n)).bit_count()
         self.min_circuit_size = self._girth()
+
+    def pair_feasible(self) -> np.ndarray:
+        # two edges are a forest unless one is a loop or they are parallel
+        ends = np.array(self._ends)
+        low, high = ends.min(1), ends.max(1)
+        parallel = (low[:, None] == low) & (high[:, None] == high)  # the diagonal too
+        proper = low != high
+        return proper[:, None] & proper & ~parallel
 
     def is_independent(self, mask: int) -> bool:
         check_mask(mask, self.n)

@@ -22,18 +22,15 @@ def validate_distance(raw) -> np.ndarray:
     D = np.asarray(raw, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValidationError(f"distance matrix must be square, got shape {D.shape}")
-    n = D.shape[0]
-    violations = []
-    for i in range(n):
-        if abs(D[i, i]) > MATRIX_TOL:
-            violations.append(f"nonzero diagonal at ({i},{i}): {D[i, i]!r}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(D[i, j] - D[j, i]) > MATRIX_TOL:
-                violations.append(f"asymmetry at ({i},{j}): {D[i, j]!r} vs {D[j, i]!r}")
-    neg = np.argwhere(D < -MATRIX_TOL)
-    for i, j in neg:
-        violations.append(f"negative entry at ({i},{j}): {D[i, j]!r}")
+    violations = [f"nonzero diagonal at ({i},{i}): {D[i, i]!r}"
+                  for i in np.flatnonzero(np.abs(D.diagonal()) > MATRIX_TOL)]
+    # non-finite cells are reported below; inf - inf is NaN, which is no asymmetry
+    with np.errstate(invalid="ignore", over="ignore"):
+        asymmetric = np.triu(np.abs(D - D.T) > MATRIX_TOL, 1)
+    violations += [f"asymmetry at ({i},{j}): {D[i, j]!r} vs {D[j, i]!r}"
+                   for i, j in np.argwhere(asymmetric)]
+    violations += [f"negative entry at ({i},{j}): {D[i, j]!r}"
+                   for i, j in np.argwhere(D < -MATRIX_TOL)]
     if not np.all(np.isfinite(D)):
         violations.append("non-finite entry")
     if violations:

@@ -76,19 +76,13 @@ def best_pair_init(fn: SetFunctionOracle, M: MatroidOracle) -> int:
     the best singleton (or the empty set) when the rank is short."""
     if fn.n != M.n:
         raise ValidationError("oracle and matroid ground sets differ")
+    pairs = np.triu(M.pair_feasible(), 1)
+    if pairs.any():
+        # the first maximum in row-major order, as in a strict-> scan over (i, j)
+        i, j = divmod(int(np.argmax(np.where(pairs, fn.pair_values(), -np.inf))), fn.n)
+        return (1 << i) | (1 << j)
     best_mask = 0
     best_value = None
-    for i in range(fn.n - 1):
-        _, add, _ = fn.neighbourhood(1 << i)
-        partners = [j for j in range(i + 1, fn.n) if M.is_independent((1 << i) | (1 << j))]
-        if not partners:
-            continue
-        values = add[np.array(partners) - 1]  # j > i sits at j - 1 outside {i}
-        k = int(np.argmax(values))  # first maximum, as in a strict-> scan
-        if best_value is None or values[k] > best_value:
-            best_mask, best_value = (1 << i) | (1 << partners[k]), values[k]
-    if best_value is not None:
-        return best_mask
     _, singles, _ = fn.neighbourhood(0)
     for i in range(fn.n):
         if M.is_independent(1 << i) and (best_value is None or singles[i] > best_value):

@@ -22,6 +22,17 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
+def check_integer(value, what: str) -> int:
+    """A count or index: fractions, booleans and strings are rejected rather
+    than truncated; integer types (numpy's too) come back as int."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
     for v in elements:
@@ -43,8 +54,9 @@ def elements_of(mask: int) -> list[int]:
 
 def split(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Elements of S = mask and of its complement, ascending (elements_of order)."""
-    member = (np.int64(mask) >> np.arange(n, dtype=np.int64)) & 1
-    return np.flatnonzero(member), np.flatnonzero(member == 0)
+    raw = np.frombuffer(int(mask).to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    member = np.unpackbits(raw, count=n, bitorder="little").view(bool)
+    return member.nonzero()[0], (~member).nonzero()[0]
 
 
 def check_mask(mask: int, n: int) -> None:
@@ -101,6 +113,18 @@ class SetFunctionOracle:
             return self._table[drop], self._table[add], self._table[swap]
         value = np.vectorize(lambda m: self.value(int(m)), otypes=[float])
         return value(drop), value(add), value(swap)
+
+    def pair_values(self) -> np.ndarray:
+        """The n x n matrix of f({i, j}) for i != j, with a zero diagonal.
+
+        Row i is read from neighbourhood({i}): the reference that
+        closed-form overrides must match.
+        """
+        values = np.zeros((self.n, self.n))
+        off_diagonal = ~np.eye(self.n, dtype=bool)
+        for i in range(self.n):
+            values[i, off_diagonal[i]] = self.neighbourhood(1 << i)[1]
+        return values
 
     def marginal(self, i: int, mask: int) -> float:
         """f(S+i) - f(S-i); independent of whether i is already in S."""
@@ -161,9 +185,9 @@ class DiversityFunction(SetFunctionOracle):
         self._check_finite_total()
 
     def _raw_value(self, mask: int) -> float:
-        idx = elements_of(mask)
-        total = float(self.distance[np.ix_(idx, idx)].sum()) / 2.0 if len(idx) > 1 else 0.0
-        if self.weights is not None and idx:
+        idx = split(mask, self.n)[0]
+        total = float(self.distance.take(idx, 0).take(idx, 1).sum()) / 2.0 if len(idx) > 1 else 0.0
+        if self.weights is not None and len(idx):
             total += float(self.weights[idx].sum())
         return total
 
@@ -189,8 +213,18 @@ class DiversityFunction(SetFunctionOracle):
         if self.weights is not None:
             g = g + self.weights
         drop = base - g[inside]
-        swap = drop[:, None] + g[outside] - self.distance[np.ix_(inside, outside)]
+        swap = drop[:, None] + g[outside] - self.distance.take(inside, 0).take(outside, 1)
         return drop, base + g[outside], swap
+
+    def pair_values(self) -> np.ndarray:
+        # neighbourhood({i}) gives f({i, j}) = f({i}) + g_j with f({i}) = 0.0 (+ w_i)
+        # and g_j = d(j, i) (+ w_j), summed here in the same order
+        if self.weights is None:
+            values = 0.0 + self.distance.T
+        else:
+            values = self.weights[:, None] + (self.distance.T + self.weights)
+        np.fill_diagonal(values, 0.0)
+        return values
 
 
 class CoverageFunction(SetFunctionOracle):
@@ -209,7 +243,7 @@ class CoverageFunction(SetFunctionOracle):
         self.universe_weights = weights
         self._incidence = np.zeros((self.n, m), dtype=bool)
         for v, items in enumerate(incidence):
-            items = [operator.index(u) for u in items]
+            items = [check_integer(u, "incidence item") for u in items]
             for u in items:
                 if not 0 <= u < m:
                     raise ValidationError(f"incidence references unknown universe item {u}")
@@ -217,7 +251,7 @@ class CoverageFunction(SetFunctionOracle):
         self._check_finite_total()
 
     def _raw_value(self, mask: int) -> float:
-        covered = self._incidence[elements_of(mask)].any(axis=0)
+        covered = self._incidence[split(mask, self.n)[0]].any(axis=0)
         return float(self.universe_weights[covered].sum())
 
     def neighbourhood(self, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -283,3 +317,6 @@ class WeightedSumFunction(SetFunctionOracle):
     def neighbourhood(self, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         parts = [(coeff, fn.neighbourhood(mask)) for fn, coeff in self.components]
         return tuple(sum(coeff * arrays[k] for coeff, arrays in parts) for k in range(3))
+
+    def pair_values(self) -> np.ndarray:
+        return sum(coeff * fn.pair_values() for fn, coeff in self.components)

@@ -12,7 +12,6 @@ from metasub.diag import (
     multilinear_exact,
     multilinear_gradient_exact,
     multilinear_hessian_exact,
-    multilinear_mc,
     verify_lemmas,
 )
 from metasub.errors import GuardError
@@ -135,26 +134,6 @@ def test_multilinear_gradient_matches_finite_difference():
         minus[i] -= h
         fd = (multilinear_exact(fn, plus) - multilinear_exact(fn, minus)) / (2 * h)
         assert abs(multilinear_gradient_exact(fn, x, i) - fd) < 1e-6
-
-
-def test_multilinear_mc_degenerate_and_convergent():
-    rng = np.random.default_rng(7)
-    fn = random_diversity(rng, 6)
-    est, err = multilinear_mc(fn, np.zeros(6), 100, seed=0)
-    assert est == 0.0 and err == 0.0
-    mask = mask_of([0, 2, 4])
-    x = np.array([(mask >> i) & 1 for i in range(6)], dtype=float)
-    est, err = multilinear_mc(fn, x, 100, seed=0)
-    assert est == pytest.approx(fn.value(mask)) and err == pytest.approx(0.0, abs=1e-12)
-
-    hits = 0
-    x = rng.random(6)
-    exact = multilinear_exact(fn, x)
-    for seed in range(50):
-        est, err = multilinear_mc(fn, x, 20_000, seed=seed)
-        if abs(est - exact) <= 4 * err:
-            hits += 1
-    assert hits >= 48  # >= 95% of seeded trials
 
 
 def test_smoothness_supermodular_prediction():

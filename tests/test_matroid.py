@@ -208,3 +208,53 @@ def test_partition_swaps_at_the_cap_stay_inside_a_block():
     # the first block has room, so anything may move into it
     np.testing.assert_array_equal(M.swap_feasible(mask_of([0, 3])),
                                   [[True, True, False], [True, True, True]])
+
+
+def test_pair_feasible_overrides_match_the_independence_loop():
+    rng = np.random.default_rng(4)
+    random_graphs = [  # few vertices, so loops and parallel edges are common
+        GraphicMatroid(3, [tuple(int(v) for v in rng.integers(0, 3, size=2)) for _ in range(8)])
+        for _ in range(5)
+    ]
+    for M in (
+        UniformMatroid(6, 0),
+        UniformMatroid(6, 1),
+        UniformMatroid(6, 2),
+        UniformMatroid(1, 1),
+        PartitionMatroid([[0, 1, 2], [3, 4], [5], [6, 7]], [0, 1, 2, 2]),
+        PartitionMatroid([[0, 2, 4], [1, 3, 5]], [1, 2]),
+        PartitionMatroid([[0], [1, 2]], [0, 0]),
+        GraphicMatroid(4, [(0, 1), (1, 0), (2, 2), (1, 2), (0, 1), (3, 3), (2, 3)]),
+        GraphicMatroid(1, [(0, 0), (0, 0)]),
+        *random_graphs,
+    ):
+        want = MatroidOracle.pair_feasible(M)
+        for i, j in itertools.product(range(M.n), repeat=2):
+            assert want[i, j] == (i != j and M.is_independent(mask_of([i, j])))
+        got = M.pair_feasible()
+        assert got.dtype == bool and got.shape == (M.n, M.n)
+        np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {M.n}")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UniformMatroid(5, 1.9),
+    lambda: GraphicMatroid(3, [(0, 1.5), (1, 2)]),
+    lambda: PartitionMatroid([[0, 1]], [1.5]),
+    lambda: UniformMatroid(5, True),
+    lambda: UniformMatroid(5.0, 2),
+    lambda: GraphicMatroid(3.0, [(0, 1)]),
+    lambda: PartitionMatroid([[0, 1.0]], [1]),
+], ids=["uniform-rank", "graphic-endpoint", "partition-cap", "uniform-bool", "uniform-n",
+        "graphic-vertices", "partition-element"])
+def test_constructors_reject_fractions_and_booleans(build):
+    # before, the first three were kept as 1.9, truncated to (0, 1) and to [1]
+    with pytest.raises(ValidationError, match="must be an integer"):
+        build()
+
+
+def test_constructors_read_numpy_integers_as_int():
+    M = UniformMatroid(np.int64(5), np.int64(2))
+    assert (M.n, M.rank) == (5, 2) and type(M.rank) is int
+    G = GraphicMatroid(np.int32(3), [(np.int64(0), np.int64(1))])
+    assert G.edges == [(0, 1)] and all(type(v) is int for v in G.edges[0])
+    assert PartitionMatroid([[np.int64(0), 1]], [np.int64(1)]).caps == [1]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,31 @@ def test_validate_reports_each_violation():
         validate_distance([[0, -1], [-1, 0]])
     with pytest.raises(ValidationError, match="square"):
         validate_distance([[0, 1, 1], [1, 0, 1]])
+
+
+def test_validate_lists_every_violation_in_order():
+    inf = float("inf")
+    D = [[0.5, 1.0, 2.0, inf],
+         [1.5, 0.0, 1.0, -1.0],
+         [2.0, 1.0, -2.0, 1.0],
+         [inf, -1.0, 1.0000001, 1e-13]]
+
+    def r(x):  # the scalar repr: np.float64(0.5) under numpy 2, 0.5 before
+        return repr(np.float64(x))
+
+    want = (
+        f"invalid distance matrix: nonzero diagonal at (0,0): {r(0.5)}; "
+        f"nonzero diagonal at (2,2): {r(-2.0)}; "
+        f"asymmetry at (0,1): {r(1.0)} vs {r(1.5)}; "
+        f"asymmetry at (2,3): {r(1.0)} vs {r(1.0000001)}; "
+        f"negative entry at (1,3): {r(-1.0)}; negative entry at (2,2): {r(-2.0)}; "
+        f"negative entry at (3,1): {r(-1.0)}; non-finite entry"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf is no asymmetry and no warning
+        with pytest.raises(ValidationError) as info:
+            validate_distance(D)
+    assert str(info.value) == want
 
 
 def test_semi_metric_all_ones_triangle():

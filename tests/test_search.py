@@ -27,7 +27,7 @@ from metasub.setfn import (
     elements_of,
     mask_of,
 )
-from util import fresh_oracles, random_coverage, random_diversity
+from util import fresh_oracles, random_coverage, random_diversity, random_metric
 
 
 def all_ones_diversity(n=4):
@@ -45,6 +45,15 @@ def test_config_validation():
 
 def test_best_pair_symmetric_tie_is_lexicographic():
     assert best_pair_init(all_ones_diversity(), UniformMatroid(4, 2)) == mask_of([0, 1])
+
+
+def test_best_pair_tie_goes_to_the_smaller_first_element():
+    # {0, 3} and {1, 2} tie; a scan by the larger element first would pick {1, 2}
+    D = np.ones((4, 4)) - np.eye(4)
+    D[0, 3] = D[3, 0] = D[1, 2] = D[2, 1] = 5.0
+    fn = DiversityFunction(D)
+    assert best_pair_init(fn, UniformMatroid(4, 2)) == mask_of([0, 3]) == scalar_best_pair(
+        fn, UniformMatroid(4, 2))
 
 
 def test_best_pair_dominant_entry():
@@ -300,8 +309,9 @@ def scalar_local_search(fn, M, S, config):
 
 
 def force_reference_loops(monkeypatch):
-    """Route every override of the two neighbourhood methods to the base loop."""
-    for base, name in ((SetFunctionOracle, "neighbourhood"), (MatroidOracle, "swap_feasible")):
+    """Route every override of the neighbourhood and pair methods to the base loop."""
+    for base, name in ((SetFunctionOracle, "neighbourhood"), (SetFunctionOracle, "pair_values"),
+                       (MatroidOracle, "swap_feasible"), (MatroidOracle, "pair_feasible")):
         todo = list(base.__subclasses__())
         while todo:
             cls = todo.pop()
@@ -349,3 +359,21 @@ def test_solve_with_overrides_matches_the_reference_loops(matroid, pivot, monkey
                 assert close(fast.matching.total_weight, ref.matching.total_weight), case
                 # the base loops give the second differences bit for bit
                 np.testing.assert_array_equal(weights[0], sd, err_msg=str(case))
+
+
+@pytest.mark.parametrize("matroid", ["uniform", "partition", "graphic"])
+def test_best_pair_at_the_bitmask_cap_matches_the_scalar_scan(matroid):
+    n = 62
+    rng = np.random.default_rng(62)
+    M = {
+        "uniform": lambda: UniformMatroid(n, 20),
+        "partition": lambda: PartitionMatroid(
+            [list(range(0, 20)), list(range(20, 21)), list(range(21, 40)), list(range(40, n))],
+            [1, 2, 0, 2]),
+        "graphic": lambda: GraphicMatroid(
+            12, [tuple(int(v) for v in rng.integers(0, 12, size=2)) for _ in range(n)]),
+    }[matroid]()
+    for fn in (random_diversity(rng, n),
+               DiversityFunction(random_metric(rng, n), weights=rng.random(n)),
+               random_coverage(rng, n)):
+        assert best_pair_init(fn, M) == scalar_best_pair(fn, M), fn.kind

@@ -13,14 +13,19 @@ from metasub.setfn import (
     close,
     elements_of,
     mask_of,
+    split,
 )
-from util import fresh_oracles, random_metric, random_mixed_oracle
+from util import fresh_oracles, random_coverage, random_metric, random_mixed_oracle
 
 
 def test_mask_helpers_roundtrip():
     assert mask_of([0, 3, 5]) == 0b101001
     assert elements_of(0b101001) == [0, 3, 5]
     assert elements_of(0) == []
+    for mask, n in ((0b101001, 6), (0, 1), (1, 1), (0b101001, 9), (1 << 69 | 1, 70)):
+        inside, outside = split(mask, n)
+        assert inside.tolist() == elements_of(mask)
+        assert outside.tolist() == elements_of(((1 << n) - 1) & ~mask)
 
 
 def test_empty_set_is_zero_for_all_builders():
@@ -165,3 +170,37 @@ def test_neighbourhood_overrides_match_the_value_loop():
                         np.testing.assert_array_equal(ref, want)
                         assert all(close(a, b) for a, b in zip(got.ravel(), want.ravel())), \
                             (fn.kind, n, mask, got, want)
+
+
+def test_pair_values_overrides_match_the_neighbourhood_rows():
+    for n in (1, 2, 7):
+        rng = np.random.default_rng([n, 3])
+        # asymmetric within the validation tolerance, so the summation order shows
+        D = random_metric(rng, n) + np.triu(rng.random((n, n)), 1) * 1e-13
+        fns = [
+            *fresh_oracles(rng, n),
+            DiversityFunction(D),
+            DiversityFunction(D, weights=rng.random(n)),
+            WeightedSumFunction([(DiversityFunction(D, weights=rng.random(n)), 0.5),
+                                 (random_coverage(rng, n), 1.5)]),
+        ]
+        for fn in fns:
+            for filled in (False, True):
+                if filled:
+                    fn.value_table()
+                want = SetFunctionOracle.pair_values(fn)
+                for i in range(n):
+                    row = fn.neighbourhood(1 << i)[1]
+                    np.testing.assert_array_equal(np.delete(want[i], i), row)
+                    assert want[i, i] == 0.0
+                    assert all(close(want[i, j], fn.value(mask_of([i, j])))
+                               for j in range(n) if j != i)
+                got = fn.pair_values()
+                assert got.shape == (n, n), fn.kind
+                np.testing.assert_array_equal(got, want, err_msg=f"{fn.kind} {n} {filled}")
+
+
+def test_coverage_rejects_fractional_and_boolean_items():
+    for item in (0.5, True, "0"):
+        with pytest.raises(ValidationError, match="incidence item must be an integer"):
+            CoverageFunction([[item]], [1.0])
