@@ -360,7 +360,7 @@ def _random_matroid(rng, n: int) -> MatroidOracle:
     roll = rng.integers(0, 3)
     if roll == 0:
         return UniformMatroid(n, int(rng.integers(1, n + 1)))
-    if roll == 1:
+    if roll == 1 and n >= 2:  # one element has no split into two blocks
         cut = int(rng.integers(1, n))
         return PartitionMatroid(
             [list(range(cut)), list(range(cut, n))],
@@ -416,6 +416,9 @@ def verify_ratio_suite(rng, samples: int, n: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    for name, value, low in (("samples", args.samples, 0), ("n-max", args.n_max, 1)):
+        if value < low:
+            raise ValidationError(f"--{name} must be at least {low}, got {value}")
     rng = np.random.default_rng(args.seed)
     n = min(args.n_max, 8)
     if args.suite == "lemmas":

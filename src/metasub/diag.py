@@ -28,43 +28,50 @@ def _guard(n: int, n_max: int) -> None:
 
 
 class ExactTables:
-    """Cached per-element difference vectors over all masks of one oracle."""
+    """Every B_i and A_ij of one oracle over all masks, built once: `B` is
+    n x 2^n, and `A` holds one row per pair i < j in row-major order
+    (`pairs`). Bit k of a mask index is element k."""
 
     def __init__(self, fn: SetFunctionOracle):
         _guard(fn.n, EXTENSION_N_MAX)
-        self.n = fn.n
-        self.values = fn.value_table()
-        self.masks = np.arange(1 << fn.n, dtype=np.int64)
-        sizes = np.zeros(1, dtype=np.int64)
-        for _ in range(fn.n):
-            sizes = np.concatenate([sizes, sizes + 1])
-        self.sizes = sizes
-        self._marginals: dict[int, np.ndarray] = {}
-        self._seconds: dict[tuple[int, int], np.ndarray] = {}
+        n = self.n = fn.n
+        v = self.values = fn.value_table()
+        self.masks = np.arange(1 << n, dtype=np.int64)
+        self.inside = ((self.masks >> np.arange(n)[:, None]) & 1).astype(bool)
+        self.sizes = self.inside.sum(axis=0)
+        self.pairs = np.transpose(np.triu_indices(n, 1))
+        # f(S+i) - f(S-i) and f(S+i+j) - f(S+i-j) - f(S-i+j) + f(S-i-j) on views over bits i, j
+        self.B = np.empty((n, 1 << n))
+        for i, row in enumerate(self.B):
+            w = v.reshape(-1, 2, 1 << i)
+            row.reshape(w.shape)[:] = w[:, 1:] - w[:, :1]
+        self.A = np.empty((len(self.pairs), 1 << n))
+        for row, (i, j) in zip(self.A, self.pairs.tolist()):
+            w = v.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+            row.reshape(w.shape)[:] = (w[:, 1:, :, 1:] - w[:, :1, :, 1:]
+                                       - w[:, 1:, :, :1] + w[:, :1, :, :1])
+        self._diagonal = np.zeros(1 << n)  # A_ii, the same zero row for every i
+
+    def rows_from(self, i: int) -> slice:
+        """Rows of `A` that hold the pairs (i, j), j > i, in order of j."""
+        start = i * (2 * self.n - i - 1) // 2
+        return slice(start, start + self.n - 1 - i)
 
     def marginals(self, i: int) -> np.ndarray:
         """Vector of B_i over all masks."""
-        if i not in self._marginals:
-            bit = 1 << i
-            self._marginals[i] = self.values[self.masks | bit] - self.values[self.masks & ~bit]
-        return self._marginals[i]
+        return self.B[i]
 
     def seconds(self, i: int, j: int) -> np.ndarray:
         """Vector of A_ij over all masks."""
-        key = (min(i, j), max(i, j))
-        if key not in self._seconds:
-            if i == j:
-                self._seconds[key] = np.zeros(1 << self.n)
-            else:
-                bi, bj = 1 << key[0], 1 << key[1]
-                base = self.masks & ~bi & ~bj
-                self._seconds[key] = (
-                    self.values[base | bi | bj]
-                    - self.values[base | bi]
-                    - self.values[base | bj]
-                    + self.values[base]
-                )
-        return self._seconds[key]
+        if i == j:
+            return self._diagonal
+        i, j = min(i, j), max(i, j)
+        return self.A[self.rows_from(i).start + j - i - 1]
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """grad F(x), one dot product per row of B: a matrix product may sum in another order."""
+        p = self.probabilities(x)
+        return np.array([b @ p for b in self.B])
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         """p_x over all masks; bit k of the index is element k."""
@@ -107,34 +114,37 @@ def gamma_parameter(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX) -> GammaR
     """Smallest gamma with |S| A_ij(S) <= gamma (B_i(S) + B_j(S)) everywhere.
 
     Only strictly positive A_ij(S) terms constrain gamma; a positive term
-    with a non-positive denominator makes the parameter infinite.
+    with a non-positive denominator makes the parameter infinite. The
+    witness is the first (i, j, S) that attains gamma.
     """
     _guard(fn.n, n_max)
     t = _tables(fn)
-    best = 0.0
-    witness = None
-    vacuous = True
     nonempty = t.sizes > 0
+    at = np.zeros(len(t.pairs), dtype=np.int64)  # per pair, the mask of its first largest ratio
+    top = np.zeros(len(t.pairs))  # ... and that ratio, -inf where no term constrains
     for i in range(t.n):
-        for j in range(i + 1, t.n):
-            a = t.seconds(i, j)
-            active = nonempty & (a > ABS_TOL)
-            if not active.any():
-                continue
-            vacuous = False
-            den = t.marginals(i) + t.marginals(j)
-            bad = active & (den <= ABS_TOL)
-            if bad.any():
-                mask = int(t.masks[bad][0])
-                return GammaReport(0.0, is_infinite=True, witness=(mask, i, j))
-            ratio = np.where(active, t.sizes * a / np.where(active, den, 1.0), -np.inf)
-            k = int(np.argmax(ratio))
-            if ratio[k] > best or witness is None:
-                best = float(ratio[k])
-                witness = (int(t.masks[k]), i, j)
-    if vacuous:
+        rows = t.rows_from(i)
+        a = t.A[rows]
+        active = nonempty & (a > ABS_TOL)
+        den = t.B[i] + t.B[i + 1:]
+        bad = active & (den <= ABS_TOL)
+        if bad.any():
+            r, mask = divmod(int(np.argmax(bad)), 1 << t.n)
+            return GammaReport(0.0, is_infinite=True, witness=(mask, i, i + 1 + r))
+        den[~active] = 1.0
+        ratio = np.divide(t.sizes * a, den, out=den)  # in place: the block can be large
+        ratio[~active] = -np.inf
+        at[rows] = ratio.argmax(axis=1)
+        top[rows] = np.take_along_axis(ratio, at[rows, None], axis=1)[:, 0]
+    live = ~np.isneginf(top)  # an active term's ratio is >= 0, or NaN
+    if not live.any():
         return GammaReport(0.0, vacuous=True)
-    return GammaReport(best, witness=witness)
+    # a running strict maximum over the pairs keeps the first live pair's
+    # ratio when it is NaN (an overflowed table), and passes over later NaN
+    p = int(np.argmax(live))
+    if not np.isnan(top[p]):
+        p = int(np.nanargmax(top))
+    return GammaReport(float(top[p]), witness=(int(at[p]), *map(int, t.pairs[p])))
 
 
 @dataclass(frozen=True)
@@ -156,44 +166,50 @@ class ClassificationReport:
 
 
 def classify(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX) -> ClassificationReport:
-    """Exhaustive sign checks of B_i, A_ij, and the A_ij set-monotonicity."""
+    """Exhaustive sign checks of B_i, A_ij, and the A_ij set-monotonicity.
+
+    Each witness is the first (i[, j, k]) whose first extreme over the masks
+    crosses the tolerance, with that extreme's mask.
+    """
     _guard(fn.n, n_max)
     t = _tables(fn)
     witnesses: dict = {}
+    hit = _first_beyond(t.B, -1)
+    if hit:
+        i, mask, b = hit
+        witnesses["monotone"] = {"i": i, "S": elements_of(mask), "B": b}
+    for name, sign in (("submodular", 1), ("supermodular", -1)):
+        hit = _first_beyond(t.A, sign)
+        if hit:
+            p, mask, a = hit
+            i, j = map(int, t.pairs[p])
+            witnesses[name] = {"i": i, "j": j, "S": elements_of(mask), "A": a}
+    # A_ij(S + k) - A_ij(S - k) for every pair and mask without k, one k at a time
+    second = None
+    for k in range(t.n):
+        v = t.A.reshape(len(t.pairs), 1 << (t.n - 1 - k), 2, 1 << k)
+        hit = _first_beyond((v[:, :, 1] - v[:, :, 0]).reshape(len(t.pairs), 1 << (t.n - 1)), 1)
+        if hit and (second is None or hit[0] < second[0]):
+            second = (*hit, k)
+    if second:
+        p, w, delta, k = second
+        i, j = map(int, t.pairs[p])
+        mask = w + (w >> k << k)  # w counts the masks without k: put bit k back, clear
+        witnesses["second_order_submodular"] = {
+            "i": i, "j": j, "k": k, "S": elements_of(mask), "delta": delta,
+        }
+    return ClassificationReport("monotone" not in witnesses, "submodular" not in witnesses,
+                                "supermodular" not in witnesses, second is None, witnesses)
 
-    monotone = True
-    for i in range(t.n):
-        b = t.marginals(i)
-        k = int(np.argmin(b))
-        if b[k] < -ABS_TOL:
-            monotone = False
-            witnesses["monotone"] = {"i": i, "S": elements_of(int(k)), "B": float(b[k])}
-            break
 
-    submodular = supermodular = True
-    second = True
-    for i in range(t.n):
-        for j in range(i + 1, t.n):
-            a = t.seconds(i, j)
-            hi, lo = int(np.argmax(a)), int(np.argmin(a))
-            if submodular and a[hi] > ABS_TOL:
-                submodular = False
-                witnesses["submodular"] = {"i": i, "j": j, "S": elements_of(hi), "A": float(a[hi])}
-            if supermodular and a[lo] < -ABS_TOL:
-                supermodular = False
-                witnesses["supermodular"] = {"i": i, "j": j, "S": elements_of(lo), "A": float(a[lo])}
-            if second:
-                for k in range(t.n):
-                    bit = 1 << k
-                    diff = a[t.masks | bit] - a[t.masks & ~bit]
-                    w = int(np.argmax(diff))
-                    if diff[w] > ABS_TOL:
-                        second = False
-                        witnesses["second_order_submodular"] = {
-                            "i": i, "j": j, "k": k, "S": elements_of(w), "delta": float(diff[w]),
-                        }
-                        break
-    return ClassificationReport(monotone, submodular, supermodular, second, witnesses)
+def _first_beyond(rows: np.ndarray, sign: int) -> tuple[int, int, float] | None:
+    """(row, column, value) of the first row whose first maximum (sign 1) or
+    minimum (sign -1) lies beyond ABS_TOL in that direction, or None. A NaN
+    extreme, which argmax and argmin find first, never does."""
+    at = (rows.argmax if sign > 0 else rows.argmin)(axis=1)
+    top = np.take_along_axis(rows, at[:, None], axis=1)[:, 0]
+    hit = np.flatnonzero(sign * top > ABS_TOL)
+    return (int(hit[0]), int(at[hit[0]]), float(top[hit[0]])) if hit.size else None
 
 
 def multilinear_exact(fn: SetFunctionOracle, x) -> float:
@@ -204,14 +220,11 @@ def multilinear_exact(fn: SetFunctionOracle, x) -> float:
 
 def multilinear_gradient_exact(fn: SetFunctionOracle, x, i: int) -> float:
     """Partial derivative of F at x: the expectation of B_i under x."""
-    t = _tables(fn)
-    return float(t.marginals(i) @ t.probabilities(np.asarray(x, dtype=float)))
+    return float(_tables(fn).gradient(np.asarray(x, dtype=float))[i])
 
 
 def multilinear_hessian_exact(fn: SetFunctionOracle, x, i: int, j: int) -> float:
     """Mixed second derivative of F at x: the expectation of A_ij under x."""
-    if i == j:
-        return 0.0
     t = _tables(fn)
     return float(t.seconds(i, j) @ t.probabilities(np.asarray(x, dtype=float)))
 
@@ -239,7 +252,6 @@ def check_one_sided_smooth(fn: SetFunctionOracle, x, u, sigma: float) -> Smoothn
         raise GuardError("one-sided smoothness is defined only at x != 0")
     t = _tables(fn)
     p = t.probabilities(x)
-    grad = np.array([t.marginals(i) @ p for i in range(t.n)])
     lhs = 0.0
     for i in range(t.n):
         if u[i] == 0:
@@ -248,7 +260,7 @@ def check_one_sided_smooth(fn: SetFunctionOracle, x, u, sigma: float) -> Smoothn
             if i == j or u[j] == 0:
                 continue
             lhs += 0.5 * u[i] * u[j] * float(t.seconds(i, j) @ p)
-    rhs = sigma * (float(u.sum()) / x_norm) * float(u @ grad)
+    rhs = sigma * (float(u.sum()) / x_norm) * float(u @ t.gradient(x))
     return SmoothnessCheck(sigma, lhs, rhs)
 
 
@@ -294,7 +306,6 @@ def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int
     t = _tables(fn)
     rng = np.random.default_rng(seed)
     perms = [[int(v) for v in rng.permutation(t.n)] for _ in range(orderings)]
-    inside = [((t.masks >> v) & 1).astype(bool) for v in range(t.n)]
     worst = 0.0
     witness: dict = {}
     for i in range(t.n):
@@ -304,7 +315,7 @@ def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int
             total = np.full(1 << t.n, t.values[1 << i])
             before = 0
             for v in perm:
-                total += np.where(inside[v], t.seconds(i, v)[t.masks & before], 0.0)
+                total += np.where(t.inside[v], t.seconds(i, v)[t.masks & before], 0.0)
                 before |= 1 << v
             err = np.abs(total - b)
             worst = max(worst, float(err.max()))
@@ -315,7 +326,7 @@ def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int
             mask = int(np.argmax(np.any(failed, axis=0)))
             k = next(k for k in range(len(perms)) if failed[k][mask])
             witness = {"i": i, "R": elements_of(mask),
-                       "order": [v for v in perms[k] if inside[v][mask]],
+                       "order": [v for v in perms[k] if t.inside[v, mask]],
                        "lhs": float(b[mask]), "rhs": float(totals[k][mask])}
     return LemmaCheck("discrete_integral", not witness, worst_slack=worst, detail=witness)
 
@@ -349,8 +360,7 @@ def lemma_checks(
     checks["discrete_integral"] = check_discrete_integral(fn, seed=seed)
 
     # sum of marginals over R against (5*gamma + 2) f(R); B_i(R-i) == B_i(R)
-    in_r = np.stack([(t.masks >> i) & 1 for i in range(t.n)])
-    marg_sum = sum(in_r[i] * t.marginals(i) for i in range(t.n))
+    marg_sum = sum(t.inside[i] * t.B[i] for i in range(t.n))
     big = t.sizes >= 2
     if not cls.monotone or gamma is None:
         checks["marginal_sum_bound"] = LemmaCheck(
@@ -390,11 +400,6 @@ def _leq_vec(lhs: np.ndarray, rhs: np.ndarray, tol: float = REL_TOL) -> np.ndarr
     return lhs <= rhs + tol * np.maximum(1.0, np.abs(rhs))
 
 
-def _gradient(t: ExactTables, x: np.ndarray) -> np.ndarray:
-    p = t.probabilities(x)
-    return np.array([float(t.marginals(i) @ p) for i in range(t.n)])
-
-
 def _check_gradient_growth(t, cls, gamma, seed) -> LemmaCheck:
     """Directional-derivative growth along 1_R -> 1_R + u, two bounds at once:
     the 2^(4*gamma) cap and the (norm ratio)^(2*sigma) cap with sigma = 2*gamma."""
@@ -415,9 +420,9 @@ def _check_gradient_growth(t, cls, gamma, seed) -> LemmaCheck:
         u = np.maximum(ind, x) - ind
         if u.sum() <= 0:
             continue
-        base = float(u @ _gradient(t, ind))
+        base = float(u @ t.gradient(ind))
         for eps in (0.25, 0.5, 1.0):
-            moved = float(u @ _gradient(t, ind + eps * u))
+            moved = float(u @ t.gradient(ind + eps * u))
             for name, rhs in (
                 ("power_of_two", cap * base),
                 ("norm_ratio", ((r + eps * float(u.sum())) / r) ** (4.0 * gamma) * base),
@@ -440,17 +445,11 @@ def _check_kleinberg(t: ExactTables, g: GammaReport) -> LemmaCheck:
     A_ij(S) = A_ij(S - {i, j}), so gamma is vacuous exactly when that form
     holds and no A_ij of the empty set is positive.
     """
-    outside_form = True
-    empty_ok = True
     nonempty = t.sizes > 0
-    for i in range(t.n):
-        for j in range(i + 1, t.n):
-            a = t.seconds(i, j)
-            outside = nonempty & (((t.masks >> i) & 1) == 0) & (((t.masks >> j) & 1) == 0)
-            if np.any(outside & (a > ABS_TOL)):
-                outside_form = False
-            if a[0] > ABS_TOL:
-                empty_ok = False
+    outside_form = not any(
+        np.any(nonempty & ~t.inside[i] & ~t.inside[i + 1:] & (t.A[t.rows_from(i)] > ABS_TOL))
+        for i in range(t.n))
+    empty_ok = not np.any(t.A[:, 0] > ABS_TOL)
     return LemmaCheck("kleinberg_equivalence", g.vacuous == (outside_form and empty_ok),
                       detail={"zero_ms": g.vacuous, "kleinberg_form": outside_form})
 

@@ -28,15 +28,12 @@ BRUTE_FORCE_GUARD = 20
 class SolveConfig:
     epsilon: float = DEFAULT_EPSILON
     pivot: str = "first"  # "first" or "best"
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         if self.pivot not in ("first", "best"):
             raise ValidationError(f"unknown pivot rule {self.pivot!r}")
-        if self.max_iterations < 1:
-            raise ValidationError("iteration guard must be at least 1")
 
 
 @dataclass
@@ -137,9 +134,9 @@ def local_search(
         current = fn.value(S)
         iterations += 1
         trace.append({"iteration": iterations, "removed": i, "inserted": j, "value": current})
-        if iterations >= config.max_iterations:
+        if iterations >= DEFAULT_MAX_ITERATIONS:
             raise GuardError(
-                f"local search exceeded {config.max_iterations} accepted swaps; "
+                f"local search exceeded {DEFAULT_MAX_ITERATIONS} accepted swaps; "
                 f"last value {current!r}"
             )
     return S, iterations, evaluations, trace

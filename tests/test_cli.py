@@ -130,6 +130,26 @@ def test_verify_suites_pass(tmp_path):
         assert json.loads(out.read_text())["results"]["passed"]
 
 
+def test_verify_matroid_on_one_element(tmp_path):
+    # every draw of the default 20 samples, the partition draws included
+    code, out = run(["verify", "matroid", "--n-max", "1"], tmp_path)
+    assert code == 0
+    assert json.loads(out.read_text())["results"]["passed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemmas", "--samples", "-3"],
+    ["verify", "matching", "--samples", "-1"],
+    ["verify", "lemmas", "--n-max", "-1"],
+    ["verify", "ratios", "--n-max", "0"],
+])
+def test_verify_rejects_negative_counts(argv, tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert "must be at least" in capsys.readouterr().err
+
+
 def test_unknown_generator_params_rejected(tmp_path):
     assert cli.main(["gen", "semimetric-power", "--n", "5", "--power", "0.5",
                      "--out", str(tmp_path / "x.json")]) == 2

@@ -1,8 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from metasub.diag import (
+    ClassificationReport,
     ExactTables,
+    GammaReport,
+    LemmaCheck,
+    _check_kleinberg,
+    _tables,
     check_discrete_integral,
     check_expectation_inequality,
     check_one_sided_smooth,
@@ -23,6 +30,7 @@ from metasub.setfn import (
     DiversityFunction,
     TableFunction,
     WeightedSumFunction,
+    elements_of,
     mask_of,
 )
 from util import random_coverage, random_diversity, random_metric, random_mixed_oracle
@@ -232,10 +240,11 @@ def test_discrete_integral_matches_scalar_walk():
         assert check.worst_slack == worst
 
 
-def test_discrete_integral_reports_a_failure(monkeypatch):
-    seconds = ExactTables.seconds
-    monkeypatch.setattr(ExactTables, "seconds", lambda self, i, j: seconds(self, i, j) + 1.0)
+def test_discrete_integral_reports_a_failure():
     fn = random_diversity(np.random.default_rng(22), 5)
+    t = _tables(fn)
+    t.A += 1.0  # every A_ij, i < j, shifted by 1.0 ...
+    t.seconds(0, 0)[:] += 1.0  # ... and A_ii, the one zero row every i shares
     check = check_discrete_integral(fn)
     assert check.passed is False
     w = check.detail
@@ -288,18 +297,156 @@ def test_kleinberg_equivalence_matches_vacuous_gamma():
         assert check.detail["zero_ms"] is gamma_parameter(fn).vacuous
 
 
-def test_kleinberg_equivalence_reports_a_failure(monkeypatch):
-    seconds = ExactTables.seconds
-
-    def shifted(self, i, j):
-        # positive on every mask holding i, so gamma is not vacuous, while
-        # the sets outside i and j and the empty set keep A_ij <= 0
-        return seconds(self, i, j) + np.where((self.masks >> i) & 1, 1.0, 0.0)
-
-    monkeypatch.setattr(ExactTables, "seconds", shifted)
-    check = verify_lemmas(random_coverage(np.random.default_rng(25), 5))["kleinberg_equivalence"]
+def test_kleinberg_equivalence_reports_a_failure():
+    fn = random_coverage(np.random.default_rng(25), 5)
+    t = _tables(fn)
+    # A_ij + 1 on every mask holding i, so gamma is not vacuous, while the
+    # sets outside i and j and the empty set keep A_ij <= 0
+    t.A += np.where(t.inside[t.pairs[:, 0]], 1.0, 0.0)
+    check = verify_lemmas(fn)["kleinberg_equivalence"]
     assert check.passed is False
     assert check.detail == {"zero_ms": False, "kleinberg_form": True}
+
+
+def loop_gamma(t):
+    """Reference: one pass per pair (i, j), a running strict maximum over
+    each pair's first largest ratio."""
+    best, witness, vacuous = 0.0, None, True
+    nonempty = t.sizes > 0
+    for i in range(t.n):
+        for j in range(i + 1, t.n):
+            a = t.seconds(i, j)
+            active = nonempty & (a > ABS_TOL)
+            if not active.any():
+                continue
+            vacuous = False
+            den = t.marginals(i) + t.marginals(j)
+            bad = active & (den <= ABS_TOL)
+            if bad.any():
+                return GammaReport(0.0, is_infinite=True, witness=(int(t.masks[bad][0]), i, j))
+            ratio = np.where(active, t.sizes * a / np.where(active, den, 1.0), -np.inf)
+            k = int(np.argmax(ratio))
+            if ratio[k] > best or witness is None:
+                best, witness = float(ratio[k]), (int(t.masks[k]), i, j)
+    return GammaReport(0.0, vacuous=True) if vacuous else GammaReport(best, witness=witness)
+
+
+def loop_classify(t):
+    """Reference: the sign checks one element, pair and (pair, k) at a time."""
+    witnesses = {}
+    monotone = submodular = supermodular = second = True
+    for i in range(t.n):
+        b = t.marginals(i)
+        k = int(np.argmin(b))
+        if b[k] < -ABS_TOL:
+            monotone = False
+            witnesses["monotone"] = {"i": i, "S": elements_of(k), "B": float(b[k])}
+            break
+    for i in range(t.n):
+        for j in range(i + 1, t.n):
+            a = t.seconds(i, j)
+            hi, lo = int(np.argmax(a)), int(np.argmin(a))
+            if submodular and a[hi] > ABS_TOL:
+                submodular = False
+                witnesses["submodular"] = {"i": i, "j": j, "S": elements_of(hi), "A": float(a[hi])}
+            if supermodular and a[lo] < -ABS_TOL:
+                supermodular = False
+                witnesses["supermodular"] = {"i": i, "j": j, "S": elements_of(lo), "A": float(a[lo])}
+            for k in range(t.n if second else 0):
+                bit = 1 << k
+                diff = a[t.masks | bit] - a[t.masks & ~bit]
+                w = int(np.argmax(diff))
+                if diff[w] > ABS_TOL:
+                    second = False
+                    witnesses["second_order_submodular"] = {
+                        "i": i, "j": j, "k": k, "S": elements_of(w), "delta": float(diff[w]),
+                    }
+                    break
+    return ClassificationReport(monotone, submodular, supermodular, second, witnesses)
+
+
+def loop_kleinberg(t, g):
+    """Reference: the diminishing-marginals form one pair at a time."""
+    outside_form = empty_ok = True
+    nonempty = t.sizes > 0
+    for i in range(t.n):
+        for j in range(i + 1, t.n):
+            a = t.seconds(i, j)
+            outside = nonempty & (((t.masks >> i) & 1) == 0) & (((t.masks >> j) & 1) == 0)
+            if np.any(outside & (a > ABS_TOL)):
+                outside_form = False
+            if a[0] > ABS_TOL:
+                empty_ok = False
+    return LemmaCheck("kleinberg_equivalence", g.vacuous == (outside_form and empty_ok),
+                      detail={"zero_ms": g.vacuous, "kleinberg_form": outside_form})
+
+
+def reduction_cases():
+    """Oracles for the array reductions: mixed kinds, non-monotone tables,
+    exact ties, infinite gamma, and tables whose differences overflow."""
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 3, 6, 8):
+        for _ in range(6):
+            yield random_mixed_oracle(rng, n)
+        yield TableFunction(np.r_[0.0, rng.standard_normal((1 << n) - 1)])  # non-monotone
+        yield TableFunction(np.r_[0.0, rng.integers(-2, 3, (1 << n) - 1)])  # many exact ties
+        yield TableFunction(np.zeros(1 << n))
+        if n >= 2:
+            yield all_ones_diversity(n)  # one symmetric distance: every pair ties
+            sizes = np.array([mask.bit_count() for mask in range(1 << n)])
+            yield TableFunction(all_ones_diversity(n).value_table() - 0.75 * sizes)
+        # f is zero off the sets holding 0 and 1, so for n >= 3 A_01({2}) > 0
+        # while B_0({2}) + B_1({2}) = 0: gamma is infinite
+        yield TableFunction(rng.random(1 << n) * ((np.arange(1 << n) & 3) == 3))
+    yield TableFunction([0.0, -ABS_TOL, ABS_TOL, ABS_TOL])  # B_0 and A_01 on the tolerance
+    for n in (3, 4, 5):
+        huge = rng.choice([-1e308, 1e308, 0.0, 1.0], size=1 << n)
+        huge[0] = 0.0
+        yield TableFunction(huge)  # differences overflow to inf, sums to NaN
+        sizes = np.array([mask.bit_count() for mask in range(1 << n)])
+        for _ in range(12):
+            # supermodular near the largest float: some |S| A_ij(S) and
+            # B_i(S) + B_j(S) both overflow, so some ratios are NaN
+            yield TableFunction(sizes**2 / n**2 * 1.79e308 * rng.uniform(0.5, 1.0, 1 << n))
+
+
+def test_tables_match_the_gathered_differences():
+    # the scalar definitions, gathered per element and pair over all masks
+    with np.errstate(invalid="ignore", over="ignore"):
+        for fn in reduction_cases():
+            t, v = ExactTables(fn), fn.value_table()
+            for i in range(fn.n):
+                bi = 1 << i
+                np.testing.assert_array_equal(t.marginals(i), v[t.masks | bi] - v[t.masks & ~bi])
+                np.testing.assert_array_equal(t.seconds(i, i), np.zeros(1 << fn.n))
+                for j in range(i + 1, fn.n):
+                    bj = 1 << j
+                    base = t.masks & ~bi & ~bj
+                    want = v[base | bi | bj] - v[base | bi] - v[base | bj] + v[base]
+                    np.testing.assert_array_equal(t.seconds(i, j), want)
+                    np.testing.assert_array_equal(t.seconds(j, i), want)
+
+
+def test_reductions_match_the_pair_loops():
+    def text(report):
+        # the report's JSON: it tells -0.0 from 0.0, and NaN matches NaN
+        return json.dumps(report.to_dict(), sort_keys=True)
+
+    kinds, monotone = set(), set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for fn in reduction_cases():
+            t = ExactTables(fn)
+            want = loop_gamma(t), loop_classify(t)
+            got = gamma_parameter(fn), classify(fn)
+            kinds.add((got[0].vacuous, got[0].is_infinite))
+            monotone.add(got[1].monotone)
+            assert list(map(text, got)) == list(map(text, want))
+            assert text(_check_kleinberg(t, got[0])) == text(loop_kleinberg(t, want[0]))
+            if not np.isnan(got[0].gamma):
+                assert got == want
+                assert _check_kleinberg(t, got[0]) == loop_kleinberg(t, want[0])
+    assert kinds == {(True, False), (False, True), (False, False)}
+    assert monotone == {True, False}
 
 
 def test_verify_lemmas_skips_when_hypotheses_fail():
