@@ -269,7 +269,8 @@ def cmd_analyze(args) -> int:
     else:
         results["skipped"] = f"exhaustive diagnostics need n <= {args.n_max}, instance has n={fn.n}"
     work = {"n": fn.n, "table_size": 1 << fn.n if fn.n <= args.n_max else 0}
-    emit(make_report("analyze", instance, results, work), args)
+    inputs = {"instance": instance, "tolerance": args.tolerance, "n_max": args.n_max}
+    emit(make_report("analyze", inputs, results, work), args)
     return 0
 
 
@@ -495,7 +496,9 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        code = args.func(args)
+        # overflow shows as a non-finite result, which emit turns into exit 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

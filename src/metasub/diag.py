@@ -15,10 +15,9 @@ import numpy as np
 
 from . import search
 from .errors import GuardError
-from .setfn import ABS_TOL, REL_TOL, SetFunctionOracle, elements_of
+from .setfn import ABS_TOL, REL_TOL, TABLE_GUARD, SetFunctionOracle, elements_of
 
 DEFAULT_N_MAX = 14
-EXTENSION_N_MAX = 20
 GRADIENT_SAMPLE_POINTS = 10  # sets R drawn by the gradient-growth check
 
 
@@ -33,7 +32,7 @@ class ExactTables:
     (`pairs`). Bit k of a mask index is element k."""
 
     def __init__(self, fn: SetFunctionOracle):
-        _guard(fn.n, EXTENSION_N_MAX)
+        _guard(fn.n, TABLE_GUARD)
         n = self.n = fn.n
         v = self.values = fn.value_table()
         self.masks = np.arange(1 << n, dtype=np.int64)
@@ -339,7 +338,6 @@ def verify_lemmas(
 ) -> dict[str, LemmaCheck]:
     """Structural-inequality battery; checks skip (and say so) when their
     hypotheses fail for the given oracle."""
-    _guard(fn.n, n_max)
     return lemma_checks(fn, classify(fn, n_max=n_max), gamma_parameter(fn, n_max=n_max),
                         matroid=matroid, seed=seed)
 

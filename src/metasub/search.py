@@ -17,11 +17,10 @@ import numpy as np
 from .errors import GuardError, ValidationError
 from .matching import Matching, max_weight_matching_k
 from .matroid import MatroidOracle
-from .setfn import ABS_TOL, SetFunctionOracle, elements_of, split
+from .setfn import ABS_TOL, TABLE_GUARD, SetFunctionOracle, elements_of, split
 
 DEFAULT_EPSILON = 0.1
 DEFAULT_MAX_ITERATIONS = 1_000_000
-BRUTE_FORCE_GUARD = 20
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def best_pair_init(fn: SetFunctionOracle, M: MatroidOracle) -> int:
         return (1 << i) | (1 << j)
     best_mask = 0
     best_value = None
-    _, singles, _ = fn.neighbourhood(0)
+    singles = fn.neighbourhood(0)[2]
     for i in range(fn.n):
         if M.is_independent(1 << i) and (best_value is None or singles[i] > best_value):
             best_mask, best_value = 1 << i, singles[i]
@@ -113,10 +112,17 @@ def local_search(
     iterations = 0
     evaluations = 0
     trace: list[dict] = []
-    current = fn.value(S)
     while True:
+        current, _, _, swap = fn.neighbourhood(S)
+        if iterations:  # the swap accepted last round, now that f(S) is known
+            trace.append({"iteration": iterations, "removed": i, "inserted": j, "value": current})
+            if iterations >= DEFAULT_MAX_ITERATIONS:
+                raise GuardError(
+                    f"local search exceeded {DEFAULT_MAX_ITERATIONS} accepted swaps; "
+                    f"last value {current!r}"
+                )
         inside, outside = split(S, n)
-        values = fn.neighbourhood(S)[2].ravel()
+        values = swap.ravel()
         feasible = M.swap_feasible(S).ravel()
         accepted = np.flatnonzero(feasible & _accepts(current, values, threshold))
         if not accepted.size:
@@ -131,14 +137,7 @@ def local_search(
         a, b = divmod(int(pick), len(outside))
         i, j = int(inside[a]), int(outside[b])
         S = (S & ~(1 << i)) | (1 << j)
-        current = fn.value(S)
         iterations += 1
-        trace.append({"iteration": iterations, "removed": i, "inserted": j, "value": current})
-        if iterations >= DEFAULT_MAX_ITERATIONS:
-            raise GuardError(
-                f"local search exceeded {DEFAULT_MAX_ITERATIONS} accepted swaps; "
-                f"last value {current!r}"
-            )
     return S, iterations, evaluations, trace
 
 
@@ -162,8 +161,7 @@ def matching_step(
     if k <= 0:
         return 0, None, 0
     inside, outside = split(S, M.n)
-    base = fn.value(S)
-    drop, add, swap = fn.neighbourhood(S)
+    base, drop, add, swap = fn.neighbourhood(S)
     # A_ij(S) = f(S+j) - f(S) - f(S-i+j) + f(S-i), summed in the order of
     # second_difference, which names the pair's sets by (min, max)
     j_first = outside[None, :] < inside[:, None]
@@ -208,8 +206,8 @@ def solve(
 
 def brute_force_opt(fn: SetFunctionOracle, M: MatroidOracle) -> tuple[int, float]:
     """Exhaustive maximum over independent sets; first maximum by mask order."""
-    if fn.n > BRUTE_FORCE_GUARD:
-        raise GuardError(f"brute force needs n <= {BRUTE_FORCE_GUARD}, got {fn.n}")
+    if fn.n > TABLE_GUARD:
+        raise GuardError(f"brute force needs n <= {TABLE_GUARD}, got {fn.n}")
     best_mask, best_value = 0, fn.value(0)
     for mask in range(1, 1 << fn.n):
         if not M.is_independent(mask):

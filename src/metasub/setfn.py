@@ -16,7 +16,7 @@ import numpy as np
 from .errors import GuardError, ValidationError
 
 MAX_GROUND_SET = 62
-TABLE_GUARD = 20
+TABLE_GUARD = 20  # largest n for anything that visits all 2^n subsets
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -96,23 +96,24 @@ class SetFunctionOracle:
             raise ValidationError(f"{self.kind} value of the whole ground set is {total!r}, "
                                   "not a finite number")
 
-    def neighbourhood(self, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values one step from S = mask: f(S-i) for i in S, f(S+j) for j not
-        in S, and the |S| x |S-bar| matrix of f(S-i+j), in elements_of order.
+    def neighbourhood(self, mask: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """f(S) for S = mask, bit-equal to value(S), then f(S-i) for i in S,
+        f(S+j) for j not in S, and the |S| x |S-bar| matrix of f(S-i+j), in
+        elements_of order.
 
         One value call per entry (a filled table is gathered instead): the
         reference that closed-form overrides must match.
         """
-        check_mask(mask, self.n)
+        current = self.value(mask)
         inside, outside = split(mask, self.n)
         one = np.int64(1)
         drop = np.int64(mask) ^ (one << inside)
         add = np.int64(mask) | (one << outside)
         swap = drop[:, None] | (one << outside)[None, :]
         if self._table is not None:
-            return self._table[drop], self._table[add], self._table[swap]
+            return current, self._table[drop], self._table[add], self._table[swap]
         value = np.vectorize(lambda m: self.value(int(m)), otypes=[float])
-        return value(drop), value(add), value(swap)
+        return current, value(drop), value(add), value(swap)
 
     def pair_values(self) -> np.ndarray:
         """The n x n matrix of f({i, j}) for i != j, with a zero diagonal.
@@ -123,7 +124,7 @@ class SetFunctionOracle:
         values = np.zeros((self.n, self.n))
         off_diagonal = ~np.eye(self.n, dtype=bool)
         for i in range(self.n):
-            values[i, off_diagonal[i]] = self.neighbourhood(1 << i)[1]
+            values[i, off_diagonal[i]] = self.neighbourhood(1 << i)[2]
         return values
 
     def marginal(self, i: int, mask: int) -> float:
@@ -163,7 +164,8 @@ class SetFunctionOracle:
 
 
 class DiversityFunction(SetFunctionOracle):
-    """Pairwise dissimilarity sum, optionally plus non-negative modular weights."""
+    """Pairwise dissimilarity sum plus non-negative modular weights (zeros
+    when none are given), summed in one order on every path."""
 
     def __init__(self, distance: np.ndarray, weights: Sequence[float] | None = None):
         distance = np.asarray(distance, dtype=float)
@@ -172,57 +174,52 @@ class DiversityFunction(SetFunctionOracle):
         from .metric import validate_distance
 
         self.distance = validate_distance(distance)
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (n,):
-                raise ValidationError("modular weights must have length n")
-            if np.any(weights < 0):
-                raise ValidationError("modular weights must be non-negative")
-            self.kind = "diversity_plus_modular"
-        else:
-            self.kind = "diversity"
+        self.kind = "diversity" if weights is None else "diversity_plus_modular"
+        weights = np.zeros(n) if weights is None else np.asarray(weights, dtype=float)
+        if weights.shape != (n,):
+            raise ValidationError("modular weights must have length n")
+        if np.any(weights < 0):
+            raise ValidationError("modular weights must be non-negative")
         self.weights = weights
         self._check_finite_total()
 
     def _raw_value(self, mask: int) -> float:
-        idx = split(mask, self.n)[0]
-        total = float(self.distance.take(idx, 0).take(idx, 1).sum()) / 2.0 if len(idx) > 1 else 0.0
-        if self.weights is not None and len(idx):
-            total += float(self.weights[idx].sum())
-        return total
+        return self._sum(split(mask, self.n)[0])
+
+    def _sum(self, idx: np.ndarray) -> float:
+        """f of the ascending members idx, as _fill_table sums it: from 0.0, each
+        member's gain (0.0, its distances from the earlier members, its weight)."""
+        block = np.zeros((len(idx) + 1, len(idx)))
+        block[1:] = self.distance.take(idx, 0).take(idx, 1)
+        gain = block.cumsum(0).diagonal() + self.weights[idx]
+        return float(np.append(0.0, gain).cumsum()[-1])
 
     def _fill_table(self) -> np.ndarray:
         # subset doubling: the masks with top bit i are those below it plus
-        # i, which gains sum_{j < i, j in S} d(j, i) (+ w_i)
+        # i, which gains sum_{j < i, j in S} d(j, i) + w_i
         tab = np.zeros(1)
         for i in range(self.n):
             gain = np.zeros(1)
             for j in range(i):
                 gain = np.concatenate([gain, gain + self.distance[j, i]])
-            if self.weights is not None:
-                gain += self.weights[i]
-            tab = np.concatenate([tab, tab + gain])
+            tab = np.concatenate([tab, tab + (gain + self.weights[i])])
         return tab
 
-    def neighbourhood(self, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # with g = D[:, S].sum(1) (+ w): f(S-i) = f(S) - g_i, f(S+j) = f(S) + g_j
+    def neighbourhood(self, mask: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        # with g = D[:, S].sum(1) + w: f(S-i) = f(S) - g_i, f(S+j) = f(S) + g_j
         # and f(S-i+j) = f(S) - g_i + g_j - d(i,j)
-        base = self.value(mask)
+        check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
-        g = self.distance[:, inside].sum(axis=1)
-        if self.weights is not None:
-            g = g + self.weights
-        drop = base - g[inside]
+        current = self._sum(inside)
+        g = self.distance[:, inside].sum(axis=1) + self.weights
+        drop = current - g[inside]
         swap = drop[:, None] + g[outside] - self.distance.take(inside, 0).take(outside, 1)
-        return drop, base + g[outside], swap
+        return current, drop, current + g[outside], swap
 
     def pair_values(self) -> np.ndarray:
-        # neighbourhood({i}) gives f({i, j}) = f({i}) + g_j with f({i}) = 0.0 (+ w_i)
-        # and g_j = d(j, i) (+ w_j), summed here in the same order
-        if self.weights is None:
-            values = 0.0 + self.distance.T
-        else:
-            values = self.weights[:, None] + (self.distance.T + self.weights)
+        # neighbourhood({i}) gives f({i, j}) = f({i}) + g_j with f({i}) = w_i
+        # and g_j = d(j, i) + w_j, summed here in the same order
+        values = self.weights[:, None] + (self.distance.T + self.weights)
         np.fill_diagonal(values, 0.0)
         return values
 
@@ -254,7 +251,7 @@ class CoverageFunction(SetFunctionOracle):
         covered = self._incidence[split(mask, self.n)[0]].any(axis=0)
         return float(self.universe_weights[covered].sum())
 
-    def neighbourhood(self, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def neighbourhood(self, mask: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         # the union of each set one step away, from per-item cover counts;
         # each union is summed as _raw_value sums it, so equal unions tie exactly
         check_mask(mask, self.n)
@@ -262,7 +259,7 @@ class CoverageFunction(SetFunctionOracle):
         inc, w = self._incidence, self.universe_weights
         count = inc[inside].sum(axis=0)
         kept = (count - inc[inside]) > 0
-        values = []
+        values = [float(w[count > 0].sum())]
         for union in (kept, (count > 0) | inc[outside], kept[:, None] | inc[outside]):
             rows = union.reshape(math.prod(union.shape[:-1]), len(w))
             values.append(np.array([w[row].sum() for row in rows]).reshape(union.shape[:-1]))
@@ -314,9 +311,10 @@ class WeightedSumFunction(SetFunctionOracle):
     def _fill_table(self) -> np.ndarray:
         return sum(coeff * fn.value_table() for fn, coeff in self.components)
 
-    def neighbourhood(self, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def neighbourhood(self, mask: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        # entry 0 adds the components' f(S) as _raw_value adds their values
         parts = [(coeff, fn.neighbourhood(mask)) for fn, coeff in self.components]
-        return tuple(sum(coeff * arrays[k] for coeff, arrays in parts) for k in range(3))
+        return tuple(sum(coeff * values[k] for coeff, values in parts) for k in range(4))
 
     def pair_values(self) -> np.ndarray:
         return sum(coeff * fn.pair_values() for fn, coeff in self.components)

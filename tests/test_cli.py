@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import pytest
 
@@ -67,6 +68,16 @@ def test_roundtrip_digest_stable(tmp_path):
     _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "9"], tmp_path, "inst.json")
     doc = json.loads(inst.read_text())
     assert cli.digest(doc) == cli.digest(json.loads(json.dumps(doc)))
+
+
+def test_analyze_digest_covers_its_flags(tmp_path):
+    _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "9"], tmp_path, "inst.json")
+    digests = {}
+    for flags in (["--n-max", "14"], ["--n-max", "5"], ["--tolerance", "1e-6"], []):
+        _, rep = run(["analyze", str(inst), *flags], tmp_path, "rep.json")
+        digests[tuple(flags)] = json.loads(rep.read_text())["inputs_digest"]
+    assert digests[()] == digests[("--n-max", "14")]  # the default n_max
+    assert len(set(digests.values())) == 3
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -250,13 +261,18 @@ HUGE = [[0.0 if i == j else 1e308 for j in range(4)] for i in range(4)]
       "matroid": {"kind": "uniform", "r": 2}}, 2),
     (_diversity_doc([[0.0, 0.0], [0.0, 0.0]], weights=[0.0, 1e308], r=0), 0),  # a slack
     (_diversity_doc([[0.0, 0.0, 1.0], [0.0, 0.0, 1e154], [1.0, 1e154, 0.0]], r=0), 0),  # gamma
-], ids=["diversity-total", "coverage-total", "analyze-slack", "analyze-power"])
+    ({"n": 3, "function": {"kind": "table",
+                           "values": [0, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308, 1e308]},
+      "matroid": {"kind": "uniform", "r": 2}}, 2),  # the differences
+], ids=["diversity-total", "coverage-total", "analyze-slack", "analyze-power", "table"])
 def test_overflowing_instances_exit_2_without_a_report(doc, solve_code, tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(doc))
     for command, code in (("solve", solve_code), ("analyze", 2)):
         out = tmp_path / f"{command}.json"
-        assert cli.main([command, str(inst), "--out", str(out)]) == code, command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # stderr holds the error line and nothing else
+            assert cli.main([command, str(inst), "--out", str(out)]) == code, command
         if code == 0:
             json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))
         else:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,13 @@ from metasub.setfn import (
     elements_of,
     mask_of,
 )
-from util import fresh_oracles, random_coverage, random_diversity, random_metric
+from util import (
+    awkward_diversities,
+    fresh_oracles,
+    random_coverage,
+    random_diversity,
+    random_metric,
+)
 
 
 def all_ones_diversity(n=4):
@@ -376,3 +384,34 @@ def test_best_pair_at_the_bitmask_cap_matches_the_scalar_scan(matroid):
                DiversityFunction(random_metric(rng, n), weights=rng.random(n)),
                random_coverage(rng, n)):
         assert best_pair_init(fn, M) == scalar_best_pair(fn, M), fn.kind
+
+
+@pytest.mark.parametrize("pivot", ["first", "best"])
+def test_solve_reports_the_same_before_and_after_the_table(pivot):
+    config = SolveConfig(epsilon=0.01, pivot=pivot)
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 13])
+        for fn in [*fresh_oracles(rng, 10), *awkward_diversities(rng, 10)]:
+            M = UniformMatroid(10, 4)
+            before = json.dumps(solve(fn, M, config).to_dict(), sort_keys=True)
+            fn.value_table()
+            after = json.dumps(solve(fn, M, config).to_dict(), sort_keys=True)
+            assert after == before, (seed, fn.kind)
+
+
+def test_the_solver_reads_f_of_s_from_the_neighbourhood(monkeypatch):
+    calls = []
+    value = SetFunctionOracle.value
+    monkeypatch.setattr(SetFunctionOracle, "value",
+                        lambda self, mask: calls.append(self) or value(self, mask))
+    rng = np.random.default_rng(17)
+    for fn in fresh_oracles(rng, 9):
+        if fn.kind == "table":
+            continue  # no override: the base neighbourhood calls value
+        M = UniformMatroid(9, 4)
+        S, iterations, _, _ = local_search(fn, M, M.extend_to_base(0))
+        matching_step(fn, M, S)
+        assert iterations and calls == [], fn.kind
+        solve(fn, M)
+        assert [c for c in calls if c is fn] == [fn, fn], fn.kind  # f(S) and f(S')
+        calls.clear()

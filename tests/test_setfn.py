@@ -15,7 +15,13 @@ from metasub.setfn import (
     mask_of,
     split,
 )
-from util import fresh_oracles, random_coverage, random_metric, random_mixed_oracle
+from util import (
+    awkward_diversities,
+    fresh_oracles,
+    random_coverage,
+    random_metric,
+    random_mixed_oracle,
+)
 
 
 def test_mask_helpers_roundtrip():
@@ -108,6 +114,18 @@ def test_second_difference_symmetry_and_insensitivity():
     assert fn.second_difference(2, 2, 11) == 0.0
 
 
+def test_values_are_the_same_bits_before_and_after_the_table():
+    for n in (1, 2, 5, 10):
+        rng = np.random.default_rng([n, 11])
+        fns = [*fresh_oracles(rng, n), *awkward_diversities(rng, n)]
+        fns.append(DiversityFunction(random_metric(rng, n) ** 2, weights=rng.random(n) * 1e3))
+        for fn in fns:
+            before = [fn.value(mask).hex() for mask in range(1 << n)]
+            fn.value_table()
+            after = [fn.value(mask).hex() for mask in range(1 << n)]
+            assert after == before, (fn.kind, n)
+
+
 def test_value_table_matches_raw_value_loop_and_guards():
     for n in (1, 5, 10):
         for fn in fresh_oracles(np.random.default_rng(n), n):
@@ -145,27 +163,33 @@ def test_second_difference_is_discrete_mixed_difference(mask, i, j, seed):
 
 
 def loop_neighbourhood(fn, mask):
-    """The three neighbourhood arrays, one value call per entry."""
+    """The four neighbourhood entries, one value call per entry."""
     inside = elements_of(mask)
     outside = elements_of(((1 << fn.n) - 1) & ~mask)
     drop = [fn.value(mask & ~(1 << i)) for i in inside]
     add = [fn.value(mask | (1 << j)) for j in outside]
     swap = [[fn.value((mask & ~(1 << i)) | (1 << j)) for j in outside] for i in inside]
-    return np.array(drop), np.array(add), np.reshape(swap, (len(inside), len(outside)))
+    return (fn.value(mask), np.array(drop), np.array(add),
+            np.reshape(swap, (len(inside), len(outside))))
 
 
 def test_neighbourhood_overrides_match_the_value_loop():
     for n in (1, 2, 7):
         rng = np.random.default_rng(n)
         masks = {0, 1, (1 << n) - 1, *(int(m) for m in rng.integers(0, 1 << n, size=4))}
-        for fn in [*fresh_oracles(rng, n), CoverageFunction([[]] * n, [])]:
+        for fn in [*fresh_oracles(rng, n), *awkward_diversities(rng, n),
+                   CoverageFunction([[]] * n, [])]:
             for filled in (False, True):
                 if filled:
                     fn.value_table()  # the base method now gathers from the table
                 for mask in masks:
-                    expect = loop_neighbourhood(fn, mask)
-                    base = SetFunctionOracle.neighbourhood(fn, mask)
-                    for got, want, ref in zip(fn.neighbourhood(mask), expect, base):
+                    current, *expect = loop_neighbourhood(fn, mask)
+                    got_current, *got = fn.neighbourhood(mask)
+                    base_current, *base = SetFunctionOracle.neighbourhood(fn, mask)
+                    for value in (got_current, base_current):
+                        assert isinstance(value, float), (fn.kind, mask)
+                        assert value.hex() == current.hex(), (fn.kind, n, mask, filled)
+                    for got, want, ref in zip(got, expect, base):
                         assert got.shape == want.shape, (fn.kind, mask)
                         np.testing.assert_array_equal(ref, want)
                         assert all(close(a, b) for a, b in zip(got.ravel(), want.ravel())), \
@@ -183,6 +207,7 @@ def test_pair_values_overrides_match_the_neighbourhood_rows():
             DiversityFunction(D, weights=rng.random(n)),
             WeightedSumFunction([(DiversityFunction(D, weights=rng.random(n)), 0.5),
                                  (random_coverage(rng, n), 1.5)]),
+            *awkward_diversities(rng, n),
         ]
         for fn in fns:
             for filled in (False, True):
@@ -190,7 +215,7 @@ def test_pair_values_overrides_match_the_neighbourhood_rows():
                     fn.value_table()
                 want = SetFunctionOracle.pair_values(fn)
                 for i in range(n):
-                    row = fn.neighbourhood(1 << i)[1]
+                    row = fn.neighbourhood(1 << i)[2]
                     np.testing.assert_array_equal(np.delete(want[i], i), row)
                     assert want[i, i] == 0.0
                     assert all(close(want[i, j], fn.value(mask_of([i, j])))

@@ -52,7 +52,6 @@ def random_mixed_oracle(rng, n: int) -> SetFunctionOracle:
     )
 
 
-
 def fresh_oracles(rng, n: int):
     """One newly built oracle of every kind over a ground set of size n."""
     yield random_diversity(rng, n)
@@ -60,3 +59,21 @@ def fresh_oracles(rng, n: int):
     yield random_coverage(rng, n)
     yield random_table(rng, n)
     yield WeightedSumFunction([(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)])
+
+
+def awkward_diversities(rng, n):
+    """Diversity with -0.0 cells, entries down to -1e-12 and asymmetry within
+    1e-12, which the validation accepts, without and with weights holding -0.0."""
+    D = random_metric(rng, n) * 10.0 ** rng.integers(-3, 4, size=(n, n))
+    D = np.minimum(D, D.T) + np.triu(rng.random((n, n)), 1) * 9e-13
+    zero = np.triu(rng.random((n, n)) < 0.2)
+    tiny = np.triu(rng.random((n, n)) < 0.2) & ~zero
+    D[zero | zero.T] = -0.0
+    D[tiny] = -1e-12 * rng.random(tiny.sum())
+    D[tiny.T] = -1e-12 * rng.random(tiny.sum())
+    weights = rng.random(n) * (rng.random(n) < 0.5)
+    weights[rng.random(n) < 0.5] = -0.0
+    yield DiversityFunction(D)
+    yield DiversityFunction(D, weights=weights)
+    yield WeightedSumFunction([(DiversityFunction(D, weights=weights), 0.5),
+                               (random_coverage(rng, n), 1.5)])
