@@ -240,6 +240,9 @@ def _declared(meta: dict, key: str) -> float:
 
 
 def cmd_analyze(args) -> int:
+    if not 0.0 <= args.tolerance < np.inf:
+        raise ValidationError(
+            f"--tolerance must be a finite number at least 0, got {args.tolerance}")
     instance = load_instance(args.instance)
     fn, M = parse_instance(instance)
     results: dict = {"matroid": {"rank": M.rank, "min_circuit_size": M.min_circuit_size}}

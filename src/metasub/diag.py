@@ -291,8 +291,9 @@ class LemmaCheck:
         }
 
 
-def _leq(lhs: float, rhs: float, tol: float = REL_TOL) -> bool:
-    return lhs <= rhs + tol * max(1.0, abs(rhs))
+def _leq(lhs, rhs, tol: float = REL_TOL):
+    """lhs <= rhs up to a relative tolerance, elementwise on arrays."""
+    return lhs <= rhs + tol * np.maximum(1.0, np.abs(rhs))
 
 
 def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int = 0) -> LemmaCheck:
@@ -371,7 +372,7 @@ def lemma_checks(
         slack = marg_sum[big] - bound
         k = int(np.argmax(slack))
         checks["marginal_sum_bound"] = LemmaCheck(
-            "marginal_sum_bound", bool(np.all(_leq_vec(marg_sum[big], bound))),
+            "marginal_sum_bound", bool(np.all(_leq(marg_sum[big], bound))),
             worst_slack=float(slack[k]),
             detail={"R": elements_of(int(t.masks[big][k]))})
 
@@ -384,7 +385,7 @@ def lemma_checks(
         slack = marg_sum - bound
         k = int(np.argmax(slack))
         checks["second_order_marginal_bound"] = LemmaCheck(
-            "second_order_marginal_bound", bool(np.all(_leq_vec(marg_sum, bound))),
+            "second_order_marginal_bound", bool(np.all(_leq(marg_sum, bound))),
             worst_slack=float(slack[k]), detail={"R": elements_of(int(t.masks[k]))})
 
     checks["gradient_growth"] = _check_gradient_growth(t, cls, gamma, seed)
@@ -392,10 +393,6 @@ def lemma_checks(
     if matroid is not None:
         checks["pair_seed_bound"] = _check_pair_seed(fn, t, matroid, cls, gamma)
     return checks
-
-
-def _leq_vec(lhs: np.ndarray, rhs: np.ndarray, tol: float = REL_TOL) -> np.ndarray:
-    return lhs <= rhs + tol * np.maximum(1.0, np.abs(rhs))
 
 
 def _check_gradient_growth(t, cls, gamma, seed) -> LemmaCheck:
@@ -462,6 +459,6 @@ def _check_pair_seed(fn, t, matroid, cls, gamma) -> LemmaCheck:
     seed_mask = search.best_pair_init(fn, matroid)
     opt_mask, opt_value = search.brute_force_opt(fn, matroid)
     bound = search.pair_seed_constant(matroid.rank, gamma) * fn.value(seed_mask)
-    return LemmaCheck("pair_seed_bound", _leq(opt_value, bound),
+    return LemmaCheck("pair_seed_bound", bool(_leq(opt_value, bound)),
                       worst_slack=opt_value - bound,
                       detail={"optimum": elements_of(opt_mask), "seed": elements_of(seed_mask)})

@@ -108,6 +108,9 @@ def local_search(
     """
     n = fn.n
     threshold = 1.0 + config.epsilon / (n * n)
+    if not threshold > 1.0:  # a swap that does not improve f would clear it
+        raise ValidationError(f"epsilon {config.epsilon!r} is too small for n={n}: "
+                              "1 + epsilon/n^2 rounds to 1")
     S = start
     iterations = 0
     evaluations = 0

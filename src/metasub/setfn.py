@@ -249,21 +249,19 @@ class CoverageFunction(SetFunctionOracle):
 
     def _raw_value(self, mask: int) -> float:
         covered = self._incidence[split(mask, self.n)[0]].any(axis=0)
-        return float(self.universe_weights[covered].sum())
+        return float(np.where(covered, self.universe_weights, 0.0).sum())
 
     def neighbourhood(self, mask: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        # the union of each set one step away, from per-item cover counts;
-        # each union is summed as _raw_value sums it, so equal unions tie exactly
+        # the union of each set one step away, from per-item cover counts, each
+        # a full-length masked row summed as _raw_value sums it, so equal unions tie exactly
         check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
         inc, w = self._incidence, self.universe_weights
         count = inc[inside].sum(axis=0)
-        kept = (count - inc[inside]) > 0
-        values = [float(w[count > 0].sum())]
-        for union in (kept, (count > 0) | inc[outside], kept[:, None] | inc[outside]):
-            rows = union.reshape(math.prod(union.shape[:-1]), len(w))
-            values.append(np.array([w[row].sum() for row in rows]).reshape(union.shape[:-1]))
-        return tuple(values)
+        covered, kept = count > 0, (count - inc[inside]) > 0
+        unions = covered, kept, covered | inc[outside], kept[:, None] | inc[outside]
+        current, drop, add, swap = (np.where(union, w, 0.0).sum(-1) for union in unions)
+        return float(current), drop, add, swap
 
 
 class TableFunction(SetFunctionOracle):

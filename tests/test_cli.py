@@ -119,6 +119,11 @@ def test_exit_code_validation_error(tmp_path):
         "matroid": {"kind": "uniform", "r": 2},
     }))
     assert cli.main(["analyze", str(good_shape)]) == 2
+    code, inst = run(["gen", "metric-random", "--n", "6", "--seed", "1"], tmp_path, "m.json")
+    assert code == 0
+    for tolerance in ("nan", "inf", "-inf", "-1e-9"):
+        assert cli.main(["analyze", str(inst), f"--tolerance={tolerance}"]) == 2, tolerance
+    assert run(["analyze", str(inst), "--tolerance", "0"], tmp_path, "a.json")[0] == 0
 
 
 def test_exit_code_guard_error(tmp_path):

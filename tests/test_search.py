@@ -135,6 +135,18 @@ def test_iteration_guard(monkeypatch):
         local_search(fn, M, M.extend_to_base(0), SolveConfig(epsilon=1e-9))
 
 
+def test_an_epsilon_below_float_resolution_is_rejected(monkeypatch):
+    # with 1 + epsilon/n^2 == 1.0 every equal-valued swap clears the threshold,
+    # so on all-ones distances the search would cycle until the guard stops it
+    monkeypatch.setattr(search, "DEFAULT_MAX_ITERATIONS", 50)
+    fn = DiversityFunction(np.ones((8, 8)) - np.eye(8))
+    M = UniformMatroid(8, 3)
+    for epsilon in (1e-20, 4e-15):
+        with pytest.raises(ValidationError, match="rounds to 1"):
+            solve(fn, M, SolveConfig(epsilon=epsilon))
+    assert solve(fn, M, SolveConfig(epsilon=1e-13)).iterations == 0
+
+
 def test_matching_cardinality_rules():
     assert matching_cardinality(UniformMatroid(8, 3), mask_of([0, 1, 2])) == 1  # c=4
     assert matching_cardinality(UniformMatroid(8, 4), mask_of([0, 1, 2, 3])) == 2  # c=5

@@ -174,26 +174,34 @@ def loop_neighbourhood(fn, mask):
 
 
 def test_neighbourhood_overrides_match_the_value_loop():
+    # the coverage bench shape: n=62, a universe of 124 items, |S| = 20 (no table)
+    rng = np.random.default_rng(62)
+    cases = [(random_coverage(rng, 62), (False,),
+              {mask_of(rng.choice(62, size=20, replace=False)) for _ in range(2)})]
     for n in (1, 2, 7):
         rng = np.random.default_rng(n)
         masks = {0, 1, (1 << n) - 1, *(int(m) for m in rng.integers(0, 1 << n, size=4))}
-        for fn in [*fresh_oracles(rng, n), *awkward_diversities(rng, n),
-                   CoverageFunction([[]] * n, [])]:
-            for filled in (False, True):
-                if filled:
-                    fn.value_table()  # the base method now gathers from the table
-                for mask in masks:
-                    current, *expect = loop_neighbourhood(fn, mask)
-                    got_current, *got = fn.neighbourhood(mask)
-                    base_current, *base = SetFunctionOracle.neighbourhood(fn, mask)
-                    for value in (got_current, base_current):
-                        assert isinstance(value, float), (fn.kind, mask)
-                        assert value.hex() == current.hex(), (fn.kind, n, mask, filled)
-                    for got, want, ref in zip(got, expect, base):
-                        assert got.shape == want.shape, (fn.kind, mask)
-                        np.testing.assert_array_equal(ref, want)
-                        assert all(close(a, b) for a, b in zip(got.ravel(), want.ravel())), \
-                            (fn.kind, n, mask, got, want)
+        cases += [(fn, (False, True), masks) for fn in [
+            *fresh_oracles(rng, n), *awkward_diversities(rng, n), CoverageFunction([[]] * n, [])]]
+    for fn, fills, masks in cases:
+        n = fn.n
+        for filled in fills:
+            if filled:
+                fn.value_table()  # the base method now gathers from the table
+            for mask in masks:
+                current, *expect = loop_neighbourhood(fn, mask)
+                got_current, *got = fn.neighbourhood(mask)
+                base_current, *base = SetFunctionOracle.neighbourhood(fn, mask)
+                for value in (got_current, base_current):
+                    assert isinstance(value, float), (fn.kind, mask)
+                    assert value.hex() == current.hex(), (fn.kind, n, mask, filled)
+                for got, want, ref in zip(got, expect, base):
+                    assert got.shape == want.shape, (fn.kind, mask)
+                    np.testing.assert_array_equal(ref, want)
+                    if fn.kind == "coverage":  # every union is summed as value sums it
+                        np.testing.assert_array_equal(got, want)
+                    assert all(close(a, b) for a, b in zip(got.ravel(), want.ravel())), \
+                        (fn.kind, n, mask, got, want)
 
 
 def test_pair_values_overrides_match_the_neighbourhood_rows():
