@@ -124,16 +124,21 @@ def parse_instance(doc: dict) -> tuple[SetFunctionOracle, MatroidOracle]:
     return fn, M
 
 
-def load_instance(path: str | None) -> dict:
+def load_instance(path: str | None) -> tuple[dict, str]:
+    """The parsed instance and the SHA-256 of its bytes, both from one read."""
     try:
         if path in (None, "-"):
-            return json.load(sys.stdin)
-        with open(path) as f:
-            return json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"instance is not valid JSON: {exc}") from exc
+            raw = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as f:
+                raw = f.read()
     except OSError as exc:
         raise ValidationError(f"cannot read instance: {exc}") from exc
+    try:  # ValueError covers undecodable bytes and integers past the digit limit
+        doc = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"instance is not valid JSON: {exc}") from exc
+    return doc, hashlib.sha256(raw).hexdigest()
 
 
 # --------------------------------------------------------------- generators
@@ -243,7 +248,7 @@ def cmd_analyze(args) -> int:
     if not 0.0 <= args.tolerance < np.inf:
         raise ValidationError(
             f"--tolerance must be a finite number at least 0, got {args.tolerance}")
-    instance = load_instance(args.instance)
+    instance, instance_sha256 = load_instance(args.instance)
     fn, M = parse_instance(instance)
     results: dict = {"matroid": {"rank": M.rank, "min_circuit_size": M.min_circuit_size}}
     meta = _section(instance.get("metadata", {}), "metadata")
@@ -272,13 +277,14 @@ def cmd_analyze(args) -> int:
     else:
         results["skipped"] = f"exhaustive diagnostics need n <= {args.n_max}, instance has n={fn.n}"
     work = {"n": fn.n, "table_size": 1 << fn.n if fn.n <= args.n_max else 0}
-    inputs = {"instance": instance, "tolerance": args.tolerance, "n_max": args.n_max}
+    inputs = {"instance_sha256": instance_sha256, "tolerance": args.tolerance,
+              "n_max": args.n_max}
     emit(make_report("analyze", inputs, results, work), args)
     return 0
 
 
 def cmd_solve(args) -> int:
-    instance = load_instance(args.instance)
+    instance, instance_sha256 = load_instance(args.instance)
     fn, M = parse_instance(instance)
     config = SolveConfig(epsilon=args.epsilon, pivot=args.pivot)
     result = solve(fn, M, config)
@@ -296,7 +302,7 @@ def cmd_solve(args) -> int:
         write(trace_csv(payload), args)
         return 0
     inputs = {
-        "instance": instance,
+        "instance_sha256": instance_sha256,
         "epsilon": args.epsilon,
         "pivot": args.pivot,
         "with_opt": args.with_opt,

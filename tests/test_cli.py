@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import warnings
@@ -78,6 +79,46 @@ def test_analyze_digest_covers_its_flags(tmp_path):
         digests[tuple(flags)] = json.loads(rep.read_text())["inputs_digest"]
     assert digests[()] == digests[("--n-max", "14")]  # the default n_max
     assert len(set(digests.values())) == 3
+
+
+def test_solve_digest_covers_its_flags(tmp_path):
+    _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "9"], tmp_path, "inst.json")
+    digests = {}
+    for flags in (["--pivot", "first"], ["--epsilon", "0.5"], ["--pivot", "best"],
+                  ["--with-opt"], []):
+        _, rep = run(["solve", str(inst), *flags], tmp_path, "rep.json")
+        digests[tuple(flags)] = json.loads(rep.read_text())["inputs_digest"]
+    assert digests[()] == digests[("--pivot", "first")]  # the default pivot
+    assert len(set(digests.values())) == 4
+
+
+def test_inputs_digest_hashes_the_instance_bytes_and_the_options(tmp_path):
+    _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "9"], tmp_path, "inst.json")
+    sha = hashlib.sha256(inst.read_bytes()).hexdigest()
+    _, rep = run(["solve", str(inst), "--epsilon", "0.5", "--pivot", "best"], tmp_path, "s.json")
+    assert json.loads(rep.read_text())["inputs_digest"] == cli.digest(
+        {"instance_sha256": sha, "epsilon": 0.5, "pivot": "best", "with_opt": False})
+    _, rep = run(["analyze", str(inst), "--tolerance", "1e-6", "--n-max", "10"], tmp_path,
+                 "a.json")
+    assert json.loads(rep.read_text())["inputs_digest"] == cli.digest(
+        {"instance_sha256": sha, "tolerance": 1e-6, "n_max": 10})
+
+
+def test_solve_does_not_serialise_the_instance_again(tmp_path, monkeypatch):
+    _, inst = run(["gen", "metric-random", "--n", "62", "--r", "20", "--seed", "1"], tmp_path,
+                  "inst.json")
+    serialised = []
+    original = cli.canonical_json
+
+    def recorded(doc):
+        serialised.append(doc)
+        return original(doc)
+
+    monkeypatch.setattr(cli, "canonical_json", recorded)
+    code, _ = run(["solve", str(inst)], tmp_path, "solve.json")
+    assert code == 0
+    assert serialised  # the options are still hashed
+    assert not any(isinstance(doc, dict) and "instance" in doc for doc in serialised)
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -228,9 +269,27 @@ def test_removed_options_are_rejected(argv, capsys):
 def test_analyze_reads_the_instance_from_stdin(tmp_path, monkeypatch, capsys):
     _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "8"], tmp_path, "inst.json")
     _, from_file = run(["analyze", str(inst)], tmp_path, "file.json")
-    monkeypatch.setattr("sys.stdin", io.StringIO(inst.read_text()))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(inst.read_bytes())))
     assert cli.main(["analyze", "-"]) == 0
     assert capsys.readouterr().out == from_file.read_text()
+
+
+@pytest.mark.parametrize("raw", [
+    b"\x80{}",  # not UTF-8
+    b"[" * 200000,  # nested past the recursion limit
+    b'{"n": ' + b"9" * 5000 + b"}",  # past the int-string digit limit
+], ids=["undecodable", "too-deep", "long-integer"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_unparsable_bytes_exit_2_with_one_error_line(raw, source, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.json"
+    path.write_bytes(raw)
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    assert cli.main(["solve", str(path) if source == "file" else "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: instance is not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_analyze_computes_gamma_and_classification_once(tmp_path, monkeypatch):

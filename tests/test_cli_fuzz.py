@@ -106,7 +106,7 @@ def _reject_constant(name):
 def test_malformed_instances_end_in_a_documented_exit_code(text, command):
     stdout, stderr = io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(text)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode()))
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main([command, "-"])
