@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import json
+import reprlib
 import sys
 import time
 
@@ -86,7 +87,7 @@ def build_function(n: int, desc: dict) -> SetFunctionOracle:
         if len(values) != 1 << n:
             raise ValidationError(f"table length {len(values)} does not match n={n}")
         return TableFunction(values)
-    raise ValidationError(f"unknown function kind {kind!r}")
+    raise ValidationError(f"unknown function kind {reprlib.repr(kind)}")
 
 
 def build_matroid(n: int, desc: dict) -> MatroidOracle:
@@ -107,14 +108,15 @@ def build_matroid(n: int, desc: dict) -> MatroidOracle:
         if len(edges) != n:
             raise ValidationError(f"graphic matroid needs n={n} edges, got {len(edges)}")
         return GraphicMatroid(desc["vertices"], edges)
-    raise ValidationError(f"unknown matroid kind {kind!r}")
+    raise ValidationError(f"unknown matroid kind {reprlib.repr(kind)}")
 
 
 def parse_instance(doc: dict) -> tuple[SetFunctionOracle, MatroidOracle]:
     try:
         n = check_integer(doc["n"], "n")
         if not 1 <= n <= MAX_GROUND_SET:
-            raise ValidationError(f"ground set size {n} outside [1, {MAX_GROUND_SET}]")
+            raise ValidationError(
+                f"ground set size {reprlib.repr(n)} outside [1, {MAX_GROUND_SET}]")
         fn = build_function(n, doc["function"])
         M = build_matroid(n, doc["matroid"])
     except ValidationError:
@@ -159,8 +161,8 @@ def generate(kind: str, n: int, seed: int, args) -> dict:
         meta["sigma"] = 1.0
         function = {"kind": "diversity", "distance": D.tolist()}
     elif kind == "semimetric-power":
-        if args.power < 1:
-            raise ValidationError("power must be >= 1")
+        if not 1.0 <= args.power < np.inf:
+            raise ValidationError(f"--power must be a finite number at least 1, got {args.power}")
         D = metric.euclidean(rng.standard_normal((n, args.dim))) ** args.power
         meta["sigma"] = 2.0 ** (args.power - 1)
         meta["power"] = args.power
@@ -240,7 +242,8 @@ def cmd_gen(args) -> int:
 def _declared(meta: dict, key: str) -> float:
     value = meta[key]
     if type(value) not in (int, float) or not -1e308 <= value <= 1e308:
-        raise ValidationError(f"metadata {key!r} must be a finite number, got {value!r}")
+        raise ValidationError(
+            f"metadata {key!r} must be a finite number, got {reprlib.repr(value)}")
     return float(value)
 
 
@@ -326,7 +329,8 @@ def verify_lemma_suite(rng, samples: int, n: int) -> list[dict]:
     for t in range(samples):
         fn = _random_diversity(rng, n, "squared" if t % 2 else "metric")
         M = UniformMatroid(n, max(2, n // 2))
-        for name, chk in diag.verify_lemmas(fn, matroid=M, seed=t).items():
+        cls, g = diag.classify(fn), diag.gamma_parameter(fn)
+        for name, chk in diag.lemma_checks(fn, cls, g, matroid=M, seed=t).items():
             if chk.passed is False:
                 failures.append({"trial": t, "lemma": name, "detail": chk.to_dict()})
     return failures

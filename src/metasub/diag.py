@@ -1,9 +1,10 @@
 """Exact structural diagnostics for set functions.
 
-Everything here works by full enumeration over the 2^n value table:
-the meta-submodularity parameter, monotonicity/curvature classification,
-the multilinear extension with its exact derivatives, one-sided-smoothness
-checks, and a battery of structural-inequality verifications.
+Everything here works by full enumeration over the 2^n value table, through
+one ExactTables per oracle: the meta-submodularity parameter, the
+monotonicity/curvature classification, the gradient and Hessian of the
+multilinear extension, one-sided-smoothness checks, and a battery of
+structural-inequality checks (lemma_checks).
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ class ExactTables:
         start = i * (2 * self.n - i - 1) // 2
         return slice(start, start + self.n - 1 - i)
 
-    def marginals(self, i: int) -> np.ndarray:
-        """Vector of B_i over all masks."""
-        return self.B[i]
-
     def seconds(self, i: int, j: int) -> np.ndarray:
         """Vector of A_ij over all masks."""
         if i == j:
@@ -71,6 +68,15 @@ class ExactTables:
         """grad F(x), one dot product per row of B: a matrix product may sum in another order."""
         p = self.probabilities(x)
         return np.array([b @ p for b in self.B])
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        """Hessian of F(x): E_x[A_ij] at (i, j) and (j, i), zero diagonal, one
+        dot product per row of A as `gradient` takes one per row of B."""
+        p = self.probabilities(x)
+        H = np.zeros((self.n, self.n))
+        i, j = self.pairs.T
+        H[i, j] = H[j, i] = [a @ p for a in self.A]
+        return H
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         """p_x over all masks; bit k of the index is element k."""
@@ -211,23 +217,6 @@ def _first_beyond(rows: np.ndarray, sign: int) -> tuple[int, int, float] | None:
     return (int(hit[0]), int(at[hit[0]]), float(top[hit[0]])) if hit.size else None
 
 
-def multilinear_exact(fn: SetFunctionOracle, x) -> float:
-    """F(x) by full enumeration."""
-    t = _tables(fn)
-    return float(t.values @ t.probabilities(np.asarray(x, dtype=float)))
-
-
-def multilinear_gradient_exact(fn: SetFunctionOracle, x, i: int) -> float:
-    """Partial derivative of F at x: the expectation of B_i under x."""
-    return float(_tables(fn).gradient(np.asarray(x, dtype=float))[i])
-
-
-def multilinear_hessian_exact(fn: SetFunctionOracle, x, i: int, j: int) -> float:
-    """Mixed second derivative of F at x: the expectation of A_ij under x."""
-    t = _tables(fn)
-    return float(t.seconds(i, j) @ t.probabilities(np.asarray(x, dtype=float)))
-
-
 @dataclass(frozen=True)
 class SmoothnessCheck:
     sigma: float
@@ -250,15 +239,7 @@ def check_one_sided_smooth(fn: SetFunctionOracle, x, u, sigma: float) -> Smoothn
     if x_norm <= 0:
         raise GuardError("one-sided smoothness is defined only at x != 0")
     t = _tables(fn)
-    p = t.probabilities(x)
-    lhs = 0.0
-    for i in range(t.n):
-        if u[i] == 0:
-            continue
-        for j in range(t.n):
-            if i == j or u[j] == 0:
-                continue
-            lhs += 0.5 * u[i] * u[j] * float(t.seconds(i, j) @ p)
+    lhs = 0.5 * float(u @ t.hessian(x) @ u)
     rhs = sigma * (float(u.sum()) / x_norm) * float(u @ t.gradient(x))
     return SmoothnessCheck(sigma, lhs, rhs)
 
@@ -267,10 +248,8 @@ def check_expectation_inequality(fn: SetFunctionOracle, x, i: int, j: int, sigma
     """Residual of |x|_1 H_ij(x) <= sigma (grad_i(x) + grad_j(x))."""
     x = np.asarray(x, dtype=float)
     t = _tables(fn)
-    p = t.probabilities(x)
-    lhs = float(x.sum()) * float(t.seconds(i, j) @ p)
-    rhs = sigma * float((t.marginals(i) + t.marginals(j)) @ p)
-    return lhs - rhs
+    grad = t.gradient(x)
+    return float(x.sum()) * float(t.hessian(x)[i, j]) - sigma * float(grad[i] + grad[j])
 
 
 @dataclass(frozen=True)
@@ -309,7 +288,7 @@ def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int
     worst = 0.0
     witness: dict = {}
     for i in range(t.n):
-        b = t.marginals(i)
+        b = t.B[i]
         totals, failed = [], []
         for perm in perms:
             total = np.full(1 << t.n, t.values[1 << i])
@@ -331,18 +310,6 @@ def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int
     return LemmaCheck("discrete_integral", not witness, worst_slack=worst, detail=witness)
 
 
-def verify_lemmas(
-    fn: SetFunctionOracle,
-    n_max: int = DEFAULT_N_MAX,
-    matroid=None,
-    seed: int = 0,
-) -> dict[str, LemmaCheck]:
-    """Structural-inequality battery; checks skip (and say so) when their
-    hypotheses fail for the given oracle."""
-    return lemma_checks(fn, classify(fn, n_max=n_max), gamma_parameter(fn, n_max=n_max),
-                        matroid=matroid, seed=seed)
-
-
 def lemma_checks(
     fn: SetFunctionOracle,
     cls: ClassificationReport,
@@ -350,8 +317,8 @@ def lemma_checks(
     matroid=None,
     seed: int = 0,
 ) -> dict[str, LemmaCheck]:
-    """The battery of verify_lemmas, given the oracle's classification and
-    gamma reports."""
+    """Structural-inequality battery, given the oracle's classification and
+    gamma reports; checks skip (and say so) when their hypotheses fail."""
     t = _tables(fn)
     gamma = None if g.is_infinite else g.gamma
     checks: dict[str, LemmaCheck] = {}

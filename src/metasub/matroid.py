@@ -7,6 +7,7 @@ ascending element order everywhere, so runs are reproducible.
 
 from __future__ import annotations
 
+import reprlib
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,11 +68,6 @@ class MatroidOracle:
             if not acc & bit and self.is_independent(acc | bit):
                 acc |= bit
         return acc
-
-    def rank_of(self, mask: int) -> int:
-        """Greedy closure size inside mask, ascending element order."""
-        check_mask(mask, self.n)
-        return self.greedy(iter_elements(mask)).bit_count()
 
     def extend_to_base(self, mask: int) -> int:
         """Smallest-first greedy superset base of an independent set."""
@@ -198,7 +194,7 @@ class GraphicMatroid(MatroidOracle):
         self.num_vertices = num_vertices
         for u, v in self.edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ValidationError(f"edge ({u},{v}) references unknown vertex")
+                raise ValidationError(f"edge {reprlib.repr((u, v))} references unknown vertex")
         # queries number only the vertices some edge touches, so their cost
         # does not grow with isolated vertices
         touched = sorted({v for e in self.edges for v in e})

@@ -165,8 +165,8 @@ def matching_step(
         return 0, None, 0
     inside, outside = split(S, M.n)
     base, drop, add, swap = fn.neighbourhood(S)
-    # A_ij(S) = f(S+j) - f(S) - f(S-i+j) + f(S-i), summed in the order of
-    # second_difference, which names the pair's sets by (min, max)
+    # A_ij(S) = f(T+a+b) - f(T+a) - f(T+b) + f(T) left to right, with T = S-i-j
+    # and a < b the pair, so T+a is S when i < j and S-i+j when j < i
     j_first = outside[None, :] < inside[:, None]
     weights = (add - np.where(j_first, swap, base)) - np.where(j_first, base, swap) + drop[:, None]
     matching = max_weight_matching_k(weights, k)

@@ -1,14 +1,16 @@
 """Set-function oracles over bitmask subsets of a ground set {0, ..., n-1}.
 
-Every oracle is normalized so that the empty set evaluates to 0, and exposes
-the first-order difference (marginal gain) and the symmetric second-order
-difference that the structural diagnostics are built from.
+Every oracle is normalized so that the empty set evaluates to 0. It answers
+f(S), f at every set one drop, add or swap from S (neighbourhood), f at every
+pair (pair_values), and the 2^n value table from which diag.ExactTables takes
+every first and second difference.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +32,7 @@ def check_integer(value, what: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+    raise ValidationError(f"{what} must be an integer, got {reprlib.repr(value)}")
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -127,29 +129,6 @@ class SetFunctionOracle:
             values[i, off_diagonal[i]] = self.neighbourhood(1 << i)[2]
         return values
 
-    def marginal(self, i: int, mask: int) -> float:
-        """f(S+i) - f(S-i); independent of whether i is already in S."""
-        if not 0 <= i < self.n:
-            raise ValidationError(f"element {i} out of range")
-        bit = 1 << i
-        return self.value(mask | bit) - self.value(mask & ~bit)
-
-    def second_difference(self, i: int, j: int, mask: int) -> float:
-        """Symmetric mixed second difference; zero when i == j."""
-        if not 0 <= i < self.n or not 0 <= j < self.n:
-            raise ValidationError("element out of range")
-        check_mask(mask, self.n)
-        bi, bj = 1 << min(i, j), 1 << max(i, j)
-        if bi == bj:
-            return 0.0
-        base = mask & ~bi & ~bj
-        return (
-            self.value(base | bi | bj)
-            - self.value(base | bi)
-            - self.value(base | bj)
-            + self.value(base)
-        )
-
     def value_table(self) -> np.ndarray:
         """Dense vector of f over all 2^n masks (cached; n capped)."""
         if self._table is None:
@@ -243,7 +222,8 @@ class CoverageFunction(SetFunctionOracle):
             items = [check_integer(u, "incidence item") for u in items]
             for u in items:
                 if not 0 <= u < m:
-                    raise ValidationError(f"incidence references unknown universe item {u}")
+                    raise ValidationError(
+                        f"incidence references unknown universe item {reprlib.repr(u)}")
             self._incidence[v, items] = True
         self._check_finite_total()
 

@@ -17,10 +17,7 @@ from metasub.diag import (
     check_one_sided_smooth,
     classify,
     gamma_parameter,
-    multilinear_exact,
-    multilinear_gradient_exact,
-    multilinear_hessian_exact,
-    verify_lemmas,
+    lemma_checks,
 )
 from metasub.matching import max_weight_matching_k
 from metasub.matroid import GraphicMatroid, UniformMatroid
@@ -38,10 +35,13 @@ from metasub import cli
 from util import (
     euclidean,
     exhaustive_matching,
+    marginal,
+    multilinear,
     random_coverage,
     random_diversity,
     random_metric,
     random_mixed_oracle,
+    second_difference,
 )
 
 
@@ -71,15 +71,14 @@ def test_criterion_02_gradient_identities():
         rng = np.random.default_rng(2000 + trial)
         n = 6 + trial % 3
         fn = random_mixed_oracle(rng, n)
+        t = ExactTables(fn)
         for mask in rng.integers(0, 1 << n, size=10):
             mask = int(mask)
             x = np.array([(mask >> b) & 1 for b in range(n)], dtype=float)
             i, j = rng.choice(n, size=2, replace=False)
-            ok = ok and abs(multilinear_gradient_exact(fn, x, int(i)) - fn.marginal(int(i), mask)) <= 1e-12
-            ok = ok and abs(
-                multilinear_hessian_exact(fn, x, int(i), int(j))
-                - fn.second_difference(int(i), int(j), mask)
-            ) <= 1e-12
+            ok = ok and abs(t.gradient(x)[i] - marginal(fn, int(i), mask)) <= 1e-12
+            a = second_difference(fn, int(i), int(j), mask)
+            ok = ok and abs(t.hessian(x)[i, j] - a) <= 1e-12
         h = 1e-5
         for _ in range(20):
             x = rng.random(n) * 0.9 + 0.05
@@ -87,8 +86,8 @@ def test_criterion_02_gradient_identities():
             plus, minus = x.copy(), x.copy()
             plus[i] += h
             minus[i] -= h
-            fd = (multilinear_exact(fn, plus) - multilinear_exact(fn, minus)) / (2 * h)
-            ok = ok and abs(multilinear_gradient_exact(fn, x, i) - fd) <= 1e-6
+            fd = (multilinear(t, plus) - multilinear(t, minus)) / (2 * h)
+            ok = ok and abs(t.gradient(x)[i] - fd) <= 1e-6
     verdict(2, "multilinear gradient identities", ok, time.monotonic() - started, 60.0)
 
 
@@ -138,7 +137,7 @@ def test_criterion_05_smoothness_suite():
         for i in range(n):
             for j in range(i + 1, n):
                 lhs = t.sizes * t.seconds(i, j)
-                rhs = sigma * (t.marginals(i) + t.marginals(j))
+                rhs = sigma * (t.B[i] + t.B[j])
                 ok = ok and bool(np.all(lhs[nonempty] <= rhs[nonempty] + 1e-9))
         for _ in range(100):
             x = rng.random(n) * 0.98 + 0.01
@@ -164,7 +163,7 @@ def test_criterion_06_structural_lemmas():
         rng = np.random.default_rng(6000 + trial)
         n = 5 + trial % 4
         fn = random_diversity(rng, n, power=2.0 if trial % 2 else 1.0)
-        checks = verify_lemmas(fn, n_max=n)
+        checks = lemma_checks(fn, classify(fn, n_max=n), gamma_parameter(fn, n_max=n))
         ok = ok and checks["marginal_sum_bound"].passed is True
         ok = ok and checks["second_order_marginal_bound"].passed is True
     verdict(6, "structural marginal-sum lemmas", ok, time.monotonic() - started, 120.0)

@@ -394,3 +394,29 @@ def test_analyze_a_single_element_instance(tmp_path):
     assert code == 0
     lemmas = json.loads(out.read_text())["results"]["lemmas"]
     assert lemmas["marginal_sum_bound"]["passed"] is None
+
+
+@pytest.mark.parametrize("matroid, key, raw, says", [
+    ("uniform", "n", "9" * 400, "ground set size"),
+    ("partition", "blocks", "[[" + "[" * 900 + "]" * 900 + ", 1], [2]]", "must be an integer"),
+    ("graphic", "edges", "[[0, " + "9" * 400 + "], [1, 2], [2, 0]]", "unknown vertex"),
+], ids=["400-digit-n", "900-deep-block-element", "400-digit-edge-endpoint"])
+def test_error_lines_truncate_the_offending_value(matroid, key, raw, says, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_small_doc(matroid, **{key: "VALUE"})).replace('"VALUE"', raw))
+    for command in ("solve", "analyze"):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, str(inst), "--out", str(out)]) == 2, command
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200, err
+        assert says in err
+
+
+@pytest.mark.parametrize("power", ["nan", "inf"])
+def test_non_finite_power_exits_2(power, tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    argv = ["gen", "semimetric-power", "--n", "5", "--power", power, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    assert "--power must be a finite number at least 1" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from metasub import diag
 from metasub.diag import (
     ClassificationReport,
     ExactTables,
@@ -16,10 +17,6 @@ from metasub.diag import (
     classify,
     gamma_parameter,
     lemma_checks,
-    multilinear_exact,
-    multilinear_gradient_exact,
-    multilinear_hessian_exact,
-    verify_lemmas,
 )
 from metasub.errors import GuardError
 from metasub.matroid import UniformMatroid
@@ -33,7 +30,16 @@ from metasub.setfn import (
     elements_of,
     mask_of,
 )
-from util import random_coverage, random_diversity, random_metric, random_mixed_oracle
+from util import (
+    fresh_oracles,
+    marginal,
+    multilinear,
+    random_coverage,
+    random_diversity,
+    random_metric,
+    random_mixed_oracle,
+    second_difference,
+)
 
 
 def all_ones_diversity(n=4):
@@ -46,8 +52,8 @@ def test_gamma_all_ones_diversity():
     s, i, j = report.witness
     # equality is attained at the witness
     fn = all_ones_diversity()
-    lhs = s.bit_count() * fn.second_difference(i, j, s)
-    rhs = report.gamma * (fn.marginal(i, s) + fn.marginal(j, s))
+    lhs = s.bit_count() * second_difference(fn, i, j, s)
+    rhs = report.gamma * (marginal(fn, i, s) + marginal(fn, j, s))
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -105,18 +111,22 @@ def test_classify_non_monotone_witness():
 
 def test_multilinear_indicator_identities():
     rng = np.random.default_rng(4)
-    fn = random_mixed_oracle(rng, 6)
-    for mask in (0, 0b1011, 0b111111):
-        x = np.array([(mask >> i) & 1 for i in range(6)], dtype=float)
-        assert multilinear_exact(fn, x) == pytest.approx(fn.value(mask), abs=1e-12)
+    for fn in fresh_oracles(rng, 6):
+        t = ExactTables(fn)
+        for mask in (0, 0b1011, 0b111111):
+            x = np.array([(mask >> i) & 1 for i in range(6)], dtype=float)
+            assert multilinear(t, x) == pytest.approx(fn.value(mask), abs=1e-12)
+            grad, H = t.gradient(x), t.hessian(x)
+            for i in range(6):
+                assert grad[i] == pytest.approx(marginal(fn, i, mask), abs=1e-12)
+                for j in range(6):
+                    assert H[i, j] == pytest.approx(second_difference(fn, i, j, mask), abs=1e-12)
+        # off the vertices each entry is one dot product with p_x, as seconds(i, j) @ p_x
+        x = rng.random(6)
+        H, p = t.hessian(x), t.probabilities(x)
         for i in range(6):
-            assert multilinear_gradient_exact(fn, x, i) == pytest.approx(
-                fn.marginal(i, mask), abs=1e-12
-            )
             for j in range(6):
-                assert multilinear_hessian_exact(fn, x, i, j) == pytest.approx(
-                    fn.second_difference(i, j, mask), abs=1e-12
-                )
+                assert H[i, j].hex() == float(t.seconds(i, j) @ p).hex(), (fn.kind, i, j)
 
 
 def test_multilinear_quadratic_closed_form():
@@ -127,12 +137,12 @@ def test_multilinear_quadratic_closed_form():
     for _ in range(20):
         x = rng.random(5)
         closed = 0.5 * x @ D @ x + g @ x
-        assert multilinear_exact(fn, x) == pytest.approx(closed, rel=1e-9)
+        assert multilinear(ExactTables(fn), x) == pytest.approx(closed, rel=1e-9)
 
 
 def test_multilinear_gradient_matches_finite_difference():
     rng = np.random.default_rng(6)
-    fn = random_mixed_oracle(rng, 6)
+    t = ExactTables(random_mixed_oracle(rng, 6))
     h = 1e-5
     for _ in range(20):
         x = rng.random(6) * 0.9 + 0.05
@@ -140,8 +150,8 @@ def test_multilinear_gradient_matches_finite_difference():
         plus, minus = x.copy(), x.copy()
         plus[i] += h
         minus[i] -= h
-        fd = (multilinear_exact(fn, plus) - multilinear_exact(fn, minus)) / (2 * h)
-        assert abs(multilinear_gradient_exact(fn, x, i) - fd) < 1e-6
+        fd = (multilinear(t, plus) - multilinear(t, minus)) / (2 * h)
+        assert abs(t.gradient(x)[i] - fd) < 1e-6
 
 
 def test_smoothness_supermodular_prediction():
@@ -213,7 +223,7 @@ def scalar_discrete_integral(fn, orderings, seed):
     perms = [rng.permutation(fn.n) for _ in range(orderings)]
     passed, worst = True, 0.0
     for i in range(fn.n):
-        b = t.marginals(i)
+        b = t.B[i]
         for mask in range(1 << fn.n):
             for perm in perms:
                 total = t.values[1 << i]
@@ -251,7 +261,7 @@ def test_discrete_integral_reports_a_failure():
     assert set(w) == {"i", "R", "order", "lhs", "rhs"}
     # the first failing walk: i=0 over R={0}, which adds one shifted A_00 = 1.0
     assert (w["i"], w["R"], w["order"]) == (0, [0], [0])
-    assert w["lhs"] == fn.marginal(0, mask_of(w["R"]))
+    assert w["lhs"] == marginal(fn, 0, mask_of(w["R"]))
     assert w["rhs"] - w["lhs"] == pytest.approx(1.0)
     assert check.worst_slack >= 1.0 - 1e-9
 
@@ -268,15 +278,16 @@ def test_analysis_builds_one_table_per_oracle(monkeypatch):
     fn = random_diversity(np.random.default_rng(23), 6)
     gamma_parameter(fn)
     classify(fn)
-    verify_lemmas(fn, matroid=UniformMatroid(6, 3))
-    multilinear_exact(fn, np.full(6, 0.5))
+    lemma_checks(fn, classify(fn), gamma_parameter(fn), matroid=UniformMatroid(6, 3))
+    check_one_sided_smooth(fn, np.full(6, 0.5), np.ones(6), 1.0)
+    check_expectation_inequality(fn, np.full(6, 0.5), 0, 1, 1.0)
     assert built == [fn]
 
 
 def test_verify_lemmas_metric_diversity():
     rng = np.random.default_rng(12)
     fn = random_diversity(rng, 8)
-    checks = verify_lemmas(fn, matroid=UniformMatroid(8, 3))
+    checks = lemma_checks(fn, classify(fn), gamma_parameter(fn), matroid=UniformMatroid(8, 3))
     for name in (
         "discrete_integral",
         "marginal_sum_bound",
@@ -292,7 +303,7 @@ def test_kleinberg_equivalence_matches_vacuous_gamma():
     rng = np.random.default_rng(24)
     for _ in range(20):
         fn = random_mixed_oracle(rng, 5)
-        check = verify_lemmas(fn)["kleinberg_equivalence"]
+        check = lemma_checks(fn, classify(fn), gamma_parameter(fn))["kleinberg_equivalence"]
         assert check.passed is True
         assert check.detail["zero_ms"] is gamma_parameter(fn).vacuous
 
@@ -303,7 +314,7 @@ def test_kleinberg_equivalence_reports_a_failure():
     # A_ij + 1 on every mask holding i, so gamma is not vacuous, while the
     # sets outside i and j and the empty set keep A_ij <= 0
     t.A += np.where(t.inside[t.pairs[:, 0]], 1.0, 0.0)
-    check = verify_lemmas(fn)["kleinberg_equivalence"]
+    check = lemma_checks(fn, classify(fn), gamma_parameter(fn))["kleinberg_equivalence"]
     assert check.passed is False
     assert check.detail == {"zero_ms": False, "kleinberg_form": True}
 
@@ -320,7 +331,7 @@ def loop_gamma(t):
             if not active.any():
                 continue
             vacuous = False
-            den = t.marginals(i) + t.marginals(j)
+            den = t.B[i] + t.B[j]
             bad = active & (den <= ABS_TOL)
             if bad.any():
                 return GammaReport(0.0, is_infinite=True, witness=(int(t.masks[bad][0]), i, j))
@@ -336,7 +347,7 @@ def loop_classify(t):
     witnesses = {}
     monotone = submodular = supermodular = second = True
     for i in range(t.n):
-        b = t.marginals(i)
+        b = t.B[i]
         k = int(np.argmin(b))
         if b[k] < -ABS_TOL:
             monotone = False
@@ -417,7 +428,7 @@ def test_tables_match_the_gathered_differences():
             t, v = ExactTables(fn), fn.value_table()
             for i in range(fn.n):
                 bi = 1 << i
-                np.testing.assert_array_equal(t.marginals(i), v[t.masks | bi] - v[t.masks & ~bi])
+                np.testing.assert_array_equal(t.B[i], v[t.masks | bi] - v[t.masks & ~bi])
                 np.testing.assert_array_equal(t.seconds(i, i), np.zeros(1 << fn.n))
                 for j in range(i + 1, fn.n):
                     bj = 1 << j
@@ -451,16 +462,18 @@ def test_reductions_match_the_pair_loops():
 
 def test_verify_lemmas_skips_when_hypotheses_fail():
     non_monotone = TableFunction([0.0, 1.0, 1.0, 0.5])
-    checks = verify_lemmas(non_monotone)
+    checks = lemma_checks(non_monotone, classify(non_monotone), gamma_parameter(non_monotone))
     assert checks["marginal_sum_bound"].passed is None
     assert checks["marginal_sum_bound"].skipped_reason
 
 
-def test_lemma_checks_reuse_the_given_reports():
+def test_lemma_checks_reuse_the_given_reports(monkeypatch):
     fn = random_diversity(np.random.default_rng(26), 6)
-    M = UniformMatroid(6, 3)
-    given = lemma_checks(fn, classify(fn), gamma_parameter(fn), matroid=M)
-    assert given == verify_lemmas(fn, matroid=M)
+    cls, g = classify(fn), gamma_parameter(fn)
+    for name in ("classify", "gamma_parameter"):
+        monkeypatch.setattr(diag, name, lambda *args, **kwargs: pytest.fail("recomputed"))
+    checks = lemma_checks(fn, cls, g, matroid=UniformMatroid(6, 3))
+    assert checks["kleinberg_equivalence"].detail["zero_ms"] is g.vacuous
 
 
 def test_pair_seed_constant_small_cases():

@@ -12,6 +12,7 @@ from metasub.matroid import (
     generic_min_circuit,
 )
 from metasub.setfn import elements_of, mask_of
+from util import rank
 
 
 def all_independent(M):
@@ -106,16 +107,12 @@ def test_rank_of_is_monotone_submodular():
     M = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     for s in range(1 << M.n):
         for i in range(M.n):
-            assert M.rank_of(s | (1 << i)) >= M.rank_of(s)
+            assert rank(M, s | (1 << i)) >= rank(M, s)
             for j in range(M.n):
                 bi, bj = 1 << i, 1 << j
                 base = s & ~bi & ~bj
-                a = (
-                    M.rank_of(base | bi | bj)
-                    - M.rank_of(base | bi)
-                    - M.rank_of(base | bj)
-                    + M.rank_of(base)
-                )
+                a = (rank(M, base | bi | bj) - rank(M, base | bi)
+                     - rank(M, base | bj) + rank(M, base))
                 assert a <= 0
 
 

@@ -35,6 +35,7 @@ from util import (
     random_coverage,
     random_diversity,
     random_metric,
+    second_difference,
 )
 
 
@@ -165,9 +166,9 @@ def test_matching_step_best_pair_when_k_is_one():
     assert k == 1 and len(matching.pairs) == 1
     best = max(
         ((i, j) for i in [0, 1] for j in range(2, 6)),
-        key=lambda p: fn.second_difference(p[0], p[1], S),
+        key=lambda p: second_difference(fn, p[0], p[1], S),
     )
-    assert fn.second_difference(best[0], best[1], S) == pytest.approx(matching.total_weight)
+    assert second_difference(fn, best[0], best[1], S) == pytest.approx(matching.total_weight)
     assert S_prime.bit_count() == 2
 
 
@@ -363,7 +364,7 @@ def test_solve_with_overrides_matches_the_reference_loops(matroid, pivot, monkey
                           lambda w, k: weights.append(w) or max_weight_matching_k(w, k))
                 ref = solve(fn, M, config)
                 ref_from_empty = local_search(fn, M, M.extend_to_base(0), config)
-                sd = [[fn.second_difference(i, j, ref.S) for j in range(9) if not ref.S >> j & 1]
+                sd = [[second_difference(fn, i, j, ref.S) for j in range(9) if not ref.S >> j & 1]
                       for i in elements_of(ref.S)]
             case = (matroid, pivot, seed, fn.kind)
             assert fast_from_empty == ref_from_empty, case

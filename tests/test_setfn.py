@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from metasub.errors import GuardError, ValidationError
 from metasub.setfn import (
@@ -101,19 +99,6 @@ def test_weighted_sum_value_is_the_same_before_and_after_its_table():
     assert [fn.value(mask) for mask in range(8)] == before
 
 
-def test_second_difference_symmetry_and_insensitivity():
-    rng = np.random.default_rng(3)
-    fn = random_mixed_oracle(rng, 6)
-    for _ in range(50):
-        i, j = rng.integers(0, 6, size=2)
-        mask = int(rng.integers(0, 1 << 6))
-        a = fn.second_difference(int(i), int(j), mask)
-        assert a == fn.second_difference(int(j), int(i), mask)
-        # value is insensitive to whether i or j are already present
-        assert a == fn.second_difference(int(i), int(j), mask | (1 << int(i)))
-    assert fn.second_difference(2, 2, 11) == 0.0
-
-
 def test_values_are_the_same_bits_before_and_after_the_table():
     for n in (1, 2, 5, 10):
         rng = np.random.default_rng([n, 11])
@@ -147,19 +132,6 @@ def test_ground_set_bounds():
         CoverageFunction([], [])
     with pytest.raises(ValidationError):
         CoverageFunction([[0]] * 63, [1.0])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, (1 << 5) - 1), st.integers(0, 4), st.integers(0, 4), st.integers(0, 9))
-def test_second_difference_is_discrete_mixed_difference(mask, i, j, seed):
-    rng = np.random.default_rng(seed)
-    fn = random_mixed_oracle(rng, 5)
-    bi, bj = 1 << i, 1 << j
-    base = mask & ~bi & ~bj
-    expect = 0.0 if i == j else (
-        fn.value(base | bi | bj) - fn.value(base | bi) - fn.value(base | bj) + fn.value(base)
-    )
-    assert fn.second_difference(i, j, mask) == pytest.approx(expect, abs=1e-12)
 
 
 def loop_neighbourhood(fn, mask):

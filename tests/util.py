@@ -1,4 +1,5 @@
-"""Shared instance generators and brute-force oracles for the tests."""
+"""Shared instance generators, brute-force oracles and scalar references for
+the tests."""
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from metasub.setfn import (
     SetFunctionOracle,
     TableFunction,
     WeightedSumFunction,
+    iter_elements,
 )
 
 
@@ -77,3 +79,29 @@ def awkward_diversities(rng, n):
     yield DiversityFunction(D, weights=weights)
     yield WeightedSumFunction([(DiversityFunction(D, weights=weights), 0.5),
                                (random_coverage(rng, n), 1.5)])
+
+
+def marginal(fn, i: int, mask: int) -> float:
+    """Reference B_i(S) = f(S+i) - f(S-i), from two value calls."""
+    bit = 1 << i
+    return fn.value(mask | bit) - fn.value(mask & ~bit)
+
+
+def second_difference(fn, i: int, j: int, mask: int) -> float:
+    """Reference A_ij(S) = f(T+a+b) - f(T+a) - f(T+b) + f(T), summed left to
+    right, with T = S-i-j and a < b the pair; zero when i == j."""
+    if i == j:
+        return 0.0
+    a, b = 1 << min(i, j), 1 << max(i, j)
+    base = mask & ~a & ~b
+    return fn.value(base | a | b) - fn.value(base | a) - fn.value(base | b) + fn.value(base)
+
+
+def rank(M, mask: int) -> int:
+    """Reference matroid rank: the size of a greedy independent subset of mask."""
+    return M.greedy(iter_elements(mask)).bit_count()
+
+
+def multilinear(t, x) -> float:
+    """F(x) by full enumeration over the value table of ExactTables t."""
+    return float(t.values @ t.probabilities(np.asarray(x, dtype=float)))
