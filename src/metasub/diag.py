@@ -248,8 +248,8 @@ def check_expectation_inequality(fn: SetFunctionOracle, x, i: int, j: int, sigma
     """Residual of |x|_1 H_ij(x) <= sigma (grad_i(x) + grad_j(x))."""
     x = np.asarray(x, dtype=float)
     t = _tables(fn)
-    grad = t.gradient(x)
-    return float(x.sum()) * float(t.hessian(x)[i, j]) - sigma * float(grad[i] + grad[j])
+    p = t.probabilities(x)
+    return float(x.sum()) * float(t.seconds(i, j) @ p) - sigma * float(t.B[i] @ p + t.B[j] @ p)
 
 
 @dataclass(frozen=True)

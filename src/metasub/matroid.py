@@ -231,37 +231,26 @@ class GraphicMatroid(MatroidOracle):
         return True
 
     def _girth(self) -> int | None:
-        if any(u == v for u, v in self._ends):
-            return 1
-        pair_count: dict[tuple[int, int], int] = {}
-        for u, v in self._ends:
-            key = (min(u, v), max(u, v))
-            pair_count[key] = pair_count.get(key, 0) + 1
-        if any(c > 1 for c in pair_count.values()):
-            return 2
-        adj: list[list[int]] = [[] for _ in range(self._order)]
-        for u, v in pair_count:
-            adj[u].append(v)
-            adj[v].append(u)
+        # the shortest cycle through edge e = (u, v) is e plus the shortest
+        # u-v path avoiding e: none for a loop (1), the other edge for a parallel (2)
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self._order)]
+        for e, (u, v) in enumerate(self._ends):
+            adj[u].append((v, e))
+            adj[v].append((u, e))
         best: int | None = None
-        # BFS from every root finds some vertex of each shortest cycle
-        for root in range(self._order):
-            dist = {root: 0}
-            par = {root: -1}
-            queue = [root]
-            while queue:
+        for e, (u, v) in enumerate(self._ends):
+            dist = {u: 0}
+            queue = [u]
+            while queue and v not in dist:
                 nxt = []
-                for u in queue:
-                    for v in adj[u]:
-                        if v not in dist:
-                            dist[v] = dist[u] + 1
-                            par[v] = u
-                            nxt.append(v)
-                        elif v != par[u]:
-                            cycle = dist[u] + dist[v] + 1
-                            if best is None or cycle < best:
-                                best = cycle
+                for x in queue:
+                    for y, f in adj[x]:
+                        if f != e and y not in dist:
+                            dist[y] = dist[x] + 1
+                            nxt.append(y)
                 queue = nxt
+            if v in dist and (best is None or dist[v] + 1 < best):
+                best = dist[v] + 1
         return best
 
 

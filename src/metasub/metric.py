@@ -18,7 +18,8 @@ MATRIX_TOL = 1e-12
 
 
 def validate_distance(raw) -> np.ndarray:
-    """Return the validated matrix or raise listing every violated cell."""
+    """Return the validated matrix or raise listing the first ten violated
+    cells and the count of the rest."""
     D = np.asarray(raw, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValidationError(f"distance matrix must be square, got shape {D.shape}")
@@ -34,7 +35,8 @@ def validate_distance(raw) -> np.ndarray:
     if not np.all(np.isfinite(D)):
         violations.append("non-finite entry")
     if violations:
-        raise ValidationError("invalid distance matrix: " + "; ".join(violations))
+        rest = [f"and {len(violations) - 10} more"] if len(violations) > 10 else []
+        raise ValidationError("invalid distance matrix: " + "; ".join(violations[:10] + rest))
     return D
 
 

@@ -77,13 +77,10 @@ def best_pair_init(fn: SetFunctionOracle, M: MatroidOracle) -> int:
         # the first maximum in row-major order, as in a strict-> scan over (i, j)
         i, j = divmod(int(np.argmax(np.where(pairs, fn.pair_values(), -np.inf))), fn.n)
         return (1 << i) | (1 << j)
-    best_mask = 0
-    best_value = None
-    singles = fn.neighbourhood(0)[2]
-    for i in range(fn.n):
-        if M.is_independent(1 << i) and (best_value is None or singles[i] > best_value):
-            best_mask, best_value = 1 << i, singles[i]
-    return best_mask
+    independent = np.array([M.is_independent(1 << i) for i in range(fn.n)])
+    if not independent.any():
+        return 0
+    return 1 << int(np.argmax(np.where(independent, fn.neighbourhood(0)[2], -np.inf)))
 
 
 def _accepts(current: float, candidate: np.ndarray, threshold: float) -> np.ndarray:
@@ -97,8 +94,9 @@ def local_search(
     M: MatroidOracle,
     start: int,
     config: SolveConfig = SolveConfig(),
-) -> tuple[int, int, int, list[dict]]:
-    """Swap search from a base; returns (S, iterations, evaluations, trace).
+) -> tuple[int, int, int, list[dict], tuple]:
+    """Swap search from a base; returns (S, iterations, evaluations, trace,
+    neighbourhood(S)).
 
     A swap S - i + j is accepted when it clears the multiplicative threshold
     1 + epsilon/n^2 (absolute improvement when the current value is zero).
@@ -115,15 +113,9 @@ def local_search(
     iterations = 0
     evaluations = 0
     trace: list[dict] = []
+    around = fn.neighbourhood(S)
     while True:
-        current, _, _, swap = fn.neighbourhood(S)
-        if iterations:  # the swap accepted last round, now that f(S) is known
-            trace.append({"iteration": iterations, "removed": i, "inserted": j, "value": current})
-            if iterations >= DEFAULT_MAX_ITERATIONS:
-                raise GuardError(
-                    f"local search exceeded {DEFAULT_MAX_ITERATIONS} accepted swaps; "
-                    f"last value {current!r}"
-                )
+        current, _, _, swap = around
         inside, outside = split(S, n)
         values = swap.ravel()
         feasible = M.swap_feasible(S).ravel()
@@ -141,7 +133,12 @@ def local_search(
         i, j = int(inside[a]), int(outside[b])
         S = (S & ~(1 << i)) | (1 << j)
         iterations += 1
-    return S, iterations, evaluations, trace
+        around = fn.neighbourhood(S)
+        trace.append({"iteration": iterations, "removed": i, "inserted": j, "value": around[0]})
+        if iterations >= DEFAULT_MAX_ITERATIONS:
+            raise GuardError(f"local search exceeded {DEFAULT_MAX_ITERATIONS} accepted swaps; "
+                             f"last value {around[0]!r}")
+    return S, iterations, evaluations, trace, around
 
 
 def matching_cardinality(M: MatroidOracle, S: int) -> int:
@@ -156,15 +153,14 @@ def matching_cardinality(M: MatroidOracle, S: int) -> int:
     return max(0, min(k, inside, outside))
 
 
-def matching_step(
-    fn: SetFunctionOracle, M: MatroidOracle, S: int
-) -> tuple[int, Matching | None, int]:
-    """Candidate built from the top-k matching of second differences at S."""
+def matching_step(M: MatroidOracle, S: int, around: tuple) -> tuple[int, Matching | None, int]:
+    """Candidate built from the top-k matching of second differences at S,
+    read from around = fn.neighbourhood(S)."""
     k = matching_cardinality(M, S)
     if k <= 0:
         return 0, None, 0
     inside, outside = split(S, M.n)
-    base, drop, add, swap = fn.neighbourhood(S)
+    base, drop, add, swap = around
     # A_ij(S) = f(T+a+b) - f(T+a) - f(T+b) + f(T) left to right, with T = S-i-j
     # and a < b the pair, so T+a is S when i < j and S-i+j when j < i
     j_first = outside[None, :] < inside[:, None]
@@ -183,9 +179,9 @@ def solve(
     matching candidate."""
     seed = best_pair_init(fn, M)
     base = M.extend_to_base(seed)
-    S, iterations, evaluations, trace = local_search(fn, M, base, config)
-    s_value = fn.value(S)
-    S_prime, matching, k = matching_step(fn, M, S)
+    S, iterations, evaluations, trace, around = local_search(fn, M, base, config)
+    s_value = around[0]
+    S_prime, matching, k = matching_step(M, S, around)
     sp_value = fn.value(S_prime)
     if sp_value > s_value:
         chosen, chosen_value = S_prime, sp_value

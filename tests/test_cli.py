@@ -3,6 +3,7 @@ import io
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from metasub import cli, diag
@@ -411,6 +412,21 @@ def test_error_lines_truncate_the_offending_value(matroid, key, raw, says, tmp_p
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200, err
         assert says in err
+
+
+def test_a_distance_error_lists_ten_violations_and_counts_the_rest(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    D = rng.random((62, 62))  # every diagonal cell and every pair is a violation
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 62, "function": {"kind": "diversity", "distance": D.tolist()},
+                                "matroid": {"kind": "uniform", "r": 20}}))
+    out = tmp_path / "solve.json"
+    assert cli.main(["solve", str(inst), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) <= 1000, err
+    assert err.count("nonzero diagonal at") == 10
+    assert err.endswith(f"; and {62 + 62 * 61 // 2 - 10} more\n"), err
 
 
 @pytest.mark.parametrize("power", ["nan", "inf"])

@@ -167,6 +167,20 @@ def test_smoothness_supermodular_prediction():
         assert check_expectation_inequality(fn, x, int(i), int(j), sigma) <= 1e-9
 
 
+def test_expectation_inequality_matches_the_hessian_and_gradient():
+    rng = np.random.default_rng(23)
+    for fn in fresh_oracles(rng, 6):
+        t = ExactTables(fn)
+        for x in (np.zeros(6), np.full(6, 0.5), np.ones(6), rng.random(6), rng.random(6)):
+            grad, H = t.gradient(x), t.hessian(x)
+            for i in range(6):
+                for j in range(6):
+                    sigma = float(rng.random() * 3)
+                    want = float(x.sum()) * float(H[i, j]) - sigma * float(grad[i] + grad[j])
+                    got = check_expectation_inequality(fn, x, i, j, sigma)
+                    assert got.hex() == want.hex(), (fn.kind, x, i, j)
+
+
 def test_smoothness_zero_direction_and_zero_point():
     fn = all_ones_diversity()
     chk = check_one_sided_smooth(fn, np.full(4, 0.5), np.zeros(4), 1.0)

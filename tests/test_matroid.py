@@ -80,21 +80,30 @@ def test_graphic_girth_cases():
     assert square.min_circuit_size == 4
 
 
-def test_min_circuit_matches_generic_search():
+def min_circuit_cases():
     rng = np.random.default_rng(0)
     for trial in range(30):
         kind = trial % 3
         if kind == 0:
-            M = UniformMatroid(6, int(rng.integers(1, 7)))
+            yield UniformMatroid(6, int(rng.integers(1, 7)))
         elif kind == 1:
             cut = int(rng.integers(1, 6))
-            M = PartitionMatroid(
+            yield PartitionMatroid(
                 [list(range(cut)), list(range(cut, 6))],
                 [int(rng.integers(1, cut + 1)), int(rng.integers(1, 7 - cut))],
             )
         else:
             v = int(rng.integers(2, 5))
-            M = GraphicMatroid(v, [tuple(rng.integers(0, v, 2)) for _ in range(6)])
+            yield GraphicMatroid(v, [tuple(rng.integers(0, v, 2)) for _ in range(6)])
+    # multigraphs with loops, parallel edges and isolated vertices
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        v = int(rng.integers(1, 7))
+        yield GraphicMatroid(v, [tuple(rng.integers(0, v, 2)) for _ in range(rng.integers(1, 9))])
+
+
+def test_min_circuit_matches_generic_search():
+    for M in min_circuit_cases():
         assert M.min_circuit_size == generic_min_circuit(M)
         # every set below the circuit size is independent
         c = M.min_circuit_size or M.n + 1

@@ -81,7 +81,7 @@ def test_local_search_certificate():
         M = UniformMatroid(8, 4)
         cfg = SolveConfig()
         start = M.extend_to_base(best_pair_init(fn, M))
-        S, iters, _, trace = local_search(fn, M, start, cfg)
+        S, iters, _, trace, _ = local_search(fn, M, start, cfg)
         assert S.bit_count() == M.rank
         assert M.is_independent(S)
         threshold = (1 + cfg.epsilon / 64) * fn.value(S)
@@ -100,7 +100,7 @@ def test_trace_values_increase_multiplicatively():
     M = UniformMatroid(9, 4)
     cfg = SolveConfig(epsilon=0.3)
     start = M.extend_to_base(0)  # poor start to force swaps
-    S, _, _, trace = local_search(fn, M, start, cfg)
+    S, _, _, trace, _ = local_search(fn, M, start, cfg)
     prev = fn.value(start)
     factor = 1 + cfg.epsilon / 81
     for step in trace:
@@ -162,7 +162,7 @@ def test_matching_step_best_pair_when_k_is_one():
     fn = random_diversity(rng, 6)
     M = UniformMatroid(6, 2)  # c = 3 -> k = 1
     S = mask_of([0, 1])
-    S_prime, matching, k = matching_step(fn, M, S)
+    S_prime, matching, k = matching_step(M, S, fn.neighbourhood(S))
     assert k == 1 and len(matching.pairs) == 1
     best = max(
         ((i, j) for i in [0, 1] for j in range(2, 6)),
@@ -178,7 +178,7 @@ def test_matching_step_supermodular_value_dominates_weight():
         fn = random_diversity(rng, 8)
         M = UniformMatroid(8, 4)
         S = M.extend_to_base(best_pair_init(fn, M))
-        S_prime, matching, k = matching_step(fn, M, S)
+        S_prime, matching, k = matching_step(M, S, fn.neighbourhood(S))
         if matching is not None:
             assert fn.value(S_prime) >= matching.total_weight - 1e-9
 
@@ -215,8 +215,8 @@ def test_epsilon_orders_iteration_counts():
     fn = random_diversity(rng, 9)
     M = UniformMatroid(9, 4)
     start = M.extend_to_base(0)
-    _, coarse, _, _ = local_search(fn, M, start, SolveConfig(epsilon=0.5))
-    _, fine, _, _ = local_search(fn, M, start, SolveConfig(epsilon=0.01))
+    _, coarse, _, _, _ = local_search(fn, M, start, SolveConfig(epsilon=0.5))
+    _, fine, _, _, _ = local_search(fn, M, start, SolveConfig(epsilon=0.01))
     assert fine >= coarse
 
 
@@ -328,14 +328,20 @@ def scalar_local_search(fn, M, S, config):
                       "value": current})
 
 
+def subclasses(base):
+    """Every class below base, at any depth."""
+    todo = list(base.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        yield cls
+
+
 def force_reference_loops(monkeypatch):
     """Route every override of the neighbourhood and pair methods to the base loop."""
     for base, name in ((SetFunctionOracle, "neighbourhood"), (SetFunctionOracle, "pair_values"),
                        (MatroidOracle, "swap_feasible"), (MatroidOracle, "pair_feasible")):
-        todo = list(base.__subclasses__())
-        while todo:
-            cls = todo.pop()
-            todo += cls.__subclasses__()
+        for cls in subclasses(base):
             if name in vars(cls):
                 monkeypatch.setattr(cls, name, getattr(base, name))
 
@@ -356,14 +362,14 @@ def test_solve_with_overrides_matches_the_reference_loops(matroid, pivot, monkey
         for fn in fresh_oracles(np.random.default_rng([seed, 9]), 9):
             M = MATROIDS[matroid]()
             fast = solve(fn, M, config)
-            fast_from_empty = local_search(fn, M, M.extend_to_base(0), config)
+            fast_from_empty = local_search(fn, M, M.extend_to_base(0), config)[:4]
             weights = []
             with monkeypatch.context() as m:
                 force_reference_loops(m)
                 m.setattr(search, "max_weight_matching_k",
                           lambda w, k: weights.append(w) or max_weight_matching_k(w, k))
                 ref = solve(fn, M, config)
-                ref_from_empty = local_search(fn, M, M.extend_to_base(0), config)
+                ref_from_empty = local_search(fn, M, M.extend_to_base(0), config)[:4]
                 sd = [[second_difference(fn, i, j, ref.S) for j in range(9) if not ref.S >> j & 1]
                       for i in elements_of(ref.S)]
             case = (matroid, pivot, seed, fn.kind)
@@ -422,9 +428,44 @@ def test_the_solver_reads_f_of_s_from_the_neighbourhood(monkeypatch):
         if fn.kind == "table":
             continue  # no override: the base neighbourhood calls value
         M = UniformMatroid(9, 4)
-        S, iterations, _, _ = local_search(fn, M, M.extend_to_base(0))
-        matching_step(fn, M, S)
+        S, iterations, _, _, around = local_search(fn, M, M.extend_to_base(0))
+        matching_step(M, S, around)
         assert iterations and calls == [], fn.kind
         solve(fn, M)
-        assert [c for c in calls if c is fn] == [fn, fn], fn.kind  # f(S) and f(S')
+        assert [c for c in calls if c is fn] == [fn], fn.kind  # f(S') only
         calls.clear()
+
+
+@pytest.mark.parametrize("pivot", ["first", "best"])
+@pytest.mark.parametrize("matroid", sorted(MATROIDS))
+def test_a_solve_computes_each_neighbourhood_once(matroid, pivot, monkeypatch):
+    # local search hands its last neighbourhood to the matching step, which
+    # then calls no oracle method at all
+    calls = []
+    matching = []
+
+    def record(name, method):
+        return lambda self, *args: calls.append((self, name, args, bool(matching))) or method(
+            self, *args)
+
+    for cls in [SetFunctionOracle, *subclasses(SetFunctionOracle)]:
+        for name in ("value", "neighbourhood", "pair_values", "value_table"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, record(name, vars(cls)[name]))
+    step = search.matching_step
+
+    def recorded_step(*args):
+        matching.append(True)
+        try:
+            return step(*args)
+        finally:
+            matching.pop()
+
+    monkeypatch.setattr(search, "matching_step", recorded_step)
+    for fn in fresh_oracles(np.random.default_rng(19), 9):
+        calls.clear()
+        result = solve(fn, MATROIDS[matroid](), SolveConfig(epsilon=0.01, pivot=pivot))
+        assert result.matching_k > 0, fn.kind
+        masks = [args[0] for self, name, args, _ in calls if self is fn and name == "neighbourhood"]
+        assert len(masks) == len(set(masks)), fn.kind
+        assert not [call for call in calls if call[3]], fn.kind
