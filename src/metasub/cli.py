@@ -146,6 +146,22 @@ def load_instance(path: str | None) -> tuple[dict, str]:
 # --------------------------------------------------------------- generators
 
 
+def generate_distance(kind: str, n: int, rng, args) -> tuple[np.ndarray, float, dict]:
+    """A diversity generator's distance matrix, declared sigma and further metadata."""
+    if kind == "js-random":
+        return metric.js_divergence_matrix(rng.dirichlet(np.ones(args.support), size=n)), 2.0, {}
+    D = metric.euclidean(rng.standard_normal((n, args.dim)))
+    if kind == "metric-random":
+        return D, 1.0, {}
+    if kind == "semimetric-power":
+        if not 1.0 <= args.power < np.inf:
+            raise ValidationError(f"--power must be a finite number at least 1, got {args.power}")
+        return D ** args.power, 2.0 ** (args.power - 1), {"power": args.power}
+    if kind == "negtype-sqeuclid":
+        return D ** 2, 2.0, {"negative_type": True}
+    raise ValidationError(f"unknown generator {kind!r}")
+
+
 def generate(kind: str, n: int, seed: int, args) -> dict:
     if not 2 <= n <= MAX_GROUND_SET:
         raise ValidationError(f"generated instances need 2 <= n <= {MAX_GROUND_SET}, got {n}")
@@ -156,28 +172,7 @@ def generate(kind: str, n: int, seed: int, args) -> dict:
     rng = np.random.default_rng(seed)
     meta: dict = {"generator": kind, "seed": seed}
     matroid = {"kind": "uniform", "r": args.r if args.r is not None else max(2, n // 3)}
-    if kind == "metric-random":
-        D = metric.euclidean(rng.standard_normal((n, args.dim)))
-        meta["sigma"] = 1.0
-        function = {"kind": "diversity", "distance": D.tolist()}
-    elif kind == "semimetric-power":
-        if not 1.0 <= args.power < np.inf:
-            raise ValidationError(f"--power must be a finite number at least 1, got {args.power}")
-        D = metric.euclidean(rng.standard_normal((n, args.dim))) ** args.power
-        meta["sigma"] = 2.0 ** (args.power - 1)
-        meta["power"] = args.power
-        function = {"kind": "diversity", "distance": D.tolist()}
-    elif kind == "negtype-sqeuclid":
-        D = metric.euclidean(rng.standard_normal((n, args.dim))) ** 2
-        meta["sigma"] = 2.0
-        meta["negative_type"] = True
-        function = {"kind": "diversity", "distance": D.tolist()}
-    elif kind == "js-random":
-        probs = rng.dirichlet(np.ones(args.support), size=n)
-        D = metric.js_divergence_matrix(probs)
-        meta["sigma"] = 2.0
-        function = {"kind": "diversity", "distance": D.tolist()}
-    elif kind == "coverage-random":
+    if kind == "coverage-random":
         m = args.universe if args.universe is not None else 2 * n
         incidence = [
             sorted(int(u) for u in np.flatnonzero(rng.random(m) < 0.4)) for _ in range(n)
@@ -188,7 +183,9 @@ def generate(kind: str, n: int, seed: int, args) -> dict:
             "universe_weights": rng.random(m).tolist(),
         }
     else:
-        raise ValidationError(f"unknown generator {kind!r}")
+        D, meta["sigma"], extra = generate_distance(kind, n, rng, args)
+        meta.update(extra)
+        function = {"kind": "diversity", "distance": D.tolist()}
     return {"n": n, "function": function, "matroid": matroid, "metadata": meta}
 
 
@@ -268,11 +265,11 @@ def cmd_analyze(args) -> int:
         if "sigma" in meta and not sigma.is_infinite:
             results["metric"]["declared_sigma_delta"] = sigma.sigma - _declared(meta, "sigma")
     if fn.n <= args.n_max:
-        g = diag.gamma_parameter(fn, n_max=args.n_max)
+        g = diag.gamma_parameter(fn)
         results["gamma"] = g.to_dict()
         if "gamma" in meta and not g.is_infinite:
             results["gamma"]["declared_delta"] = g.gamma - _declared(meta, "gamma")
-        cls = diag.classify(fn, n_max=args.n_max)
+        cls = diag.classify(fn)
         results["classification"] = cls.to_dict()
         results["lemmas"] = {
             name: chk.to_dict() for name, chk in diag.lemma_checks(fn, cls, g, matroid=M).items()

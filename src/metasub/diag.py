@@ -16,24 +16,18 @@ import numpy as np
 
 from . import search
 from .errors import GuardError
-from .setfn import ABS_TOL, REL_TOL, TABLE_GUARD, SetFunctionOracle, elements_of
+from .setfn import ABS_TOL, REL_TOL, SetFunctionOracle, elements_of
 
-DEFAULT_N_MAX = 14
+DEFAULT_N_MAX = 14  # the default --n-max of analyze and verify
 GRADIENT_SAMPLE_POINTS = 10  # sets R drawn by the gradient-growth check
 
 
-def _guard(n: int, n_max: int) -> None:
-    if n > n_max:
-        raise GuardError(f"exhaustive diagnostic needs n <= {n_max}, got {n}")
-
-
 class ExactTables:
-    """Every B_i and A_ij of one oracle over all masks, built once: `B` is
-    n x 2^n, and `A` holds one row per pair i < j in row-major order
-    (`pairs`). Bit k of a mask index is element k."""
+    """Every B_i and A_ij of one oracle over all masks, built once: `B` is n x 2^n, and
+    `A` holds one row per pair i < j in row-major order (`pairs`). Bit k of a mask
+    index is element k. n is bounded by the value table's guard, the only one."""
 
     def __init__(self, fn: SetFunctionOracle):
-        _guard(fn.n, TABLE_GUARD)
         n = self.n = fn.n
         v = self.values = fn.value_table()
         self.masks = np.arange(1 << n, dtype=np.int64)
@@ -115,14 +109,13 @@ class GammaReport:
         }
 
 
-def gamma_parameter(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX) -> GammaReport:
+def gamma_parameter(fn: SetFunctionOracle) -> GammaReport:
     """Smallest gamma with |S| A_ij(S) <= gamma (B_i(S) + B_j(S)) everywhere.
 
     Only strictly positive A_ij(S) terms constrain gamma; a positive term
     with a non-positive denominator makes the parameter infinite. The
     witness is the first (i, j, S) that attains gamma.
     """
-    _guard(fn.n, n_max)
     t = _tables(fn)
     nonempty = t.sizes > 0
     at = np.zeros(len(t.pairs), dtype=np.int64)  # per pair, the mask of its first largest ratio
@@ -170,13 +163,12 @@ class ClassificationReport:
         }
 
 
-def classify(fn: SetFunctionOracle, n_max: int = DEFAULT_N_MAX) -> ClassificationReport:
+def classify(fn: SetFunctionOracle) -> ClassificationReport:
     """Exhaustive sign checks of B_i, A_ij, and the A_ij set-monotonicity.
 
     Each witness is the first (i[, j, k]) whose first extreme over the masks
     crosses the tolerance, with that extreme's mask.
     """
-    _guard(fn.n, n_max)
     t = _tables(fn)
     witnesses: dict = {}
     hit = _first_beyond(t.B, -1)

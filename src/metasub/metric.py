@@ -7,6 +7,7 @@ metric certification, and Jensen-Shannon distance matrices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,20 +24,21 @@ def validate_distance(raw) -> np.ndarray:
     D = np.asarray(raw, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValidationError(f"distance matrix must be square, got shape {D.shape}")
-    violations = [f"nonzero diagonal at ({i},{i}): {D[i, i]!r}"
-                  for i in np.flatnonzero(np.abs(D.diagonal()) > MATRIX_TOL)]
+    diagonal = np.flatnonzero(np.abs(D.diagonal()) > MATRIX_TOL)
     # non-finite cells are reported below; inf - inf is NaN, which is no asymmetry
     with np.errstate(invalid="ignore", over="ignore"):
-        asymmetric = np.triu(np.abs(D - D.T) > MATRIX_TOL, 1)
-    violations += [f"asymmetry at ({i},{j}): {D[i, j]!r} vs {D[j, i]!r}"
-                   for i, j in np.argwhere(asymmetric)]
-    violations += [f"negative entry at ({i},{j}): {D[i, j]!r}"
-                   for i, j in np.argwhere(D < -MATRIX_TOL)]
-    if not np.all(np.isfinite(D)):
-        violations.append("non-finite entry")
-    if violations:
-        rest = [f"and {len(violations) - 10} more"] if len(violations) > 10 else []
-        raise ValidationError("invalid distance matrix: " + "; ".join(violations[:10] + rest))
+        asymmetric = np.argwhere(np.triu(np.abs(D - D.T) > MATRIX_TOL, 1))
+    negative = np.argwhere(D < -MATRIX_TOL)
+    non_finite = ["non-finite entry"] if not np.all(np.isfinite(D)) else []
+    count = len(diagonal) + len(asymmetric) + len(negative) + len(non_finite)
+    if count:
+        violations = list(itertools.islice(itertools.chain(
+            (f"nonzero diagonal at ({i},{i}): {D[i, i]!r}" for i in diagonal),
+            (f"asymmetry at ({i},{j}): {D[i, j]!r} vs {D[j, i]!r}" for i, j in asymmetric),
+            (f"negative entry at ({i},{j}): {D[i, j]!r}" for i, j in negative),
+            non_finite), 10))
+        rest = [f"and {count - 10} more"] if count > 10 else []
+        raise ValidationError("invalid distance matrix: " + "; ".join(violations + rest))
     return D
 
 
@@ -58,31 +60,29 @@ def semi_metric_parameter(D: np.ndarray, tol: float = MATRIX_TOL) -> SemiMetricR
     """Smallest sigma with d(i,j) <= sigma*(d(i,k)+d(k,j)) over all triples.
 
     A positive entry whose every two-leg path has zero length yields the
-    infinite flag. n < 3 reports sigma 0 by convention.
+    infinite flag. n < 3 reports sigma 0 by convention. Witnesses are the
+    first in (i, j, k) order; each row i is one pass over the (j, k) plane.
     """
     n = D.shape[0]
     if n < 3:
         return SemiMetricReport(0.0)
     best = 0.0
     witness = None
+    off_diagonal = ~np.eye(n, dtype=bool)
     for i in range(n):
-        for j in range(n):
-            if j == i or D[i, j] <= tol:
-                continue
-            denom_ok = False
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                denom = D[i, k] + D[k, j]
-                if denom > tol:
-                    denom_ok = True
-                    ratio = D[i, j] / denom
-                    if ratio > best:
-                        best = ratio
-                        witness = (i, j, k)
-            if not denom_ok:
-                k = next(v for v in range(n) if v != i and v != j)
-                return SemiMetricReport(0.0, is_infinite=True, witness=(i, j, k))
+        denom = D[i] + D.T  # [j, k] = d(i,k) + d(k,j)
+        legs = (denom > tol) & off_diagonal & off_diagonal[i]  # k != i, j
+        positive = off_diagonal[i] & (D[i] > tol)
+        stuck = positive & ~legs.any(axis=1)
+        if stuck.any():
+            j = int(np.argmax(stuck))
+            return SemiMetricReport(0.0, is_infinite=True, witness=(i, j, min({0, 1, 2} - {i, j})))
+        ratio = np.divide(D[i][:, None], denom, out=np.zeros((n, n)),
+                          where=positive[:, None] & legs)
+        at = int(np.argmax(ratio))
+        if ratio.flat[at] > best:
+            best = float(ratio.flat[at])
+            witness = (i, *divmod(at, n))
     return SemiMetricReport(best, witness=witness)
 
 
@@ -104,16 +104,17 @@ def is_negative_type(D: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
 
 
 def is_sqrt_metric(D: np.ndarray, tol: float = 1e-9) -> tuple[bool, tuple[int, int, int] | None]:
-    """True iff the entrywise square root satisfies every triangle inequality."""
+    """True iff the entrywise square root satisfies every triangle inequality;
+    the witness is the first broken (i, j > i, k), one row i at a time."""
     root = np.sqrt(D)
     n = D.shape[0]
+    off_diagonal = ~np.eye(n, dtype=bool)
     for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if root[i, j] > root[i, k] + root[j, k] + tol:
-                    return False, (i, j, k)
+        # [j, k]: root(i,j) > root(i,k) + root(j,k) + tol, for k != i, j
+        broken = (root[i][:, None] > root[i] + root + tol) & off_diagonal & off_diagonal[i]
+        broken[:i + 1] = False
+        if broken.any():
+            return False, (i, *divmod(int(np.argmax(broken)), n))
     return True, None
 
 

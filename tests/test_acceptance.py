@@ -163,7 +163,7 @@ def test_criterion_06_structural_lemmas():
         rng = np.random.default_rng(6000 + trial)
         n = 5 + trial % 4
         fn = random_diversity(rng, n, power=2.0 if trial % 2 else 1.0)
-        checks = lemma_checks(fn, classify(fn, n_max=n), gamma_parameter(fn, n_max=n))
+        checks = lemma_checks(fn, classify(fn), gamma_parameter(fn))
         ok = ok and checks["marginal_sum_bound"].passed is True
         ok = ok and checks["second_order_marginal_bound"].passed is True
     verdict(6, "structural marginal-sum lemmas", ok, time.monotonic() - started, 120.0)

@@ -85,8 +85,11 @@ def test_gamma_scale_invariant():
 
 
 def test_gamma_guard():
+    # the one 2^n guard is the value table's
     with pytest.raises(GuardError):
-        gamma_parameter(all_ones_diversity(4), n_max=3)
+        gamma_parameter(all_ones_diversity(21))
+    with pytest.raises(GuardError):
+        classify(all_ones_diversity(21))
 
 
 def test_classify_metric_diversity():

@@ -12,7 +12,13 @@ from metasub.metric import (
     semi_metric_parameter,
     validate_distance,
 )
-from util import euclidean, random_metric
+from util import (
+    awkward_diversities,
+    euclidean,
+    loop_is_sqrt_metric,
+    loop_semi_metric_parameter,
+    random_metric,
+)
 
 
 def test_validate_accepts_simple_metric():
@@ -147,6 +153,51 @@ def test_metric_is_one_semi_metric():
     rng = np.random.default_rng(5)
     for _ in range(20):
         assert semi_metric_parameter(random_metric(rng, 7)).sigma <= 1 + 1e-9
+
+
+def differential_matrices(rng, n):
+    """One distance matrix per family the array checks must agree on."""
+    power = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+    yield random_metric(rng, n) ** power
+    yield np.rint(3.0 * random_metric(rng, n)) ** power  # ties
+    zeroed = random_metric(rng, n) ** power
+    gone = rng.random(n) < 0.3
+    zeroed[gone] = zeroed[:, gone] = 0.0
+    yield zeroed
+    lone = np.zeros((n, n))  # one positive pair, with no two-leg path: infinite
+    if n >= 2:
+        a, b = rng.choice(n, 2, replace=False)
+        lone[a, b] = lone[b, a] = rng.random()
+    yield lone
+    yield next(awkward_diversities(rng, n)).distance
+    # entries near the tolerance: a stuck pair can follow a positive ratio in its row
+    tiny = np.triu(rng.choice([-1e-12, 0.0, 5e-13, 1.5e-12, 1.0, 2.0], size=(n, n)), 1)
+    yield tiny + tiny.T
+
+
+def test_array_checks_match_the_triple_loops():
+    # a stuck pair after a positive ratio in row 0; then two square-root
+    # triangles that are tight at tol 0 and broken only by reading root(k,j)
+    # for root(j,k), or root(j,i) for root(i,j), each within the 1e-12 asymmetry
+    cases = [np.array([[0.0, 1.5e-12, 1.0], [1.5e-12, 0.0, -1e-12], [1.0, -1e-12, 0.0]]),
+             np.array([[0.0, 4.0, 1.0], [4.0, 0.0, 1.0], [1.0, 1.0 - 1e-13, 0.0]]),
+             np.array([[0.0, 4.0, 1.0], [4.0 + 5e-13, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+             random_metric(np.random.default_rng(62), 62) ** 3]
+    for seed in range(180):
+        rng = np.random.default_rng(seed)
+        cases += differential_matrices(rng, int(rng.integers(1, 9)))
+    assert len(cases) >= 1000
+    infinite = 0
+    for D in cases:
+        want, got = loop_semi_metric_parameter(D), semi_metric_parameter(D)
+        assert float.hex(float(got.sigma)) == float.hex(float(want.sigma)), D
+        assert (got.is_infinite, got.witness) == (want.is_infinite, want.witness), D
+        infinite += got.is_infinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the root of an entry down to -1e-12 is NaN
+            for tol in (1e-9, 0.0):
+                assert is_sqrt_metric(D, tol) == loop_is_sqrt_metric(D, tol), D
+    assert infinite
 
 
 def test_js_divergence_known_values():

@@ -4,7 +4,7 @@ the tests."""
 import numpy as np
 
 from metasub.matching import exhaustive_matching  # noqa: F401 (re-exported)
-from metasub.metric import euclidean
+from metasub.metric import MATRIX_TOL, SemiMetricReport, euclidean
 from metasub.setfn import (
     CoverageFunction,
     DiversityFunction,
@@ -105,3 +105,48 @@ def rank(M, mask: int) -> int:
 def multilinear(t, x) -> float:
     """F(x) by full enumeration over the value table of ExactTables t."""
     return float(t.values @ t.probabilities(np.asarray(x, dtype=float)))
+
+
+def loop_semi_metric_parameter(D: np.ndarray, tol: float = MATRIX_TOL) -> SemiMetricReport:
+    """Reference sigma by a triple loop in (i, j, k) order: the witness is the
+    first strict maximum, and the first positive entry with no positive
+    two-leg path returns the infinite flag at once."""
+    n = D.shape[0]
+    if n < 3:
+        return SemiMetricReport(0.0)
+    best = 0.0
+    witness = None
+    for i in range(n):
+        for j in range(n):
+            if j == i or D[i, j] <= tol:
+                continue
+            denom_ok = False
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                denom = D[i, k] + D[k, j]
+                if denom > tol:
+                    denom_ok = True
+                    ratio = D[i, j] / denom
+                    if ratio > best:
+                        best = ratio
+                        witness = (i, j, k)
+            if not denom_ok:
+                k = next(v for v in range(n) if v != i and v != j)
+                return SemiMetricReport(0.0, is_infinite=True, witness=(i, j, k))
+    return SemiMetricReport(best, witness=witness)
+
+
+def loop_is_sqrt_metric(D: np.ndarray, tol: float = 1e-9):
+    """Reference square-root-metric test by a triple loop: the first broken
+    (i, j > i, k) in loop order, or None."""
+    root = np.sqrt(D)
+    n = D.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                if root[i, j] > root[i, k] + root[j, k] + tol:
+                    return False, (i, j, k)
+    return True, None
