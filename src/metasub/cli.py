@@ -165,7 +165,7 @@ def generate_distance(kind: str, n: int, rng, args) -> tuple[np.ndarray, float, 
 def generate(kind: str, n: int, seed: int, args) -> dict:
     if not 2 <= n <= MAX_GROUND_SET:
         raise ValidationError(f"generated instances need 2 <= n <= {MAX_GROUND_SET}, got {n}")
-    for name, low in (("dim", 0), ("support", 1), ("universe", 0), ("r", 0)):
+    for name, low in (("dim", 0), ("support", 1), ("universe", 0), ("r", 0), ("seed", 0)):
         value = getattr(args, name)
         if value is not None and value < low:
             raise ValidationError(f"--{name} must be at least {low}, got {value}")
@@ -427,7 +427,9 @@ def verify_ratio_suite(rng, samples: int, n: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    for name, value, low in (("samples", args.samples, 0), ("n-max", args.n_max, 1)):
+    for name, value, low in (
+        ("samples", args.samples, 0), ("n-max", args.n_max, 1), ("seed", args.seed, 0),
+    ):
         if value < low:
             raise ValidationError(f"--{name} must be at least {low}, got {value}")
     rng = np.random.default_rng(args.seed)

@@ -5,6 +5,9 @@ with dummy columns whose uniform weight equals the maximum entry, so every
 optimal assignment prefers dummies and leaves exactly k real edges. Ties can
 still over-select real edges of weight equal to the dummy weight, so the
 lowest-weight excess real edges are dropped afterwards.
+
+scipy.optimize is imported at the first matching, not here: it is about 0.5 s
+of start-up that commands which never solve a matching would pay.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 
@@ -43,6 +45,8 @@ def max_weight_matching_k(weights, k: int) -> Matching:
         raise ValidationError(f"cardinality {k} outside [0, {min(left, right)}]")
     if k == 0:
         return Matching([], 0.0)
+
+    from scipy.optimize import linear_sum_assignment
 
     dummy = float(w.max())
     padded = np.full((left, right + (left - k)), dummy)

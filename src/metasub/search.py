@@ -29,8 +29,8 @@ class SolveConfig:
     pivot: str = "first"  # "first" or "best"
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.pivot not in ("first", "best"):
             raise ValidationError(f"unknown pivot rule {self.pivot!r}")
 

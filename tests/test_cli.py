@@ -1,7 +1,11 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,17 @@ def test_exit_code_validation_error(tmp_path):
     assert run(["analyze", str(inst), "--tolerance", "0"], tmp_path, "a.json")[0] == 0
 
 
+@pytest.mark.parametrize("epsilon", ["inf", "-inf", "nan", "0"])
+def test_epsilon_outside_positive_finite_exits_2(epsilon, tmp_path, capsys):
+    _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "1"], tmp_path, "inst.json")
+    capsys.readouterr()
+    code, out = run(["solve", str(inst), f"--epsilon={epsilon}"], tmp_path)
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon must be positive and finite") and err.count("\n") == 1
+
+
 def test_exit_code_guard_error(tmp_path):
     code, inst = run(["gen", "metric-random", "--n", "21", "--seed", "1"], tmp_path, "big.json")
     assert code == 0
@@ -200,12 +215,20 @@ def test_verify_matroid_on_one_element(tmp_path):
     ["verify", "matching", "--samples", "-1"],
     ["verify", "lemmas", "--n-max", "-1"],
     ["verify", "ratios", "--n-max", "0"],
+    ["verify", "lemmas", "--seed", "-1"],
 ])
 def test_verify_rejects_negative_counts(argv, tmp_path, capsys):
     out = tmp_path / "v.json"
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
     assert "must be at least" in capsys.readouterr().err
+
+
+def test_gen_rejects_negative_seed(capsys):
+    assert cli.main(["gen", "metric-random", "--n", "5", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be at least 0, got -1\n"
 
 
 def test_unknown_generator_params_rejected(tmp_path):
@@ -436,3 +459,32 @@ def test_non_finite_power_exits_2(power, tmp_path, capsys):
     assert cli.main(argv) == 2
     assert not out.exists()
     assert "--power must be a finite number at least 1" in capsys.readouterr().err
+
+
+def loads_scipy_optimize(*argvs) -> bool:
+    """Run the commands through cli.main in one fresh interpreter; report
+    whether scipy.optimize was imported by the end."""
+    script = ("import json, sys\n"
+              "from metasub import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert cli.main(argv) == 0, argv\n"
+              "print('scipy.optimize' in sys.modules)\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    return {"True\n": True, "False\n": False}[proc.stdout]
+
+
+def test_scipy_optimize_loads_only_at_a_matching(tmp_path):
+    inst = str(tmp_path / "inst.json")
+    out = ["--out", str(tmp_path / "report.json")]
+    gen = ["gen", "metric-random", "--n", "12", "--seed", "1", "--out", inst]
+    assert not loads_scipy_optimize(
+        gen,
+        ["analyze", inst, *out],
+        ["verify", "lemmas", "--samples", "2", *out],
+        ["verify", "smoothness", "--samples", "2", *out],
+    )
+    # the probe sees the import when a command does reach a matching
+    assert loads_scipy_optimize(gen, ["solve", inst, *out])

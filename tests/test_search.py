@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -44,8 +45,9 @@ def all_ones_diversity(n=4):
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        SolveConfig(epsilon=0.0)
+    for epsilon in (0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            SolveConfig(epsilon=epsilon)
     with pytest.raises(ValidationError):
         SolveConfig(pivot="random")
 
