@@ -2,7 +2,8 @@
 property verification, all emitting deterministic JSON reports.
 
 Exit codes: 0 success, 2 invalid input (including magnitudes that overflow
-floating point), 3 size/iteration guard exceeded, 4 property failure.
+floating point, and a report that cannot be written), 3 size/iteration guard
+exceeded or an allocation that failed, 4 property failure.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .search import (
     solve,
 )
 from .setfn import (
-    MAX_GROUND_SET,
     CoverageFunction,
     DiversityFunction,
     SetFunctionOracle,
@@ -47,6 +47,7 @@ from .setfn import (
 )
 
 SCHEMA_VERSION = 2
+MAX_GROUND_SET = 62  # largest n of an instance document, read or generated
 
 
 class PropertyFailure(Exception):
@@ -204,8 +205,11 @@ def make_report(command: str, inputs, results: dict, work: dict) -> dict:
 
 def write(text: str, args) -> None:
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -519,6 +523,9 @@ def main(argv=None) -> int:
         return 2
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"guard: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     except PropertyFailure as exc:
         print(f"property failure: {exc}", file=sys.stderr)

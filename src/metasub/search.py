@@ -17,7 +17,7 @@ import numpy as np
 from .errors import GuardError, ValidationError
 from .matching import Matching, max_weight_matching_k
 from .matroid import MatroidOracle
-from .setfn import ABS_TOL, TABLE_GUARD, SetFunctionOracle, elements_of, split
+from .setfn import ABS_TOL, SetFunctionOracle, elements_of, split
 
 DEFAULT_EPSILON = 0.1
 DEFAULT_MAX_ITERATIONS = 1_000_000
@@ -204,17 +204,12 @@ def solve(
 
 
 def brute_force_opt(fn: SetFunctionOracle, M: MatroidOracle) -> tuple[int, float]:
-    """Exhaustive maximum over independent sets; first maximum by mask order."""
-    if fn.n > TABLE_GUARD:
-        raise GuardError(f"brute force needs n <= {TABLE_GUARD}, got {fn.n}")
-    best_mask, best_value = 0, fn.value(0)
-    for mask in range(1, 1 << fn.n):
-        if not M.is_independent(mask):
-            continue
-        v = fn.value(mask)
-        if v > best_value:
-            best_mask, best_value = mask, v
-    return best_mask, best_value
+    """Exhaustive maximum over independent sets, read from the value table;
+    first maximum by mask order."""
+    table = fn.value_table()
+    independent = np.array([M.is_independent(mask) for mask in range(len(table))])
+    best = int(np.argmax(np.where(independent, table, -np.inf)))
+    return best, float(table[best])
 
 
 def guarantee_general(gamma: float, r: int, epsilon: float, n: int) -> float:

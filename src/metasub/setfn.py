@@ -1,9 +1,11 @@
 """Set-function oracles over bitmask subsets of a ground set {0, ..., n-1}.
 
 Every oracle is normalized so that the empty set evaluates to 0. It answers
-f(S), f at every set one drop, add or swap from S (neighbourhood), f at every
-pair (pair_values), and the 2^n value table from which diag.ExactTables takes
-every first and second difference.
+f(S), f at every set one drop, add or swap from S (neighbourhood) and f at
+every pair (pair_values) on Python-int masks, for any n. The 2^n value table,
+from which diag.ExactTables takes every first and second difference and
+search.brute_force_opt its optimum, serves only that exhaustive layer and
+stops at TABLE_GUARD.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from .errors import GuardError, ValidationError
 
-MAX_GROUND_SET = 62
 TABLE_GUARD = 20  # largest n for anything that visits all 2^n subsets
 
 REL_TOL = 1e-9
@@ -76,8 +77,8 @@ class SetFunctionOracle:
     kind = "abstract"
 
     def __init__(self, n: int):
-        if n < 1 or n > MAX_GROUND_SET:
-            raise ValidationError(f"ground set size {n} outside [1, {MAX_GROUND_SET}]")
+        if n < 1:
+            raise ValidationError(f"ground set size {n} is below 1")
         self.n = n
         self._table: np.ndarray | None = None
         self._exact_tables = None  # diag.ExactTables, built on first use
@@ -87,8 +88,6 @@ class SetFunctionOracle:
 
     def value(self, mask: int) -> float:
         check_mask(mask, self.n)
-        if self._table is not None:
-            return float(self._table[mask])
         return self._raw_value(mask)
 
     def _check_finite_total(self) -> None:
@@ -103,19 +102,16 @@ class SetFunctionOracle:
         f(S+j) for j not in S, and the |S| x |S-bar| matrix of f(S-i+j), in
         elements_of order.
 
-        One value call per entry (a filled table is gathered instead): the
-        reference that closed-form overrides must match.
+        One value call per entry: the reference that closed-form overrides
+        must match.
         """
         current = self.value(mask)
-        inside, outside = split(mask, self.n)
-        one = np.int64(1)
-        drop = np.int64(mask) ^ (one << inside)
-        add = np.int64(mask) | (one << outside)
-        swap = drop[:, None] | (one << outside)[None, :]
-        if self._table is not None:
-            return current, self._table[drop], self._table[add], self._table[swap]
-        value = np.vectorize(lambda m: self.value(int(m)), otypes=[float])
-        return current, value(drop), value(add), value(swap)
+        inside, outside = (bits.tolist() for bits in split(mask, self.n))
+        drop = np.array([self.value(mask ^ (1 << i)) for i in inside], dtype=float)
+        add = np.array([self.value(mask | (1 << j)) for j in outside], dtype=float)
+        swap = np.array([self.value((mask ^ (1 << i)) | (1 << j))
+                         for i in inside for j in outside], dtype=float)
+        return current, drop, add, swap.reshape(len(inside), len(outside))
 
     def pair_values(self) -> np.ndarray:
         """The n x n matrix of f({i, j}) for i != j, with a zero diagonal.
@@ -131,9 +127,9 @@ class SetFunctionOracle:
 
     def value_table(self) -> np.ndarray:
         """Dense vector of f over all 2^n masks (cached; n capped)."""
+        if self.n > TABLE_GUARD:
+            raise GuardError(f"value table needs n <= {TABLE_GUARD}, got {self.n}")
         if self._table is None:
-            if self.n > TABLE_GUARD:
-                raise GuardError(f"value table needs n <= {TABLE_GUARD}, got {self.n}")
             self._table = self._fill_table()
         return self._table
 

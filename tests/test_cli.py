@@ -189,6 +189,35 @@ def test_exit_code_guard_error(tmp_path):
     assert cli.main(["solve", str(inst), "--with-opt", "--out", str(tmp_path / "x.json")]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "metric-random", "--n", "5"],
+    ["analyze", "{inst}"],
+    ["solve", "{inst}"],
+    ["solve", "{inst}", "--format", "csv"],
+    ["verify", "matching", "--samples", "2"],
+])
+def test_an_unwritable_out_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    _, inst = run(["gen", "metric-random", "--n", "5", "--seed", "1"], tmp_path, "inst.json")
+    capsys.readouterr()
+    argv = [arg.format(inst=inst) for arg in argv]
+    for out in (tmp_path, tmp_path / "missing" / "x.json"):
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("error: cannot write report: ")
+        assert err.count("\n") == 1
+
+
+def test_a_failed_allocation_exits_3_with_one_guard_line(monkeypatch, capsys):
+    # raised, not allocated: whether a huge request fails at once depends on the host
+    def euclidean(points):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli.metric, "euclidean", euclidean)
+    assert cli.main(["gen", "metric-random", "--n", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "guard: out of memory: Unable to allocate 745. GiB for an array\n"
+
+
 def test_exit_code_property_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "verify_matching_suite", lambda rng, samples: [{"bad": True}])
     assert cli.main(["verify", "matching", "--out", str(tmp_path / "v.json")]) == 4

@@ -33,6 +33,7 @@ from metasub.setfn import (
 from util import (
     awkward_diversities,
     fresh_oracles,
+    loop_brute_force_opt,
     random_coverage,
     random_diversity,
     random_metric,
@@ -231,6 +232,27 @@ def test_brute_force_known_cases():
     assert mask == mask_of([1, 3]) and value == 7.0
 
 
+@pytest.mark.parametrize("matroid", ["uniform", "partition", "graphic"])
+def test_brute_force_reads_the_table_as_the_value_loop_does(matroid, monkeypatch):
+    for n in range(1, 9):
+        rng = np.random.default_rng([n, 23])
+        cut = n // 2
+        M = {
+            "uniform": lambda: UniformMatroid(n, int(rng.integers(1, n + 1))),
+            "partition": lambda: PartitionMatroid([list(range(cut)), list(range(cut, n))],
+                                                  [max(1, cut - 1), 2]),
+            "graphic": lambda: GraphicMatroid(
+                n // 2 + 2, [tuple(int(v) for v in rng.integers(0, n // 2 + 2, size=2))
+                             for _ in range(n)]),
+        }[matroid]()
+        for fn in fresh_oracles(rng, n):
+            want_mask, want_value = loop_brute_force_opt(fn, M)
+            with monkeypatch.context() as m:
+                m.setattr(SetFunctionOracle, "value", lambda self, mask: 1 / 0)
+                mask, value = brute_force_opt(fn, M)
+            assert (mask, value.hex()) == (want_mask, want_value.hex()), (matroid, n, fn.kind)
+
+
 def test_brute_force_monotone_attained_at_base():
     rng = np.random.default_rng(9)
     fn = random_diversity(rng, 7)
@@ -405,6 +427,19 @@ def test_best_pair_at_the_bitmask_cap_matches_the_scalar_scan(matroid):
                DiversityFunction(random_metric(rng, n), weights=rng.random(n)),
                random_coverage(rng, n)):
         assert best_pair_init(fn, M) == scalar_best_pair(fn, M), fn.kind
+
+
+def test_solve_past_62_elements_is_the_same_on_the_base_oracle_methods(monkeypatch):
+    rng = np.random.default_rng(100)
+    fn = DiversityFunction(random_metric(rng, 100))
+    M = UniformMatroid(100, 10)
+    fast = solve(fn, M)
+    with monkeypatch.context() as m:
+        for name in ("neighbourhood", "pair_values"):
+            m.setattr(DiversityFunction, name, getattr(SetFunctionOracle, name))
+        ref = solve(fn, M)
+    assert fast.chosen == ref.chosen and fast.chosen.bit_count() == 10
+    assert close(fast.chosen_value, ref.chosen_value)
 
 
 @pytest.mark.parametrize("pivot", ["first", "best"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from metasub import cli, diag
 from metasub.errors import GuardError, ValidationError
 from metasub.setfn import (
     CoverageFunction,
@@ -125,13 +126,27 @@ def test_value_table_matches_raw_value_loop_and_guards():
         big.value_table()
 
 
+def test_a_table_oracle_past_the_guard_has_no_value_table():
+    fn = TableFunction(np.zeros(1 << 21))
+    assert fn.value((1 << 21) - 1) == 0.0  # its scalar path reads the lookup itself
+    with pytest.raises(GuardError):
+        fn.value_table()
+    with pytest.raises(GuardError):
+        diag.gamma_parameter(fn)
+
+
 def test_ground_set_bounds():
     with pytest.raises(ValidationError):
         TableFunction([0.0])
     with pytest.raises(ValidationError):
         CoverageFunction([], [])
-    with pytest.raises(ValidationError):
-        CoverageFunction([[0]] * 63, [1.0])
+    # the oracles take any n; the cap of 62 bounds instance documents only
+    assert CoverageFunction([[0]] * 63, [1.0]).n == 63
+    doc = {"n": 63, "function": {"kind": "coverage", "incidence": [[0]] * 63,
+                                 "universe_weights": [1.0]},
+           "matroid": {"kind": "uniform", "r": 2}}
+    with pytest.raises(ValidationError, match="outside \\[1, 62\\]"):
+        cli.parse_instance(doc)
 
 
 def loop_neighbourhood(fn, mask):
@@ -159,7 +174,7 @@ def test_neighbourhood_overrides_match_the_value_loop():
         n = fn.n
         for filled in fills:
             if filled:
-                fn.value_table()  # the base method now gathers from the table
+                fn.value_table()  # a filled table changes no value
             for mask in masks:
                 current, *expect = loop_neighbourhood(fn, mask)
                 got_current, *got = fn.neighbourhood(mask)
@@ -174,6 +189,22 @@ def test_neighbourhood_overrides_match_the_value_loop():
                         np.testing.assert_array_equal(got, want)
                     assert all(close(a, b) for a, b in zip(got.ravel(), want.ravel())), \
                         (fn.kind, n, mask, got, want)
+
+
+def test_the_base_neighbourhood_past_62_elements():
+    # masks with elements at 62 and above do not fit an int64
+    n = 70
+    rng = np.random.default_rng(70)
+    fn = DiversityFunction(random_metric(rng, n), weights=rng.random(n))
+    for mask in (0, 1 << 69, mask_of(rng.choice(n, size=20, replace=False)) | 1 << 65):
+        current, *expect = loop_neighbourhood(fn, mask)
+        base_current, *base = SetFunctionOracle.neighbourhood(fn, mask)
+        got_current, *got = fn.neighbourhood(mask)
+        assert base_current.hex() == current.hex() and close(got_current, current)
+        for ref, want, fast in zip(base, expect, got):
+            np.testing.assert_array_equal(ref, want)
+            assert fast.shape == want.shape
+            assert all(close(a, b) for a, b in zip(fast.ravel(), want.ravel())), mask
 
 
 def test_pair_values_overrides_match_the_neighbourhood_rows():

@@ -97,6 +97,19 @@ def second_difference(fn, i: int, j: int, mask: int) -> float:
     return fn.value(base | a | b) - fn.value(base | a) - fn.value(base | b) + fn.value(base)
 
 
+def loop_brute_force_opt(fn, M) -> tuple[int, float]:
+    """Reference optimum over independent sets: one value call per
+    independent mask, the first strict maximum by mask order."""
+    best_mask, best_value = 0, fn.value(0)
+    for mask in range(1, 1 << fn.n):
+        if not M.is_independent(mask):
+            continue
+        v = fn.value(mask)
+        if v > best_value:
+            best_mask, best_value = mask, v
+    return best_mask, best_value
+
+
 def rank(M, mask: int) -> int:
     """Reference matroid rank: the size of a greedy independent subset of mask."""
     return M.greedy(iter_elements(mask)).bit_count()
