@@ -14,7 +14,16 @@ import numpy as np
 
 from .errors import ValidationError
 from .matching import max_weight_matching_k
-from .setfn import check_integer, check_mask, elements_of, iter_elements, mask_of, split
+from .setfn import (
+    check_exhaustive,
+    check_integer,
+    check_mask,
+    elements_of,
+    iter_elements,
+    mask_of,
+    split,
+    subset_sizes,
+)
 
 
 class MatroidOracle:
@@ -58,6 +67,16 @@ class MatroidOracle:
             for j in range(i + 1, self.n):
                 feasible[i, j] = feasible[j, i] = self.is_independent((1 << i) | (1 << j))
         return feasible
+
+    def independence_vector(self) -> np.ndarray:
+        """Boolean vector of is_independent over all 2^n masks (n capped)."""
+        check_exhaustive(self.n, "independence vector")
+        return self._fill_independence()
+
+    def _fill_independence(self) -> np.ndarray:
+        """One is_independent call per mask: the reference that the closed
+        forms must match."""
+        return np.array([self.is_independent(mask) for mask in range(1 << self.n)], dtype=bool)
 
     def greedy(self, order: Iterable[int], start: int = 0) -> int:
         """Greedy independent superset of start: each element of order, in
@@ -120,6 +139,9 @@ class UniformMatroid(MatroidOracle):
     def pair_feasible(self) -> np.ndarray:
         return ~np.eye(self.n, dtype=bool) & (self.r >= 2)
 
+    def _fill_independence(self) -> np.ndarray:
+        return subset_sizes(self.n) <= self.r
+
 
 class PartitionMatroid(MatroidOracle):
     kind = "partition"
@@ -169,6 +191,15 @@ class PartitionMatroid(MatroidOracle):
                               for m, c in zip(self.block_masks, self.caps)])
         into = self._block_of[outside]
         return (self._block_of[inside][:, None] == into) | below_cap[into]
+
+    def _fill_independence(self) -> np.ndarray:
+        # |S & block| is the size of the mask S & block
+        sizes = subset_sizes(self.n)
+        masks = np.arange(1 << self.n)
+        independent = np.ones(1 << self.n, dtype=bool)
+        for m, c in zip(self.block_masks, self.caps):
+            independent &= sizes[masks & m] <= c
+        return independent
 
     def pair_feasible(self) -> np.ndarray:
         # two elements of one block need its cap >= 2; of two blocks, both caps >= 1

@@ -206,8 +206,10 @@ def solve(
 def brute_force_opt(fn: SetFunctionOracle, M: MatroidOracle) -> tuple[int, float]:
     """Exhaustive maximum over independent sets, read from the value table;
     first maximum by mask order."""
+    if fn.n != M.n:
+        raise ValidationError("oracle and matroid ground sets differ")
     table = fn.value_table()
-    independent = np.array([M.is_independent(mask) for mask in range(len(table))])
+    independent = M.independence_vector()
     best = int(np.argmax(np.where(independent, table, -np.inf)))
     return best, float(table[best])
 

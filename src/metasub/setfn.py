@@ -62,6 +62,21 @@ def split(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return member.nonzero()[0], (~member).nonzero()[0]
 
 
+def check_exhaustive(n: int, what: str) -> None:
+    """The one bound on anything that visits all 2^n subsets."""
+    if n > TABLE_GUARD:
+        raise GuardError(f"{what} needs n <= {TABLE_GUARD}, got {n}")
+
+
+def subset_sizes(n: int) -> np.ndarray:
+    """|S| for every mask 0 .. 2^n - 1: each bit doubles the vector, the upper
+    half one larger."""
+    sizes = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        sizes = np.concatenate([sizes, sizes + 1])
+    return sizes
+
+
 def check_mask(mask: int, n: int) -> None:
     if mask < 0 or mask >> n:
         raise ValidationError(f"mask {mask:#x} out of range for ground set of size {n}")
@@ -127,8 +142,7 @@ class SetFunctionOracle:
 
     def value_table(self) -> np.ndarray:
         """Dense vector of f over all 2^n masks (cached; n capped)."""
-        if self.n > TABLE_GUARD:
-            raise GuardError(f"value table needs n <= {TABLE_GUARD}, got {self.n}")
+        check_exhaustive(self.n, "value table")
         if self._table is None:
             self._table = self._fill_table()
         return self._table

@@ -490,30 +490,22 @@ def test_non_finite_power_exits_2(power, tmp_path, capsys):
     assert "--power must be a finite number at least 1" in capsys.readouterr().err
 
 
-def loads_scipy_optimize(*argvs) -> bool:
-    """Run the commands through cli.main in one fresh interpreter; report
-    whether scipy.optimize was imported by the end."""
-    script = ("import json, sys\n"
-              "from metasub import cli\n"
-              "for argv in json.loads(sys.argv[1]):\n"
-              "    assert cli.main(argv) == 0, argv\n"
-              "print('scipy.optimize' in sys.modules)\n")
-    src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, check=True)
-    return {"True\n": True, "False\n": False}[proc.stdout]
-
-
-def test_scipy_optimize_loads_only_at_a_matching(tmp_path):
+def test_every_command_runs_without_scipy(tmp_path):
+    # a fresh interpreter in which any import of scipy fails
     inst = str(tmp_path / "inst.json")
     out = ["--out", str(tmp_path / "report.json")]
-    gen = ["gen", "metric-random", "--n", "12", "--seed", "1", "--out", inst]
-    assert not loads_scipy_optimize(
-        gen,
+    argvs = [
+        ["gen", "metric-random", "--n", "12", "--seed", "1", "--out", inst],
         ["analyze", inst, *out],
-        ["verify", "lemmas", "--samples", "2", *out],
-        ["verify", "smoothness", "--samples", "2", *out],
-    )
-    # the probe sees the import when a command does reach a matching
-    assert loads_scipy_optimize(gen, ["solve", inst, *out])
+        ["solve", inst, *out],
+        *(["verify", suite, "--samples", "2", *out]
+          for suite in ("matching", "matroid", "ratios", "lemmas")),
+    ]
+    script = ("import json, sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from metasub import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert cli.main(argv) == 0, argv\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                   env={**os.environ, "PYTHONPATH": str(src)}, check=True)

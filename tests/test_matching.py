@@ -31,6 +31,14 @@ def test_k_out_of_range_and_bad_input():
         max_weight_matching_k([1.0, 2.0], 1)
 
 
+def test_weights_spanning_more_than_the_float_range():
+    # max(w) - w overflows here, and an unscaled search never settles a column
+    m = max_weight_matching_k([[1e308, -1e308], [-1e308, -1e308]], 2)
+    assert m.pairs == [(0, 0), (1, 1)] and m.total_weight == 0.0
+    m = max_weight_matching_k([[1e-300, 1e308, -1.7e308]], 1)
+    assert m.pairs == [(0, 1)] and m.total_weight == 1e308
+
+
 def test_negative_weights():
     w = np.array([[-5.0, -1.0], [-2.0, -4.0]])
     m = max_weight_matching_k(w, 2)
@@ -45,14 +53,16 @@ def test_matches_exhaustive_oracle():
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 7))
         w = rng.standard_normal((rows, cols)) * rng.choice([0.1, 1.0, 10.0])
-        for k in range(min(rows, cols) + 1):
-            got = max_weight_matching_k(w, k)
-            assert len(got.pairs) == k
-            assert len({i for i, _ in got.pairs}) == k
-            assert len({j for _, j in got.pairs}) == k
-            assert got.total_weight == pytest.approx(
-                exhaustive_matching(w, k), abs=1e-9
-            )
+        # rounded, many weights are equal, so many matchings are best
+        for m in (w, np.round(w)):
+            for k in range(min(rows, cols) + 1):
+                got = max_weight_matching_k(m, k)
+                assert len(got.pairs) == k
+                assert len({i for i, _ in got.pairs}) == k
+                assert len({j for _, j in got.pairs}) == k
+                assert got.total_weight == pytest.approx(
+                    exhaustive_matching(m, k), abs=1e-9
+                )
 
 
 def test_ties_still_return_exactly_k():
@@ -61,6 +71,8 @@ def test_ties_still_return_exactly_k():
         m = max_weight_matching_k(w, k)
         assert len(m.pairs) == k
         assert m.total_weight == pytest.approx(float(k))
+    # the tie rule: the lowest column first, each to the lowest free row
+    assert max_weight_matching_k(np.ones((3, 5)), 3).pairs == [(0, 0), (1, 1), (2, 2)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from metasub.errors import ValidationError
+from metasub.errors import GuardError, ValidationError
 from metasub.matroid import (
     GraphicMatroid,
     MatroidOracle,
@@ -240,6 +240,29 @@ def test_pair_feasible_overrides_match_the_independence_loop():
         got = M.pair_feasible()
         assert got.dtype == bool and got.shape == (M.n, M.n)
         np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {M.n}")
+
+
+def test_independence_vector_overrides_match_the_independence_loop():
+    rng = np.random.default_rng(6)
+    for n in range(1, 11):
+        labels = rng.integers(0, 3, size=n)
+        v = n // 2 + 2
+        for M in (
+            UniformMatroid(n, int(rng.integers(0, n + 1))),
+            PartitionMatroid([np.flatnonzero(labels == b).tolist() for b in range(3)],
+                             rng.integers(0, 3, size=3).tolist()),
+            GraphicMatroid(v, [tuple(int(u) for u in rng.integers(0, v, size=2))
+                               for _ in range(n)]),
+        ):
+            want = [M.is_independent(mask) for mask in range(1 << n)]
+            for got in (M.independence_vector(), MatroidOracle._fill_independence(M)):
+                assert got.dtype == bool and got.shape == (1 << n,)
+                np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {n}")
+
+
+def test_independence_vector_stops_at_the_table_guard():
+    with pytest.raises(GuardError, match="independence vector needs n <= 20, got 21"):
+        UniformMatroid(21, 3).independence_vector()
 
 
 @pytest.mark.parametrize("build", [

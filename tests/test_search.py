@@ -253,6 +253,13 @@ def test_brute_force_reads_the_table_as_the_value_loop_does(matroid, monkeypatch
             assert (mask, value.hex()) == (want_mask, want_value.hex()), (matroid, n, fn.kind)
 
 
+@pytest.mark.parametrize("m", [6, 8])
+def test_brute_force_rejects_a_matroid_on_another_ground_set(m):
+    fn = random_diversity(np.random.default_rng(9), 7)
+    with pytest.raises(ValidationError, match="ground sets differ"):
+        brute_force_opt(fn, UniformMatroid(m, 3))
+
+
 def test_brute_force_monotone_attained_at_base():
     rng = np.random.default_rng(9)
     fn = random_diversity(rng, 7)
