@@ -166,10 +166,7 @@ def generate_distance(kind: str, n: int, rng, args) -> tuple[np.ndarray, float, 
 def generate(kind: str, n: int, seed: int, args) -> dict:
     if not 2 <= n <= MAX_GROUND_SET:
         raise ValidationError(f"generated instances need 2 <= n <= {MAX_GROUND_SET}, got {n}")
-    for name, low in (("dim", 0), ("support", 1), ("universe", 0), ("r", 0), ("seed", 0)):
-        value = getattr(args, name)
-        if value is not None and value < low:
-            raise ValidationError(f"--{name} must be at least {low}, got {value}")
+    _at_least(args, dim=0, support=1, universe=0, r=0, seed=0)
     rng = np.random.default_rng(seed)
     meta: dict = {"generator": kind, "seed": seed}
     matroid = {"kind": "uniform", "r": args.r if args.r is not None else max(2, n // 3)}
@@ -193,10 +190,16 @@ def generate(kind: str, n: int, seed: int, args) -> dict:
 # ------------------------------------------------------------------ reports
 
 
-def make_report(command: str, inputs, results: dict, work: dict) -> dict:
+def make_report(args, results: dict, work: dict, instance_sha256: str | None = None) -> dict:
+    """inputs_digest covers every option the command parsed, bar those that
+    route it or place and shape its output, plus the instance's bytes."""
+    inputs = {key: value for key, value in vars(args).items()
+              if key not in ("cmd", "func", "out", "format", "instance")}
+    if instance_sha256 is not None:
+        inputs["instance_sha256"] = instance_sha256
     return {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.cmd,
         "inputs_digest": digest(inputs),
         "results": results,
         "work": work,  # deterministic work counters, not wall clock
@@ -234,6 +237,14 @@ def trace_csv(result_dict: dict) -> str:
 # ----------------------------------------------------------------- commands
 
 
+def _at_least(args, **lows) -> None:
+    """Reject the first option, in the order given, that is below its lowest value."""
+    for name, low in lows.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise ValidationError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def cmd_gen(args) -> int:
     instance = generate(args.kind, args.n, args.seed, args)
     emit(instance, args)
@@ -252,6 +263,7 @@ def cmd_analyze(args) -> int:
     if not 0.0 <= args.tolerance < np.inf:
         raise ValidationError(
             f"--tolerance must be a finite number at least 0, got {args.tolerance}")
+    _at_least(args, n_max=0)
     instance, instance_sha256 = load_instance(args.instance)
     fn, M = parse_instance(instance)
     results: dict = {"matroid": {"rank": M.rank, "min_circuit_size": M.min_circuit_size}}
@@ -281,9 +293,7 @@ def cmd_analyze(args) -> int:
     else:
         results["skipped"] = f"exhaustive diagnostics need n <= {args.n_max}, instance has n={fn.n}"
     work = {"n": fn.n, "table_size": 1 << fn.n if fn.n <= args.n_max else 0}
-    inputs = {"instance_sha256": instance_sha256, "tolerance": args.tolerance,
-              "n_max": args.n_max}
-    emit(make_report("analyze", inputs, results, work), args)
+    emit(make_report(args, results, work, instance_sha256), args)
     return 0
 
 
@@ -305,13 +315,7 @@ def cmd_solve(args) -> int:
     if args.format == "csv":
         write(trace_csv(payload), args)
         return 0
-    inputs = {
-        "instance_sha256": instance_sha256,
-        "epsilon": args.epsilon,
-        "pivot": args.pivot,
-        "with_opt": args.with_opt,
-    }
-    emit(make_report("solve", inputs, payload, work), args)
+    emit(make_report(args, payload, work, instance_sha256), args)
     return 0
 
 
@@ -357,7 +361,8 @@ def verify_smoothness_suite(rng, samples: int, n: int) -> list[dict]:
     return failures
 
 
-def verify_matching_suite(rng, samples: int) -> list[dict]:
+def verify_matching_suite(rng, samples: int, n: int) -> list[dict]:
+    """Matrices of 1 to 6 rows and columns against exhaustive search, whatever n is."""
     failures = []
     for t in range(samples):
         rows = int(rng.integers(1, 7))
@@ -430,30 +435,23 @@ def verify_ratio_suite(rng, samples: int, n: int) -> list[dict]:
     return failures
 
 
+# verify suite -> (its check, the largest n it draws, whatever --n-max says above that)
+SUITES = {
+    "lemmas": (verify_lemma_suite, 8),
+    "smoothness": (verify_smoothness_suite, 7),
+    "matching": (verify_matching_suite, 6),
+    "matroid": (verify_matroid_suite, 8),
+    "ratios": (verify_ratio_suite, 8),
+}
+
+
 def cmd_verify(args) -> int:
-    for name, value, low in (
-        ("samples", args.samples, 0), ("n-max", args.n_max, 1), ("seed", args.seed, 0),
-    ):
-        if value < low:
-            raise ValidationError(f"--{name} must be at least {low}, got {value}")
-    rng = np.random.default_rng(args.seed)
-    n = min(args.n_max, 8)
-    if args.suite == "lemmas":
-        failures = verify_lemma_suite(rng, args.samples, n)
-    elif args.suite == "smoothness":
-        failures = verify_smoothness_suite(rng, args.samples, min(n, 7))
-    elif args.suite == "matching":
-        failures = verify_matching_suite(rng, args.samples)
-    elif args.suite == "matroid":
-        failures = verify_matroid_suite(rng, args.samples, n)
-    elif args.suite == "ratios":
-        failures = verify_ratio_suite(rng, args.samples, n)
-    else:
-        raise ValidationError(f"unknown suite {args.suite!r}")
+    _at_least(args, samples=0, n_max=1, seed=0)
+    check, largest = SUITES[args.suite]
+    failures = check(np.random.default_rng(args.seed), args.samples, min(args.n_max, largest))
     results = {"suite": args.suite, "samples": args.samples, "failures": failures,
                "passed": not failures}
-    inputs = {"suite": args.suite, "samples": args.samples, "seed": args.seed, "n_max": args.n_max}
-    emit(make_report("verify", inputs, results, {"samples": args.samples}), args)
+    emit(make_report(args, results, {"samples": args.samples}), args)
     if failures:
         raise PropertyFailure(f"{len(failures)} failures in suite {args.suite}")
     return 0
@@ -497,7 +495,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="run a randomized property suite")
-    p.add_argument("suite", choices=["lemmas", "smoothness", "matching", "matroid", "ratios"])
+    p.add_argument("suite", choices=list(SUITES))
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-max", dest="n_max", type=int, default=diag.DEFAULT_N_MAX)

@@ -10,7 +10,7 @@ structural-inequality checks (lemma_checks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -82,9 +82,10 @@ class ExactTables:
 
 def _tables(fn: SetFunctionOracle) -> ExactTables:
     """The oracle's one ExactTables; oracles are immutable, so it is kept on them."""
-    if fn._exact_tables is None:
-        fn._exact_tables = ExactTables(fn)
-    return fn._exact_tables
+    tables = getattr(fn, "_exact_tables", None)
+    if tables is None:
+        tables = fn._exact_tables = ExactTables(fn)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -154,13 +155,7 @@ class ClassificationReport:
     witnesses: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "monotone": self.monotone,
-            "submodular": self.submodular,
-            "supermodular": self.supermodular,
-            "second_order_submodular": self.second_order_submodular,
-            "witnesses": self.witnesses,
-        }
+        return asdict(self)
 
 
 def classify(fn: SetFunctionOracle) -> ClassificationReport:
@@ -253,18 +248,12 @@ class LemmaCheck:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "skipped_reason": self.skipped_reason,
-            "worst_slack": self.worst_slack,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
-def _leq(lhs, rhs, tol: float = REL_TOL):
-    """lhs <= rhs up to a relative tolerance, elementwise on arrays."""
-    return lhs <= rhs + tol * np.maximum(1.0, np.abs(rhs))
+def _leq(lhs, rhs):
+    """lhs <= rhs up to REL_TOL relative, elementwise on arrays."""
+    return lhs <= rhs + REL_TOL * np.maximum(1.0, np.abs(rhs))
 
 
 def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int = 0) -> LemmaCheck:
@@ -310,56 +299,51 @@ def lemma_checks(
     seed: int = 0,
 ) -> dict[str, LemmaCheck]:
     """Structural-inequality battery, given the oracle's classification and
-    gamma reports; checks skip (and say so) when their hypotheses fail."""
+    gamma reports; checks skip (and say so) when their hypotheses fail. The
+    keys keep the battery's order, which orders the `verify lemmas` failures."""
     t = _tables(fn)
-    gamma = None if g.is_infinite else g.gamma
-    checks: dict[str, LemmaCheck] = {}
-
-    checks["discrete_integral"] = check_discrete_integral(fn, seed=seed)
-
-    # sum of marginals over R against (5*gamma + 2) f(R); B_i(R-i) == B_i(R)
-    marg_sum = sum(t.inside[i] * t.B[i] for i in range(t.n))
+    marg_sum = sum(t.inside[i] * t.B[i] for i in range(t.n))  # B_i(R-i) == B_i(R)
     big = t.sizes >= 2
-    if not cls.monotone or gamma is None:
-        checks["marginal_sum_bound"] = LemmaCheck(
-            "marginal_sum_bound", None, skipped_reason="needs a monotone function with finite gamma")
-    elif not big.any():
-        checks["marginal_sum_bound"] = LemmaCheck(
-            "marginal_sum_bound", None, skipped_reason="needs two or more elements")
-    else:
-        bound = (5.0 * gamma + 2.0) * t.values[big]
-        slack = marg_sum[big] - bound
-        k = int(np.argmax(slack))
-        checks["marginal_sum_bound"] = LemmaCheck(
-            "marginal_sum_bound", bool(np.all(_leq(marg_sum[big], bound))),
-            worst_slack=float(slack[k]),
-            detail={"R": elements_of(int(t.masks[big][k]))})
 
+    def with_gamma(name, check):
+        """check(gamma) for a bound stated in gamma, which needs both hypotheses."""
+        if cls.monotone and not g.is_infinite:
+            return check(g.gamma)
+        return LemmaCheck(name, None, skipped_reason="needs a monotone function with finite gamma")
+
+    checks = {"discrete_integral": check_discrete_integral(fn, seed=seed)}
+    checks["marginal_sum_bound"] = with_gamma("marginal_sum_bound", lambda gamma: (
+        _marginal_sum_check("marginal_sum_bound", t, marg_sum, 5.0 * gamma + 2.0, big)
+        if big.any() else
+        LemmaCheck("marginal_sum_bound", None, skipped_reason="needs two or more elements")))
     if not cls.second_order_submodular or float(t.values.min()) < -ABS_TOL:
         checks["second_order_marginal_bound"] = LemmaCheck(
             "second_order_marginal_bound", None,
             skipped_reason="needs a non-negative second-order-submodular function")
     else:
-        bound = 2.0 * t.values
-        slack = marg_sum - bound
-        k = int(np.argmax(slack))
-        checks["second_order_marginal_bound"] = LemmaCheck(
-            "second_order_marginal_bound", bool(np.all(_leq(marg_sum, bound))),
-            worst_slack=float(slack[k]), detail={"R": elements_of(int(t.masks[k]))})
-
-    checks["gradient_growth"] = _check_gradient_growth(t, cls, gamma, seed)
+        checks["second_order_marginal_bound"] = _marginal_sum_check(
+            "second_order_marginal_bound", t, marg_sum, 2.0, slice(None))
+    checks["gradient_growth"] = with_gamma(
+        "gradient_growth", lambda gamma: _check_gradient_growth(t, gamma, seed))
     checks["kleinberg_equivalence"] = _check_kleinberg(t, g)
     if matroid is not None:
-        checks["pair_seed_bound"] = _check_pair_seed(fn, t, matroid, cls, gamma)
+        checks["pair_seed_bound"] = with_gamma(
+            "pair_seed_bound", lambda gamma: _check_pair_seed(fn, matroid, gamma))
     return checks
 
 
-def _check_gradient_growth(t, cls, gamma, seed) -> LemmaCheck:
+def _marginal_sum_check(name: str, t: ExactTables, marg_sum, factor: float, rows) -> LemmaCheck:
+    """The sum of marginals over R against factor * f(R), on the masks `rows` selects."""
+    bound = factor * t.values[rows]
+    slack = marg_sum[rows] - bound
+    k = int(np.argmax(slack))
+    return LemmaCheck(name, bool(np.all(_leq(marg_sum[rows], bound))), worst_slack=float(slack[k]),
+                      detail={"R": elements_of(int(t.masks[rows][k]))})
+
+
+def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaCheck:
     """Directional-derivative growth along 1_R -> 1_R + u, two bounds at once:
     the 2^(4*gamma) cap and the (norm ratio)^(2*sigma) cap with sigma = 2*gamma."""
-    if not cls.monotone or gamma is None:
-        return LemmaCheck("gradient_growth", None,
-                          skipped_reason="needs a monotone function with finite gamma")
     rng = np.random.default_rng(seed)
     worst = -math.inf
     passed = True
@@ -408,11 +392,8 @@ def _check_kleinberg(t: ExactTables, g: GammaReport) -> LemmaCheck:
                       detail={"zero_ms": g.vacuous, "kleinberg_form": outside_form})
 
 
-def _check_pair_seed(fn, t, matroid, cls, gamma) -> LemmaCheck:
+def _check_pair_seed(fn, matroid, gamma: float) -> LemmaCheck:
     """Optimum vs best independent pair against the explicit chain constant."""
-    if not cls.monotone or gamma is None:
-        return LemmaCheck("pair_seed_bound", None,
-                          skipped_reason="needs a monotone function with finite gamma")
     if matroid.rank < 2:
         return LemmaCheck("pair_seed_bound", None, skipped_reason="matroid rank below 2")
     seed_mask = search.best_pair_init(fn, matroid)

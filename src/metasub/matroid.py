@@ -184,8 +184,7 @@ class PartitionMatroid(MatroidOracle):
     def swap_feasible(self, mask: int) -> np.ndarray:
         # from an independent S, S - i + j is independent when i and j share a
         # block or j's block is below its cap in S
-        if not self.is_independent(mask):
-            return super().swap_feasible(mask)
+        check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
         below_cap = np.array([(mask & m).bit_count() < c
                               for m, c in zip(self.block_masks, self.caps)])

@@ -56,7 +56,7 @@ class SemiMetricReport:
         }
 
 
-def semi_metric_parameter(D: np.ndarray, tol: float = MATRIX_TOL) -> SemiMetricReport:
+def semi_metric_parameter(D: np.ndarray) -> SemiMetricReport:
     """Smallest sigma with d(i,j) <= sigma*(d(i,k)+d(k,j)) over all triples.
 
     A positive entry whose every two-leg path has zero length yields the
@@ -71,8 +71,8 @@ def semi_metric_parameter(D: np.ndarray, tol: float = MATRIX_TOL) -> SemiMetricR
     off_diagonal = ~np.eye(n, dtype=bool)
     for i in range(n):
         denom = D[i] + D.T  # [j, k] = d(i,k) + d(k,j)
-        legs = (denom > tol) & off_diagonal & off_diagonal[i]  # k != i, j
-        positive = off_diagonal[i] & (D[i] > tol)
+        legs = (denom > MATRIX_TOL) & off_diagonal & off_diagonal[i]  # k != i, j
+        positive = off_diagonal[i] & (D[i] > MATRIX_TOL)
         stuck = positive & ~legs.any(axis=1)
         if stuck.any():
             j = int(np.argmax(stuck))
@@ -134,7 +134,7 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return total
 
 
-def js_divergence_matrix(distributions: Sequence[Sequence[float]], tol: float = 1e-9) -> np.ndarray:
+def js_divergence_matrix(distributions: Sequence[Sequence[float]]) -> np.ndarray:
     """Pairwise JS divergences of probability vectors as a distance matrix."""
     probs = np.asarray(distributions, dtype=float)
     if probs.ndim != 2:
@@ -142,7 +142,7 @@ def js_divergence_matrix(distributions: Sequence[Sequence[float]], tol: float = 
     for idx, p in enumerate(probs):
         if np.any(p < 0):
             raise ValidationError(f"distribution {idx} has a negative entry")
-        if abs(p.sum() - 1.0) > tol:
+        if abs(p.sum() - 1.0) > 1e-9:
             raise ValidationError(f"distribution {idx} sums to {p.sum()!r}, not 1")
     n = probs.shape[0]
     D = np.zeros((n, n))

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import metric
 from .errors import GuardError, ValidationError
 
 TABLE_GUARD = 20  # largest n for anything that visits all 2^n subsets
@@ -82,8 +83,8 @@ def check_mask(mask: int, n: int) -> None:
         raise ValidationError(f"mask {mask:#x} out of range for ground set of size {n}")
 
 
-def close(a: float, b: float, rel: float = REL_TOL, floor: float = ABS_TOL) -> bool:
-    return abs(a - b) <= max(floor, rel * max(abs(a), abs(b)))
+def close(a: float, b: float) -> bool:
+    return abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
 
 
 class SetFunctionOracle:
@@ -96,7 +97,6 @@ class SetFunctionOracle:
             raise ValidationError(f"ground set size {n} is below 1")
         self.n = n
         self._table: np.ndarray | None = None
-        self._exact_tables = None  # diag.ExactTables, built on first use
 
     def _raw_value(self, mask: int) -> float:
         raise NotImplementedError
@@ -160,9 +160,7 @@ class DiversityFunction(SetFunctionOracle):
         distance = np.asarray(distance, dtype=float)
         n = distance.shape[0]
         super().__init__(n)
-        from .metric import validate_distance
-
-        self.distance = validate_distance(distance)
+        self.distance = metric.validate_distance(distance)
         self.kind = "diversity" if weights is None else "diversity_plus_modular"
         weights = np.zeros(n) if weights is None else np.asarray(weights, dtype=float)
         if weights.shape != (n,):

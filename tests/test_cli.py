@@ -109,6 +109,20 @@ def test_inputs_digest_hashes_the_instance_bytes_and_the_options(tmp_path):
         {"instance_sha256": sha, "tolerance": 1e-6, "n_max": 10})
 
 
+def test_verify_digest_covers_its_flags(tmp_path):
+    digests = {}
+    for flags in (["--samples", "20"], ["--samples", "2"], ["--seed", "3"], ["--n-max", "3"],
+                  []):
+        _, rep = run(["verify", "matroid", *flags], tmp_path, "rep.json")
+        digests[tuple(flags)] = json.loads(rep.read_text())["inputs_digest"]
+    _, rep = run(["verify", "matching"], tmp_path, "rep.json")
+    digests["matching"] = json.loads(rep.read_text())["inputs_digest"]
+    assert digests[()] == digests[("--samples", "20")]  # the default samples
+    assert len(set(digests.values())) == 5
+    assert digests[()] == cli.digest({"suite": "matroid", "samples": 20, "seed": 0,
+                                      "n_max": diag.DEFAULT_N_MAX})
+
+
 def test_solve_does_not_serialise_the_instance_again(tmp_path, monkeypatch):
     _, inst = run(["gen", "metric-random", "--n", "62", "--r", "20", "--seed", "1"], tmp_path,
                   "inst.json")
@@ -219,7 +233,7 @@ def test_a_failed_allocation_exits_3_with_one_guard_line(monkeypatch, capsys):
 
 
 def test_exit_code_property_failure(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "verify_matching_suite", lambda rng, samples: [{"bad": True}])
+    monkeypatch.setitem(cli.SUITES, "matching", (lambda rng, samples, n: [{"bad": True}], 6))
     assert cli.main(["verify", "matching", "--out", str(tmp_path / "v.json")]) == 4
 
 
@@ -251,6 +265,17 @@ def test_verify_rejects_negative_counts(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
     assert "must be at least" in capsys.readouterr().err
+
+
+def test_analyze_rejects_a_negative_n_max(tmp_path, capsys):
+    _, inst = run(["gen", "metric-random", "--n", "5", "--seed", "1"], tmp_path, "inst.json")
+    out = tmp_path / "a.json"
+    capsys.readouterr()
+    assert cli.main(["analyze", str(inst), "--n-max", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: --n-max must be at least 0, got -1\n"
+    _, rep = run(["analyze", str(inst), "--n-max", "0"], tmp_path, "a.json")  # 0 always skips
+    assert "skipped" in json.loads(rep.read_text())["results"]
 
 
 def test_gen_rejects_negative_seed(capsys):
@@ -369,6 +394,9 @@ def _diversity_doc(D, weights=None, r=2):
 
 
 HUGE = [[0.0 if i == j else 1e308 for j in range(4)] for i in range(4)]
+# every 5-element set is worth 1e308, so the second differences at a 4-element
+# base are finite and the matching's total of them is not
+FIVES = [1e308 if mask.bit_count() == 5 else mask.bit_count() + 0.001 * mask for mask in range(64)]
 
 
 @pytest.mark.parametrize("doc, solve_code", [
@@ -381,7 +409,10 @@ HUGE = [[0.0 if i == j else 1e308 for j in range(4)] for i in range(4)]
     ({"n": 3, "function": {"kind": "table",
                            "values": [0, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308, 1e308]},
       "matroid": {"kind": "uniform", "r": 2}}, 2),  # the differences
-], ids=["diversity-total", "coverage-total", "analyze-slack", "analyze-power", "table"])
+    ({"n": 6, "function": {"kind": "table", "values": FIVES},
+      "matroid": {"kind": "uniform", "r": 4}}, 2),  # the matching total
+], ids=["diversity-total", "coverage-total", "analyze-slack", "analyze-power", "table",
+        "matching-total"])
 def test_overflowing_instances_exit_2_without_a_report(doc, solve_code, tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(doc))
