@@ -2,8 +2,9 @@
 property verification, all emitting deterministic JSON reports.
 
 Exit codes: 0 success, 2 invalid input (including magnitudes that overflow
-floating point, and a report that cannot be written), 3 size/iteration guard
-exceeded or an allocation that failed, 4 property failure.
+floating point, and a report that cannot be written, also to a pipe whose
+reader has gone), 3 size/iteration guard exceeded or an allocation that
+failed, 4 property failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import reprlib
 import sys
 import time
@@ -207,14 +209,21 @@ def make_report(args, results: dict, work: dict, instance_sha256: str | None = N
 
 
 def write(text: str, args) -> None:
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w") as f:
                 f.write(text)
-        except OSError as exc:
-            raise ValidationError(f"cannot write report: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a reader that has gone shows here, not at exit
+    except OSError as exc:
+        if not args.out:
+            # what stdout still holds goes to the null device, so that the
+            # flush at interpreter exit prints nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ValidationError(f"cannot write report: {exc}") from exc
 
 
 def emit(doc: dict, args) -> None:

@@ -20,6 +20,7 @@ from .setfn import ABS_TOL, REL_TOL, SetFunctionOracle, elements_of
 
 DEFAULT_N_MAX = 14  # the default --n-max of analyze and verify
 GRADIENT_SAMPLE_POINTS = 10  # sets R drawn by the gradient-growth check
+STEPS = (0.25, 0.5, 1.0)  # ... and the steps eps it takes from 1_R along u
 
 
 class ExactTables:
@@ -59,8 +60,11 @@ class ExactTables:
         return self.A[self.rows_from(i).start + j - i - 1]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad F(x), one dot product per row of B: a matrix product may sum in another order."""
+        """grad F(x), one dot product per row of B: a matrix product may sum in
+        another order. On a stack of points, one gradient per point."""
         p = self.probabilities(x)
+        if p.ndim > 1:
+            return np.array([[b @ q for b in self.B] for q in p])
         return np.array([b @ p for b in self.B])
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
@@ -73,10 +77,13 @@ class ExactTables:
         return H
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
-        """p_x over all masks; bit k of the index is element k."""
-        p = np.array([1.0])
+        """p_x over all masks; bit k of the index is element k. On a stack of
+        points (one per row), one row of p per point."""
+        x = np.asarray(x, dtype=float)
+        p = np.ones(x.shape[:-1] + (1,))
         for i in range(self.n):
-            p = np.concatenate([p * (1.0 - x[i]), p * x[i]])
+            xi = x[..., i, None]
+            p = np.concatenate([p * (1.0 - xi), p * xi], axis=-1)
         return p
 
 
@@ -260,34 +267,57 @@ def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int
     """B_i(R) = f({i}) + sum_j A_{i v_j}(prefix) for sampled orderings of every R.
 
     Each draw is one permutation of the ground set, and every R is walked in
-    the order it inherits from it, all masks at once. Elements outside R add
-    an exact zero, so each mask's total is bit for bit the scalar walk over R.
+    the order it inherits from it. With v the last element of R in that
+    order, total(R) = total(R - v) + A_iv(R - v), so one subset doubling per
+    element i builds every R's total from f({i}), all draws at once: step p
+    adds the draw's p-th element to the sets of its first p elements. Each
+    total adds the terms of R in its walk order, so it is bit for bit the
+    scalar walk over R. The one `+ 0.0` turns a -0.0 total into 0.0, as the
+    walk's exact zero for an element outside R would.
     """
     t = _tables(fn)
+    size = 1 << t.n
     rng = np.random.default_rng(seed)
     perms = [[int(v) for v in rng.permutation(t.n)] for _ in range(orderings)]
+    # A draw's column q stands for the set of its elements at the positions
+    # that are the bits of q. `sets` holds that set's mask, and `source` the
+    # flat index of the term its last element v adds, A_iv(set - v), in the
+    # n x 2^n block whose row v is A_iv.
+    order = np.array(perms, dtype=np.int64).reshape(orderings, t.n)
+    sets = np.zeros((orderings, size), dtype=np.int64)
+    source = np.zeros((orderings, size), dtype=np.int64)
+    for p in range(t.n):
+        h, v = 1 << p, order[:, p, None]
+        source[:, h:2 * h] = v * size + sets[:, :h]
+        sets[:, h:2 * h] = sets[:, :h] | 1 << v
+    by_mask = np.empty_like(sets)  # the flat index in (draw, column) of each (draw, mask)
+    np.put_along_axis(by_mask, sets, np.arange(size), axis=1)
+    by_mask += np.arange(orderings)[:, None] * size
+    block = np.empty((t.n, size))
     worst = 0.0
     witness: dict = {}
     for i in range(t.n):
+        for v, row in enumerate(block):
+            row[:] = t.seconds(i, v)
+        total = np.take(block, source)
+        total[:, 0] = t.values[1 << i]
+        for p in range(t.n):
+            h = 1 << p
+            np.add(total[:, :h], total[:, h:2 * h], out=total[:, h:2 * h])
+        total = np.take(total, by_mask) + 0.0
         b = t.B[i]
-        totals, failed = [], []
-        for perm in perms:
-            total = np.full(1 << t.n, t.values[1 << i])
-            before = 0
-            for v in perm:
-                total += np.where(t.inside[v], t.seconds(i, v)[t.masks & before], 0.0)
-                before |= 1 << v
-            err = np.abs(total - b)
-            worst = max(worst, float(err.max()))
-            totals.append(total)
-            failed.append(err > np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(total), np.abs(b))))
-        if not witness and np.any(failed):
+        err = np.abs(total - b)
+        # a running max over each draw's largest error, which is NaN (and passed
+        # over) when any of its errors is
+        worst = max([worst, *err.max(axis=1).tolist()])
+        failed = err > np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(total), np.abs(b)))
+        if not witness and failed.any():
             # the first failure in (mask, draw) order, as a scalar walk meets it
-            mask = int(np.argmax(np.any(failed, axis=0)))
-            k = next(k for k in range(len(perms)) if failed[k][mask])
+            mask = int(np.argmax(failed.any(axis=0)))
+            k = int(np.argmax(failed[:, mask]))
             witness = {"i": i, "R": elements_of(mask),
-                       "order": [v for v in perms[k] if t.inside[v, mask]],
-                       "lhs": float(b[mask]), "rhs": float(totals[k][mask])}
+                       "order": [v for v in perms[k] if mask >> v & 1],
+                       "lhs": float(b[mask]), "rhs": float(total[k, mask])}
     return LemmaCheck("discrete_integral", not witness, worst_slack=worst, detail=witness)
 
 
@@ -358,9 +388,9 @@ def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaChec
         u = np.maximum(ind, x) - ind
         if u.sum() <= 0:
             continue
-        base = float(u @ t.gradient(ind))
-        for eps in (0.25, 0.5, 1.0):
-            moved = float(u @ t.gradient(ind + eps * u))
+        points = [ind, *(ind + eps * u for eps in STEPS)]
+        base, *ahead = (float(u @ g) for g in t.gradient(points))
+        for eps, moved in zip(STEPS, ahead):
             for name, rhs in (
                 ("power_of_two", cap * base),
                 ("norm_ratio", ((r + eps * float(u.sum())) / r) ** (4.0 * gamma) * base),

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -219,6 +220,32 @@ def test_an_unwritable_out_exits_2_with_one_error_line(argv, tmp_path, capsys):
         out_text, err = capsys.readouterr()
         assert out_text == "" and err.startswith("error: cannot write report: ")
         assert err.count("\n") == 1
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write fails as on a closed pipe.
+    Its descriptor is a file of the test's own, which the CLI may redirect."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(fd))
+        assert cli.main(["gen", "metric-random", "--n", "5"]) == 2
+        # what stdout still buffers now goes to the null device at exit
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == "error: cannot write report: [Errno 32] Broken pipe\n"
 
 
 def test_a_failed_allocation_exits_3_with_one_guard_line(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from metasub.diag import (
     ExactTables,
     GammaReport,
     LemmaCheck,
+    _check_gradient_growth,
     _check_kleinberg,
     _tables,
     check_discrete_integral,
@@ -31,7 +33,9 @@ from metasub.setfn import (
     mask_of,
 )
 from util import (
+    awkward_diversities,
     fresh_oracles,
+    loop_gradient_growth,
     marginal,
     multilinear,
     random_coverage,
@@ -232,28 +236,42 @@ def test_discrete_integral_modular_and_random():
         assert check_discrete_integral(random_mixed_oracle(rng, 6)).passed
 
 
-def scalar_discrete_integral(fn, orderings, seed):
+def scalar_discrete_integral(t, orderings, seed):
     """Reference: one Python walk per (i, R, ordering) over the same seeded
-    permutations, each R taken in the order it inherits from them."""
-    t = ExactTables(fn)
+    permutations, each R taken in the order it inherits from them, where an
+    element outside R adds an exact 0.0. The worst slack is a running
+    maximum over each (i, draw)'s largest error, NaN if any error is; the
+    witness is the first failure in (i, mask, draw) order."""
     rng = np.random.default_rng(seed)
-    perms = [rng.permutation(fn.n) for _ in range(orderings)]
-    passed, worst = True, 0.0
-    for i in range(fn.n):
-        b = t.B[i]
-        for mask in range(1 << fn.n):
-            for perm in perms:
-                total = t.values[1 << i]
-                prefix = 0
+    perms = [[int(v) for v in rng.permutation(t.n)] for _ in range(orderings)]
+    worst, witness = 0.0, {}
+    for i in range(t.n):
+        rows = [t.seconds(i, v).tolist() for v in range(t.n)]
+        b = t.B[i].tolist()
+        errors = [[] for _ in perms]
+        for mask in range(1 << t.n):
+            for k, perm in enumerate(perms):
+                total, prefix = float(t.values[1 << i]), 0
                 for v in perm:
-                    if (mask >> int(v)) & 1:
-                        total += float(t.seconds(i, int(v))[prefix])
-                        prefix |= 1 << int(v)
+                    if mask >> v & 1:
+                        total += rows[v][prefix]
+                        prefix |= 1 << v
+                    else:
+                        total += 0.0
                 err = abs(total - b[mask])
-                if err > max(ABS_TOL, REL_TOL * max(abs(total), abs(b[mask]))):
-                    passed = False
-                worst = max(worst, err)
-    return passed, worst
+                errors[k].append(err)
+                if not witness and err > max(ABS_TOL, REL_TOL * max(abs(total), abs(b[mask]))):
+                    witness = {"i": i, "R": elements_of(mask),
+                               "order": [v for v in perm if mask >> v & 1],
+                               "lhs": b[mask], "rhs": total}
+        for errs in errors:
+            worst = max(worst, math.nan if any(map(math.isnan, errs)) else max(errs))
+    return LemmaCheck("discrete_integral", not witness, worst_slack=worst, detail=witness)
+
+
+def text(report):
+    """The report's JSON: it tells -0.0 from 0.0, and NaN matches NaN."""
+    return json.dumps(report.to_dict(), sort_keys=True)
 
 
 def test_discrete_integral_matches_scalar_walk():
@@ -262,9 +280,42 @@ def test_discrete_integral_matches_scalar_walk():
         n = 4 + trial % 4
         fn = random_mixed_oracle(rng, n)
         check = check_discrete_integral(fn, orderings=3, seed=trial)
-        passed, worst = scalar_discrete_integral(fn, 3, trial)
-        assert check.passed is passed
-        assert check.worst_slack == worst
+        assert text(check) == text(scalar_discrete_integral(_tables(fn), 3, trial))
+
+
+def test_discrete_integral_matches_scalar_walk_on_awkward_and_failing_tables():
+    def cases():
+        yield from reduction_cases()  # n=1 (no pairs), overflow and NaN tables among them
+        rng = np.random.default_rng(28)
+        for n in (2, 4, 6):
+            yield from awkward_diversities(rng, n)
+
+    outcomes = set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for shift in (0.0, 1e-6, 1.0):
+            for case, fn in enumerate(cases()):
+                t = _tables(fn)
+                if shift:  # every third pair's A_ij: the walks through it fail
+                    t.A[::3] += shift
+                check = check_discrete_integral(fn, orderings=3, seed=case)
+                assert text(check) == text(scalar_discrete_integral(t, 3, case)), (shift, case)
+                outcomes.add((fn.n, shift, check.passed))
+    assert {(1, 1.0, True), (8, 0.0, True), (8, 1e-6, False), (8, 1.0, False)} <= outcomes
+    # f({0}) = -0.0 and B_0 shifted by 1: the walk over R = {} fails at once, and
+    # its total is 0.0, as the walk adds the 0.0 of each element outside R
+    fn = TableFunction([0.0, -0.0, 0.5, 2.0])
+    t = _tables(fn)
+    t.B[0] += 1.0
+    check = check_discrete_integral(fn)
+    assert text(check) == text(scalar_discrete_integral(t, 3, 0))
+    assert (check.detail["R"], math.copysign(1.0, check.detail["rhs"])) == ([], 1.0)
+    # with seed 0, the draws that meet a NaN error also meet an error of 2.0,
+    # which the NaN voids: the worst slack is that of the other draws
+    fn = TableFunction([0.0, -1.0, 0.0, 1e308, 1e308, 1.0, -1.0, -1e308])
+    with np.errstate(invalid="ignore", over="ignore"):
+        check = check_discrete_integral(fn, seed=0)
+        assert text(check) == text(scalar_discrete_integral(_tables(fn), 3, 0))
+    assert check.worst_slack == 0.0
 
 
 def test_discrete_integral_reports_a_failure():
@@ -456,10 +507,6 @@ def test_tables_match_the_gathered_differences():
 
 
 def test_reductions_match_the_pair_loops():
-    def text(report):
-        # the report's JSON: it tells -0.0 from 0.0, and NaN matches NaN
-        return json.dumps(report.to_dict(), sort_keys=True)
-
     kinds, monotone = set(), set()
     with np.errstate(invalid="ignore", over="ignore"):
         for fn in reduction_cases():
@@ -475,6 +522,30 @@ def test_reductions_match_the_pair_loops():
                 assert _check_kleinberg(t, got[0]) == loop_kleinberg(t, want[0])
     assert kinds == {(True, False), (False, True), (False, False)}
     assert monotone == {True, False}
+
+
+def test_probabilities_and_gradient_on_a_stack_match_each_point():
+    rng = np.random.default_rng(29)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for fn in reduction_cases():
+            t = _tables(fn)
+            points = rng.random((5, fn.n))
+            points[0] = rng.random(fn.n) < 0.5  # a vertex of the cube, as 1_R
+            points[1] = np.where(points[0], 1.0, points[1] * 0.25)  # a step from it
+            p, grad = t.probabilities(points), t.gradient(points)
+            assert p.shape == (5, 1 << fn.n) and grad.shape == (5, fn.n)
+            for k, x in enumerate(points):
+                assert p[k].tobytes() == t.probabilities(x).tobytes(), (fn.n, k)
+                assert grad[k].tobytes() == t.gradient(x).tobytes(), (fn.n, k)
+
+
+def test_gradient_growth_matches_the_per_point_loop():
+    with np.errstate(invalid="ignore", over="ignore"):
+        for case, fn in enumerate(reduction_cases()):
+            t = _tables(fn)
+            for gamma in (0.0, 1.0, 2.5):
+                got = _check_gradient_growth(t, gamma, seed=case)
+                assert text(got) == text(loop_gradient_growth(t, gamma, case)), (case, gamma)
 
 
 def test_verify_lemmas_skips_when_hypotheses_fail():

@@ -1,8 +1,11 @@
 """Shared instance generators, brute-force oracles and scalar references for
 the tests."""
 
+import math
+
 import numpy as np
 
+from metasub.diag import GRADIENT_SAMPLE_POINTS, LemmaCheck, _leq
 from metasub.matching import exhaustive_matching  # noqa: F401 (re-exported)
 from metasub.metric import MATRIX_TOL, SemiMetricReport, euclidean
 from metasub.setfn import (
@@ -11,6 +14,7 @@ from metasub.setfn import (
     SetFunctionOracle,
     TableFunction,
     WeightedSumFunction,
+    elements_of,
     iter_elements,
 )
 
@@ -118,6 +122,41 @@ def rank(M, mask: int) -> int:
 def multilinear(t, x) -> float:
     """F(x) by full enumeration over the value table of ExactTables t."""
     return float(t.values @ t.probabilities(np.asarray(x, dtype=float)))
+
+
+def loop_gradient_growth(t, gamma: float, seed: int) -> LemmaCheck:
+    """Reference gradient-growth check: one gradient call per point, the
+    indicator 1_R first and then each step along u."""
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    passed = True
+    detail: dict = {}
+    cap = 2.0 ** (4.0 * gamma)
+    for _ in range(GRADIENT_SAMPLE_POINTS):
+        mask = int(rng.integers(1, 1 << t.n))
+        r = mask.bit_count()
+        ind = np.array([(mask >> i) & 1 for i in range(t.n)], dtype=float)
+        x = rng.random(t.n)
+        x *= min(1.0, r / max(x.sum(), 1e-12)) * rng.random()
+        u = np.maximum(ind, x) - ind
+        if u.sum() <= 0:
+            continue
+        base = float(u @ t.gradient(ind))
+        for eps in (0.25, 0.5, 1.0):
+            moved = float(u @ t.gradient(ind + eps * u))
+            for name, rhs in (
+                ("power_of_two", cap * base),
+                ("norm_ratio", ((r + eps * float(u.sum())) / r) ** (4.0 * gamma) * base),
+            ):
+                slack = moved - rhs
+                if slack > worst:
+                    worst = slack
+                    detail = {"bound": name, "R": elements_of(mask), "eps": eps,
+                              "lhs": moved, "rhs": rhs}
+                if not _leq(moved, rhs):
+                    passed = False
+    return LemmaCheck("gradient_growth", passed, worst_slack=None if worst == -math.inf else worst,
+                      detail=detail)
 
 
 def loop_semi_metric_parameter(D: np.ndarray, tol: float = MATRIX_TOL) -> SemiMetricReport:
