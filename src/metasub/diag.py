@@ -5,6 +5,9 @@ one ExactTables per oracle: the meta-submodularity parameter, the
 monotonicity/curvature classification, the gradient and Hessian of the
 multilinear extension, one-sided-smoothness checks, and a battery of
 structural-inequality checks (lemma_checks).
+
+Overflow has one rule: ExactTables raises OverflowError when max |f| is above
+the largest float over 8n, and below that bound no reduction here meets a NaN.
 """
 
 from __future__ import annotations
@@ -26,11 +29,19 @@ STEPS = (0.25, 0.5, 1.0)  # ... and the steps eps it takes from 1_R along u
 class ExactTables:
     """Every B_i and A_ij of one oracle over all masks, built once: `B` is n x 2^n, and
     `A` holds one row per pair i < j in row-major order (`pairs`). Bit k of a mask
-    index is element k. n is bounded by the value table's guard, the only one."""
+    index is element k. n is bounded by the value table's guard, max |f| by the bound below."""
 
     def __init__(self, fn: SetFunctionOracle):
         n = self.n = fn.n
         v = self.values = fn.value_table()
+        # m = max |f| bounds |B| by 2m and |A| by 4m, and no ratio numerator |S| A_ij,
+        # walk total f({i}) + sum A_iv or k-difference of A exceeds (4n + 1) m, which
+        # this bound keeps below the largest float: nothing in the layer becomes NaN
+        # (a gamma past the float range can still be +inf)
+        bound = np.finfo(float).max / (8 * n)
+        if not np.abs(v).max() <= bound:  # a NaN fails too
+            raise OverflowError(f"the value table's largest |f| is above {bound:.3g}, "
+                                f"the largest float over 8n at n={n}")
         self.masks = np.arange(1 << n, dtype=np.int64)
         self.inside = ((self.masks >> np.arange(n)[:, None]) & 1).astype(bool)
         self.sizes = self.inside.sum(axis=0)
@@ -60,12 +71,11 @@ class ExactTables:
         return self.A[self.rows_from(i).start + j - i - 1]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad F(x), one dot product per row of B: a matrix product may sum in
-        another order. On a stack of points, one gradient per point."""
+        """grad F(x), one dot product per row of B and point: a matrix product may
+        sum in another order. On a stack of points, one gradient per point."""
         p = self.probabilities(x)
-        if p.ndim > 1:
-            return np.array([[b @ q for b in self.B] for q in p])
-        return np.array([b @ p for b in self.B])
+        return np.array([[b @ q for b in self.B] for q in p.reshape(-1, p.shape[-1])]
+                        ).reshape(np.shape(x))
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of F(x): E_x[A_ij] at (i, j) and (j, i), zero diagonal, one
@@ -142,14 +152,9 @@ def gamma_parameter(fn: SetFunctionOracle) -> GammaReport:
         ratio[~active] = -np.inf
         at[rows] = ratio.argmax(axis=1)
         top[rows] = np.take_along_axis(ratio, at[rows, None], axis=1)[:, 0]
-    live = ~np.isneginf(top)  # an active term's ratio is >= 0, or NaN
-    if not live.any():
+    if np.isneginf(top).all():
         return GammaReport(0.0, vacuous=True)
-    # a running strict maximum over the pairs keeps the first live pair's
-    # ratio when it is NaN (an overflowed table), and passes over later NaN
-    p = int(np.argmax(live))
-    if not np.isnan(top[p]):
-        p = int(np.nanargmax(top))
+    p = int(np.argmax(top))
     return GammaReport(float(top[p]), witness=(int(at[p]), *map(int, t.pairs[p])))
 
 
@@ -203,8 +208,7 @@ def classify(fn: SetFunctionOracle) -> ClassificationReport:
 
 def _first_beyond(rows: np.ndarray, sign: int) -> tuple[int, int, float] | None:
     """(row, column, value) of the first row whose first maximum (sign 1) or
-    minimum (sign -1) lies beyond ABS_TOL in that direction, or None. A NaN
-    extreme, which argmax and argmin find first, never does."""
+    minimum (sign -1) lies beyond ABS_TOL in that direction, or None."""
     at = (rows.argmax if sign > 0 else rows.argmin)(axis=1)
     top = np.take_along_axis(rows, at[:, None], axis=1)[:, 0]
     hit = np.flatnonzero(sign * top > ABS_TOL)
@@ -242,8 +246,8 @@ def check_expectation_inequality(fn: SetFunctionOracle, x, i: int, j: int, sigma
     """Residual of |x|_1 H_ij(x) <= sigma (grad_i(x) + grad_j(x))."""
     x = np.asarray(x, dtype=float)
     t = _tables(fn)
-    p = t.probabilities(x)
-    return float(x.sum()) * float(t.seconds(i, j) @ p) - sigma * float(t.B[i] @ p + t.B[j] @ p)
+    grad = t.gradient(x)
+    return float(x.sum()) * float(t.hessian(x)[i, j]) - sigma * float(grad[i] + grad[j])
 
 
 @dataclass(frozen=True)
@@ -307,9 +311,7 @@ def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int
         total = np.take(total, by_mask) + 0.0
         b = t.B[i]
         err = np.abs(total - b)
-        # a running max over each draw's largest error, which is NaN (and passed
-        # over) when any of its errors is
-        worst = max([worst, *err.max(axis=1).tolist()])
+        worst = max(worst, float(err.max()))
         failed = err > np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(total), np.abs(b)))
         if not witness and failed.any():
             # the first failure in (mask, draw) order, as a scalar walk meets it
@@ -329,8 +331,9 @@ def lemma_checks(
     seed: int = 0,
 ) -> dict[str, LemmaCheck]:
     """Structural-inequality battery, given the oracle's classification and
-    gamma reports; checks skip (and say so) when their hypotheses fail. The
-    keys keep the battery's order, which orders the `verify lemmas` failures."""
+    gamma reports; checks skip (and say so) when their hypotheses fail. Each
+    key is its check's name, in the battery's order, which orders the
+    `verify lemmas` failures."""
     t = _tables(fn)
     marg_sum = sum(t.inside[i] * t.B[i] for i in range(t.n))  # B_i(R-i) == B_i(R)
     big = t.sizes >= 2
@@ -341,25 +344,23 @@ def lemma_checks(
             return check(g.gamma)
         return LemmaCheck(name, None, skipped_reason="needs a monotone function with finite gamma")
 
-    checks = {"discrete_integral": check_discrete_integral(fn, seed=seed)}
-    checks["marginal_sum_bound"] = with_gamma("marginal_sum_bound", lambda gamma: (
-        _marginal_sum_check("marginal_sum_bound", t, marg_sum, 5.0 * gamma + 2.0, big)
-        if big.any() else
-        LemmaCheck("marginal_sum_bound", None, skipped_reason="needs two or more elements")))
-    if not cls.second_order_submodular or float(t.values.min()) < -ABS_TOL:
-        checks["second_order_marginal_bound"] = LemmaCheck(
-            "second_order_marginal_bound", None,
-            skipped_reason="needs a non-negative second-order-submodular function")
-    else:
-        checks["second_order_marginal_bound"] = _marginal_sum_check(
-            "second_order_marginal_bound", t, marg_sum, 2.0, slice(None))
-    checks["gradient_growth"] = with_gamma(
-        "gradient_growth", lambda gamma: _check_gradient_growth(t, gamma, seed))
-    checks["kleinberg_equivalence"] = _check_kleinberg(t, g)
+    checks = [
+        check_discrete_integral(fn, seed=seed),
+        with_gamma("marginal_sum_bound", lambda gamma: (
+            _marginal_sum_check("marginal_sum_bound", t, marg_sum, 5.0 * gamma + 2.0, big)
+            if big.any() else
+            LemmaCheck("marginal_sum_bound", None, skipped_reason="needs two or more elements"))),
+        LemmaCheck("second_order_marginal_bound", None,
+                   skipped_reason="needs a non-negative second-order-submodular function")
+        if not cls.second_order_submodular or float(t.values.min()) < -ABS_TOL else
+        _marginal_sum_check("second_order_marginal_bound", t, marg_sum, 2.0, slice(None)),
+        with_gamma("gradient_growth", lambda gamma: _check_gradient_growth(t, gamma, seed)),
+        _check_kleinberg(t, g),
+    ]
     if matroid is not None:
-        checks["pair_seed_bound"] = with_gamma(
-            "pair_seed_bound", lambda gamma: _check_pair_seed(fn, matroid, gamma))
-    return checks
+        checks.append(with_gamma(
+            "pair_seed_bound", lambda gamma: _check_pair_seed(fn, matroid, gamma)))
+    return {check.name: check for check in checks}
 
 
 def _marginal_sum_check(name: str, t: ExactTables, marg_sum, factor: float, rows) -> LemmaCheck:

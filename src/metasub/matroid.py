@@ -122,25 +122,24 @@ class UniformMatroid(MatroidOracle):
         r = check_integer(r, "uniform rank r")
         if r < 0:
             raise ValidationError("rank bound must be non-negative")
-        self.r = min(r, n)
-        self.rank = self.r
-        self.min_circuit_size = self.r + 1 if n > self.r else None
+        self.rank = min(r, n)
+        self.min_circuit_size = self.rank + 1 if n > self.rank else None
 
     def is_independent(self, mask: int) -> bool:
         check_mask(mask, self.n)
-        return mask.bit_count() <= self.r
+        return mask.bit_count() <= self.rank
 
     def swap_feasible(self, mask: int) -> np.ndarray:
         # a swap keeps |S|
         check_mask(mask, self.n)
         size = mask.bit_count()
-        return np.full((size, self.n - size), size <= self.r)
+        return np.full((size, self.n - size), size <= self.rank)
 
     def pair_feasible(self) -> np.ndarray:
-        return ~np.eye(self.n, dtype=bool) & (self.r >= 2)
+        return ~np.eye(self.n, dtype=bool) & (self.rank >= 2)
 
     def _fill_independence(self) -> np.ndarray:
-        return subset_sizes(self.n) <= self.r
+        return subset_sizes(self.n) <= self.rank
 
 
 class PartitionMatroid(MatroidOracle):
@@ -221,7 +220,6 @@ class GraphicMatroid(MatroidOracle):
         super().__init__(len(self.edges))
         if num_vertices < 1:
             raise ValidationError("graph needs at least one vertex")
-        self.num_vertices = num_vertices
         for u, v in self.edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValidationError(f"edge {reprlib.repr((u, v))} references unknown vertex")

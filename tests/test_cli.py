@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from metasub import cli, diag
+from util import OVERFLOWING_TABLE
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -431,7 +432,7 @@ FIVES = [1e308 if mask.bit_count() == 5 else mask.bit_count() + 0.001 * mask for
     ({"n": 2, "function": {"kind": "coverage", "incidence": [[0], [1]],
                            "universe_weights": [1e308, 1e308]},
       "matroid": {"kind": "uniform", "r": 2}}, 2),
-    (_diversity_doc([[0.0, 0.0], [0.0, 0.0]], weights=[0.0, 1e308], r=0), 0),  # a slack
+    (_diversity_doc([[0.0, 0.0], [0.0, 0.0]], weights=[0.0, 1e308], r=0), 0),  # the bound
     (_diversity_doc([[0.0, 0.0, 1.0], [0.0, 0.0, 1e154], [1.0, 1e154, 0.0]], r=0), 0),  # gamma
     ({"n": 3, "function": {"kind": "table",
                            "values": [0, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308, 1e308]},
@@ -454,6 +455,19 @@ def test_overflowing_instances_exit_2_without_a_report(doc, solve_code, tmp_path
             assert not out.exists()
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err
+
+
+def test_analyze_refuses_a_table_past_the_bound(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 5, "function": {"kind": "table", "values": OVERFLOWING_TABLE},
+                                "matroid": {"kind": "uniform", "r": 2}}))
+    code, out = run(["analyze", str(inst)], tmp_path)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: the instance's magnitudes overflow floating point: ")
+    # without the exhaustive diagnostics no value table is built, and no bound applies
+    assert run(["analyze", str(inst), "--n-max", "4"], tmp_path)[0] == 0
 
 
 MATROIDS = {

@@ -33,6 +33,7 @@ from metasub.setfn import (
     mask_of,
 )
 from util import (
+    OVERFLOWING_TABLE,
     awkward_diversities,
     fresh_oracles,
     loop_gradient_growth,
@@ -239,18 +240,16 @@ def test_discrete_integral_modular_and_random():
 def scalar_discrete_integral(t, orderings, seed):
     """Reference: one Python walk per (i, R, ordering) over the same seeded
     permutations, each R taken in the order it inherits from them, where an
-    element outside R adds an exact 0.0. The worst slack is a running
-    maximum over each (i, draw)'s largest error, NaN if any error is; the
-    witness is the first failure in (i, mask, draw) order."""
+    element outside R adds an exact 0.0. The worst slack is the largest
+    error; the witness is the first failure in (i, mask, draw) order."""
     rng = np.random.default_rng(seed)
     perms = [[int(v) for v in rng.permutation(t.n)] for _ in range(orderings)]
     worst, witness = 0.0, {}
     for i in range(t.n):
         rows = [t.seconds(i, v).tolist() for v in range(t.n)]
         b = t.B[i].tolist()
-        errors = [[] for _ in perms]
         for mask in range(1 << t.n):
-            for k, perm in enumerate(perms):
+            for perm in perms:
                 total, prefix = float(t.values[1 << i]), 0
                 for v in perm:
                     if mask >> v & 1:
@@ -259,18 +258,16 @@ def scalar_discrete_integral(t, orderings, seed):
                     else:
                         total += 0.0
                 err = abs(total - b[mask])
-                errors[k].append(err)
+                worst = max(worst, err)
                 if not witness and err > max(ABS_TOL, REL_TOL * max(abs(total), abs(b[mask]))):
                     witness = {"i": i, "R": elements_of(mask),
                                "order": [v for v in perm if mask >> v & 1],
                                "lhs": b[mask], "rhs": total}
-        for errs in errors:
-            worst = max(worst, math.nan if any(map(math.isnan, errs)) else max(errs))
     return LemmaCheck("discrete_integral", not witness, worst_slack=worst, detail=witness)
 
 
 def text(report):
-    """The report's JSON: it tells -0.0 from 0.0, and NaN matches NaN."""
+    """The report's JSON, which tells -0.0 from 0.0."""
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
@@ -285,21 +282,20 @@ def test_discrete_integral_matches_scalar_walk():
 
 def test_discrete_integral_matches_scalar_walk_on_awkward_and_failing_tables():
     def cases():
-        yield from reduction_cases()  # n=1 (no pairs), overflow and NaN tables among them
+        yield from reduction_cases()  # n=1, with no pairs, among them
         rng = np.random.default_rng(28)
         for n in (2, 4, 6):
             yield from awkward_diversities(rng, n)
 
     outcomes = set()
-    with np.errstate(invalid="ignore", over="ignore"):
-        for shift in (0.0, 1e-6, 1.0):
-            for case, fn in enumerate(cases()):
-                t = _tables(fn)
-                if shift:  # every third pair's A_ij: the walks through it fail
-                    t.A[::3] += shift
-                check = check_discrete_integral(fn, orderings=3, seed=case)
-                assert text(check) == text(scalar_discrete_integral(t, 3, case)), (shift, case)
-                outcomes.add((fn.n, shift, check.passed))
+    for shift in (0.0, 1e-6, 1.0):
+        for case, fn in enumerate(cases()):
+            t = _tables(fn)
+            if shift:  # every third pair's A_ij: the walks through it fail
+                t.A[::3] += shift
+            check = check_discrete_integral(fn, orderings=3, seed=case)
+            assert text(check) == text(scalar_discrete_integral(t, 3, case)), (shift, case)
+            outcomes.add((fn.n, shift, check.passed))
     assert {(1, 1.0, True), (8, 0.0, True), (8, 1e-6, False), (8, 1.0, False)} <= outcomes
     # f({0}) = -0.0 and B_0 shifted by 1: the walk over R = {} fails at once, and
     # its total is 0.0, as the walk adds the 0.0 of each element outside R
@@ -309,13 +305,6 @@ def test_discrete_integral_matches_scalar_walk_on_awkward_and_failing_tables():
     check = check_discrete_integral(fn)
     assert text(check) == text(scalar_discrete_integral(t, 3, 0))
     assert (check.detail["R"], math.copysign(1.0, check.detail["rhs"])) == ([], 1.0)
-    # with seed 0, the draws that meet a NaN error also meet an error of 2.0,
-    # which the NaN voids: the worst slack is that of the other draws
-    fn = TableFunction([0.0, -1.0, 0.0, 1e308, 1e308, 1.0, -1.0, -1e308])
-    with np.errstate(invalid="ignore", over="ignore"):
-        check = check_discrete_integral(fn, seed=0)
-        assert text(check) == text(scalar_discrete_integral(_tables(fn), 3, 0))
-    assert check.worst_slack == 0.0
 
 
 def test_discrete_integral_reports_a_failure():
@@ -462,7 +451,7 @@ def loop_kleinberg(t, g):
 
 def reduction_cases():
     """Oracles for the array reductions: mixed kinds, non-monotone tables,
-    exact ties, infinite gamma, and tables whose differences overflow."""
+    exact ties and infinite gamma."""
     rng = np.random.default_rng(27)
     for n in (1, 2, 3, 6, 8):
         for _ in range(6):
@@ -478,6 +467,16 @@ def reduction_cases():
         # while B_0({2}) + B_1({2}) = 0: gamma is infinite
         yield TableFunction(rng.random(1 << n) * ((np.arange(1 << n) & 3) == 3))
     yield TableFunction([0.0, -ABS_TOL, ABS_TOL, ABS_TOL])  # B_0 and A_01 on the tolerance
+
+
+def overflow_cases():
+    """Tables past the bound: their differences, sums or ratios would overflow."""
+    rng = np.random.default_rng(27)
+    yield TableFunction(OVERFLOWING_TABLE)
+    yield TableFunction([0.0, -1.0, 0.0, 1e308, 1e308, 1.0, -1.0, -1e308])
+    # 2e308 - 2e308: the value table itself holds a NaN
+    yield WeightedSumFunction([(TableFunction([0.0, 1e308]), 2.0),
+                               (TableFunction([0.0, -1e308]), 2.0)])
     for n in (3, 4, 5):
         huge = rng.choice([-1e308, 1e308, 0.0, 1.0], size=1 << n)
         huge[0] = 0.0
@@ -485,67 +484,88 @@ def reduction_cases():
         sizes = np.array([mask.bit_count() for mask in range(1 << n)])
         for _ in range(12):
             # supermodular near the largest float: some |S| A_ij(S) and
-            # B_i(S) + B_j(S) both overflow, so some ratios are NaN
+            # B_i(S) + B_j(S) both overflow
             yield TableFunction(sizes**2 / n**2 * 1.79e308 * rng.uniform(0.5, 1.0, 1 << n))
+
+
+def test_tables_past_the_bound_raise_overflow():
+    with np.errstate(over="ignore", invalid="ignore"):  # the weighted sum's own table
+        for fn in overflow_cases():
+            for diagnostic in (ExactTables, gamma_parameter, classify, check_discrete_integral):
+                with pytest.raises(OverflowError, match="largest float over 8n"):
+                    diagnostic(fn)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_the_value_table_bound_is_inclusive(n):
+    bound = np.finfo(float).max / (8 * n)
+    rng = np.random.default_rng(n)
+    sizes = np.array([mask.bit_count() for mask in range(1 << n)])
+    # random signs, and a supermodular table whose gamma is a finite ratio at n=5
+    for values in (rng.uniform(-bound, bound, 1 << n),
+                   sizes**2 / n**2 * bound * rng.uniform(0.5, 1.0, 1 << n)):
+        values[0], values[-1] = 0.0, bound
+        fn = TableFunction(values)
+        with np.errstate(invalid="raise"):  # no reduction meets a NaN
+            g, cls = gamma_parameter(fn), classify(fn)
+            lemma_checks(fn, cls, g)
+            _check_gradient_growth(_tables(fn), 1.0, seed=0)
+        values[-1] = np.nextafter(bound, np.inf)
+        with pytest.raises(OverflowError):
+            ExactTables(TableFunction(values))
 
 
 def test_tables_match_the_gathered_differences():
     # the scalar definitions, gathered per element and pair over all masks
-    with np.errstate(invalid="ignore", over="ignore"):
-        for fn in reduction_cases():
-            t, v = ExactTables(fn), fn.value_table()
-            for i in range(fn.n):
-                bi = 1 << i
-                np.testing.assert_array_equal(t.B[i], v[t.masks | bi] - v[t.masks & ~bi])
-                np.testing.assert_array_equal(t.seconds(i, i), np.zeros(1 << fn.n))
-                for j in range(i + 1, fn.n):
-                    bj = 1 << j
-                    base = t.masks & ~bi & ~bj
-                    want = v[base | bi | bj] - v[base | bi] - v[base | bj] + v[base]
-                    np.testing.assert_array_equal(t.seconds(i, j), want)
-                    np.testing.assert_array_equal(t.seconds(j, i), want)
+    for fn in reduction_cases():
+        t, v = ExactTables(fn), fn.value_table()
+        for i in range(fn.n):
+            bi = 1 << i
+            np.testing.assert_array_equal(t.B[i], v[t.masks | bi] - v[t.masks & ~bi])
+            np.testing.assert_array_equal(t.seconds(i, i), np.zeros(1 << fn.n))
+            for j in range(i + 1, fn.n):
+                bj = 1 << j
+                base = t.masks & ~bi & ~bj
+                want = v[base | bi | bj] - v[base | bi] - v[base | bj] + v[base]
+                np.testing.assert_array_equal(t.seconds(i, j), want)
+                np.testing.assert_array_equal(t.seconds(j, i), want)
 
 
 def test_reductions_match_the_pair_loops():
     kinds, monotone = set(), set()
-    with np.errstate(invalid="ignore", over="ignore"):
-        for fn in reduction_cases():
-            t = ExactTables(fn)
-            want = loop_gamma(t), loop_classify(t)
-            got = gamma_parameter(fn), classify(fn)
-            kinds.add((got[0].vacuous, got[0].is_infinite))
-            monotone.add(got[1].monotone)
-            assert list(map(text, got)) == list(map(text, want))
-            assert text(_check_kleinberg(t, got[0])) == text(loop_kleinberg(t, want[0]))
-            if not np.isnan(got[0].gamma):
-                assert got == want
-                assert _check_kleinberg(t, got[0]) == loop_kleinberg(t, want[0])
+    for fn in reduction_cases():
+        t = ExactTables(fn)
+        want = loop_gamma(t), loop_classify(t)
+        got = gamma_parameter(fn), classify(fn)
+        kinds.add((got[0].vacuous, got[0].is_infinite))
+        monotone.add(got[1].monotone)
+        assert list(map(text, got)) == list(map(text, want))
+        assert got == want
+        assert _check_kleinberg(t, got[0]) == loop_kleinberg(t, want[0])
     assert kinds == {(True, False), (False, True), (False, False)}
     assert monotone == {True, False}
 
 
 def test_probabilities_and_gradient_on_a_stack_match_each_point():
     rng = np.random.default_rng(29)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for fn in reduction_cases():
-            t = _tables(fn)
-            points = rng.random((5, fn.n))
-            points[0] = rng.random(fn.n) < 0.5  # a vertex of the cube, as 1_R
-            points[1] = np.where(points[0], 1.0, points[1] * 0.25)  # a step from it
-            p, grad = t.probabilities(points), t.gradient(points)
-            assert p.shape == (5, 1 << fn.n) and grad.shape == (5, fn.n)
-            for k, x in enumerate(points):
-                assert p[k].tobytes() == t.probabilities(x).tobytes(), (fn.n, k)
-                assert grad[k].tobytes() == t.gradient(x).tobytes(), (fn.n, k)
+    for fn in reduction_cases():
+        t = _tables(fn)
+        points = rng.random((5, fn.n))
+        points[0] = rng.random(fn.n) < 0.5  # a vertex of the cube, as 1_R
+        points[1] = np.where(points[0], 1.0, points[1] * 0.25)  # a step from it
+        p, grad = t.probabilities(points), t.gradient(points)
+        assert p.shape == (5, 1 << fn.n) and grad.shape == (5, fn.n)
+        for k, x in enumerate(points):
+            assert p[k].tobytes() == t.probabilities(x).tobytes(), (fn.n, k)
+            assert grad[k].tobytes() == t.gradient(x).tobytes(), (fn.n, k)
 
 
 def test_gradient_growth_matches_the_per_point_loop():
-    with np.errstate(invalid="ignore", over="ignore"):
-        for case, fn in enumerate(reduction_cases()):
-            t = _tables(fn)
-            for gamma in (0.0, 1.0, 2.5):
-                got = _check_gradient_growth(t, gamma, seed=case)
-                assert text(got) == text(loop_gradient_growth(t, gamma, case)), (case, gamma)
+    for case, fn in enumerate(reduction_cases()):
+        t = _tables(fn)
+        for gamma in (0.0, 1.0, 2.5):
+            got = _check_gradient_growth(t, gamma, seed=case)
+            assert text(got) == text(loop_gradient_growth(t, gamma, case)), (case, gamma)
 
 
 def test_verify_lemmas_skips_when_hypotheses_fail():

@@ -18,6 +18,12 @@ from metasub.setfn import (
     iter_elements,
 )
 
+# 5 elements, 124 of whose 320 second differences are infinite: past the value
+# table's bound
+OVERFLOWING_TABLE = [0, 0, 1e308, 1e308, -1e308, 1, 1, 0, 1e308, 0, 1, 1, -1e308, 1e308, 1,
+                     1e308, -1e308, -1e308, -1e308, -1e308, -1e308, 1, 0, 0, -1e308, 1, 0,
+                     1e308, 1e308, 1, 1e308, 0]
+
 
 def random_metric(rng, n: int, dim: int = 3) -> np.ndarray:
     return euclidean(rng.standard_normal((n, dim)))
