@@ -8,6 +8,8 @@ structural-inequality checks (lemma_checks).
 
 Overflow has one rule: ExactTables raises OverflowError when max |f| is above
 the largest float over 8n, and below that bound no reduction here meets a NaN.
+Zero has one rule: a difference of f is zero when its size is at most
+ExactTables.tol = 1e-12 max(1, max |f|), which grows with f as its rounding does.
 """
 
 from __future__ import annotations
@@ -37,11 +39,18 @@ class ExactTables:
         # m = max |f| bounds |B| by 2m and |A| by 4m, and no ratio numerator |S| A_ij,
         # walk total f({i}) + sum A_iv or k-difference of A exceeds (4n + 1) m, which
         # this bound keeps below the largest float: nothing in the layer becomes NaN
-        # (a gamma past the float range can still be +inf)
         bound = np.finfo(float).max / (8 * n)
-        if not np.abs(v).max() <= bound:  # a NaN fails too
+        m = float(np.abs(v).max())
+        if not m <= bound:  # a NaN fails too
             raise OverflowError(f"the value table's largest |f| is above {bound:.3g}, "
                                 f"the largest float over 8n at n={n}")
+        # the one zero rule: a difference is zero when it is at most tol in size. Each
+        # difference tested here sums at most 4n + 1 entries of size <= m whose partial
+        # sums stay within 4m (a walk's partial totals are B's), so its rounding is
+        # below 11n m 2^-53, 2.5e-14 m at n = 20. tol grows with f as that rounding
+        # does, so scaling f by a power of two leaves every zero test as it was once m >= 1.
+        # A denominator above tol also keeps gamma = |S| A / (B_i + B_j) below 4n 10^12
+        self.tol = ABS_TOL * max(1.0, m)
         self.masks = np.arange(1 << n, dtype=np.int64)
         self.inside = ((self.masks >> np.arange(n)[:, None]) & 1).astype(bool)
         self.sizes = self.inside.sum(axis=0)
@@ -141,9 +150,9 @@ def gamma_parameter(fn: SetFunctionOracle) -> GammaReport:
     for i in range(t.n):
         rows = t.rows_from(i)
         a = t.A[rows]
-        active = nonempty & (a > ABS_TOL)
+        active = nonempty & (a > t.tol)
         den = t.B[i] + t.B[i + 1:]
-        bad = active & (den <= ABS_TOL)
+        bad = active & (den <= t.tol)
         if bad.any():
             r, mask = divmod(int(np.argmax(bad)), 1 << t.n)
             return GammaReport(0.0, is_infinite=True, witness=(mask, i, i + 1 + r))
@@ -178,12 +187,12 @@ def classify(fn: SetFunctionOracle) -> ClassificationReport:
     """
     t = _tables(fn)
     witnesses: dict = {}
-    hit = _first_beyond(t.B, -1)
+    hit = _first_beyond(t.B, -1, t.tol)
     if hit:
         i, mask, b = hit
         witnesses["monotone"] = {"i": i, "S": elements_of(mask), "B": b}
     for name, sign in (("submodular", 1), ("supermodular", -1)):
-        hit = _first_beyond(t.A, sign)
+        hit = _first_beyond(t.A, sign, t.tol)
         if hit:
             p, mask, a = hit
             i, j = map(int, t.pairs[p])
@@ -192,7 +201,8 @@ def classify(fn: SetFunctionOracle) -> ClassificationReport:
     second = None
     for k in range(t.n):
         v = t.A.reshape(len(t.pairs), 1 << (t.n - 1 - k), 2, 1 << k)
-        hit = _first_beyond((v[:, :, 1] - v[:, :, 0]).reshape(len(t.pairs), 1 << (t.n - 1)), 1)
+        hit = _first_beyond((v[:, :, 1] - v[:, :, 0]).reshape(len(t.pairs), 1 << (t.n - 1)), 1,
+                            t.tol)
         if hit and (second is None or hit[0] < second[0]):
             second = (*hit, k)
     if second:
@@ -206,12 +216,12 @@ def classify(fn: SetFunctionOracle) -> ClassificationReport:
                                 "supermodular" not in witnesses, second is None, witnesses)
 
 
-def _first_beyond(rows: np.ndarray, sign: int) -> tuple[int, int, float] | None:
+def _first_beyond(rows: np.ndarray, sign: int, tol: float) -> tuple[int, int, float] | None:
     """(row, column, value) of the first row whose first maximum (sign 1) or
-    minimum (sign -1) lies beyond ABS_TOL in that direction, or None."""
+    minimum (sign -1) lies beyond tol in that direction, or None."""
     at = (rows.argmax if sign > 0 else rows.argmin)(axis=1)
     top = np.take_along_axis(rows, at[:, None], axis=1)[:, 0]
-    hit = np.flatnonzero(sign * top > ABS_TOL)
+    hit = np.flatnonzero(sign * top > tol)
     return (int(hit[0]), int(at[hit[0]]), float(top[hit[0]])) if hit.size else None
 
 
@@ -312,7 +322,7 @@ def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int
         b = t.B[i]
         err = np.abs(total - b)
         worst = max(worst, float(err.max()))
-        failed = err > np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(total), np.abs(b)))
+        failed = err > t.tol
         if not witness and failed.any():
             # the first failure in (mask, draw) order, as a scalar walk meets it
             mask = int(np.argmax(failed.any(axis=0)))
@@ -352,7 +362,7 @@ def lemma_checks(
             LemmaCheck("marginal_sum_bound", None, skipped_reason="needs two or more elements"))),
         LemmaCheck("second_order_marginal_bound", None,
                    skipped_reason="needs a non-negative second-order-submodular function")
-        if not cls.second_order_submodular or float(t.values.min()) < -ABS_TOL else
+        if not cls.second_order_submodular or float(t.values.min()) < -t.tol else
         _marginal_sum_check("second_order_marginal_bound", t, marg_sum, 2.0, slice(None)),
         with_gamma("gradient_growth", lambda gamma: _check_gradient_growth(t, gamma, seed)),
         _check_kleinberg(t, g),
@@ -374,12 +384,13 @@ def _marginal_sum_check(name: str, t: ExactTables, marg_sum, factor: float, rows
 
 def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaCheck:
     """Directional-derivative growth along 1_R -> 1_R + u, two bounds at once:
-    the 2^(4*gamma) cap and the (norm ratio)^(2*sigma) cap with sigma = 2*gamma."""
+    the 2^(4*gamma) cap and the (norm ratio)^(2*sigma) cap with sigma = 2*gamma.
+    A cap past the float range is +inf: that bound holds and is never the witness."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     passed = True
     detail: dict = {}
-    cap = 2.0 ** (4.0 * gamma)
+    cap = search.growth(2.0, gamma)
     for _ in range(GRADIENT_SAMPLE_POINTS):
         mask = int(rng.integers(1, 1 << t.n))
         r = mask.bit_count()
@@ -392,10 +403,11 @@ def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaChec
         points = [ind, *(ind + eps * u for eps in STEPS)]
         base, *ahead = (float(u @ g) for g in t.gradient(points))
         for eps, moved in zip(STEPS, ahead):
-            for name, rhs in (
-                ("power_of_two", cap * base),
-                ("norm_ratio", ((r + eps * float(u.sum())) / r) ** (4.0 * gamma) * base),
+            for name, power in (
+                ("power_of_two", cap),
+                ("norm_ratio", search.growth((r + eps * float(u.sum())) / r, gamma)),
             ):
+                rhs = power * base if base else base  # a zero derivative bounds by 0, not inf * 0
                 slack = moved - rhs
                 if slack > worst:
                     worst = slack
@@ -416,9 +428,9 @@ def _check_kleinberg(t: ExactTables, g: GammaReport) -> LemmaCheck:
     """
     nonempty = t.sizes > 0
     outside_form = not any(
-        np.any(nonempty & ~t.inside[i] & ~t.inside[i + 1:] & (t.A[t.rows_from(i)] > ABS_TOL))
+        np.any(nonempty & ~t.inside[i] & ~t.inside[i + 1:] & (t.A[t.rows_from(i)] > t.tol))
         for i in range(t.n))
-    empty_ok = not np.any(t.A[:, 0] > ABS_TOL)
+    empty_ok = not np.any(t.A[:, 0] > t.tol)
     return LemmaCheck("kleinberg_equivalence", g.vacuous == (outside_form and empty_ok),
                       detail={"zero_ms": g.vacuous, "kleinberg_form": outside_form})
 

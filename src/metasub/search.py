@@ -214,13 +214,21 @@ def brute_force_opt(fn: SetFunctionOracle, M: MatroidOracle) -> tuple[int, float
     return best, float(table[best])
 
 
+def growth(x: float, gamma: float) -> float:
+    """x^(4*gamma), the growth factor of the paper's bounds; +inf past the float range."""
+    try:
+        return x ** (4.0 * gamma)
+    except OverflowError:
+        return math.inf
+
+
 def guarantee_general(gamma: float, r: int, epsilon: float, n: int) -> float:
     """Worst-case f(OPT)/f(chosen) for monotone instances with the given
     meta-submodularity parameter, from the explicit proof constants."""
     if r < 2:
         return 1.0
     head = (2.0 * gamma + r - 1.0) / (r - 1.0)
-    blow = 2.0 ** (4.0 * gamma)
+    blow = growth(2.0, gamma)
     return head * blow * (5.0 * gamma + 2.0) + 1.0 + blow * r * epsilon / (n * n)
 
 

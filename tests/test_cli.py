@@ -433,14 +433,12 @@ FIVES = [1e308 if mask.bit_count() == 5 else mask.bit_count() + 0.001 * mask for
                            "universe_weights": [1e308, 1e308]},
       "matroid": {"kind": "uniform", "r": 2}}, 2),
     (_diversity_doc([[0.0, 0.0], [0.0, 0.0]], weights=[0.0, 1e308], r=0), 0),  # the bound
-    (_diversity_doc([[0.0, 0.0, 1.0], [0.0, 0.0, 1e154], [1.0, 1e154, 0.0]], r=0), 0),  # gamma
     ({"n": 3, "function": {"kind": "table",
                            "values": [0, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308, 1e308]},
       "matroid": {"kind": "uniform", "r": 2}}, 2),  # the differences
     ({"n": 6, "function": {"kind": "table", "values": FIVES},
       "matroid": {"kind": "uniform", "r": 4}}, 2),  # the matching total
-], ids=["diversity-total", "coverage-total", "analyze-slack", "analyze-power", "table",
-        "matching-total"])
+], ids=["diversity-total", "coverage-total", "analyze-slack", "table", "matching-total"])
 def test_overflowing_instances_exit_2_without_a_report(doc, solve_code, tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(doc))
@@ -455,6 +453,38 @@ def test_overflowing_instances_exit_2_without_a_report(doc, solve_code, tmp_path
             assert not out.exists()
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err
+
+
+def _strict_results(out):
+    return json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))["results"]
+
+
+def test_analyze_power_document_has_infinite_gamma(tmp_path):
+    # marginals of 1 beside distances of 1e154: the zero rule's tolerance is
+    # 1e-12 max|f|, 2e142 here, so B_i + B_j = 1 counts as zero under a positive A_ij
+    doc = _diversity_doc([[0.0, 0.0, 1.0], [0.0, 0.0, 1e154], [1.0, 1e154, 0.0]], r=0)
+    assert diag.gamma_parameter(cli.parse_instance(doc)[0]).is_infinite
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    for command in ("solve", "analyze"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run([command, str(inst)], tmp_path, f"{command}.json")
+        assert code == 0, command
+        results = _strict_results(out)
+    assert results["gamma"]["is_infinite"]  # the analyze report
+
+
+def test_analyze_carries_a_gamma_whose_power_passes_the_float_range(tmp_path):
+    # gamma = 1000, so 2^(4 gamma) is +inf: the gradient-growth bound holds
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_diversity_doc([[0, 0, 1], [0, 0, 1000], [1, 1000, 0]])))
+    code, out = run(["analyze", str(inst)], tmp_path)
+    assert code == 0
+    results = _strict_results(out)
+    assert results["gamma"]["gamma"] == 1000.0
+    assert all(check["passed"] for check in results["lemmas"].values()), results["lemmas"]
+    assert len(results["lemmas"]) == 6
 
 
 def test_analyze_refuses_a_table_past_the_bound(tmp_path, capsys):

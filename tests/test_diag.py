@@ -25,7 +25,7 @@ from metasub.matroid import UniformMatroid
 from metasub.search import pair_seed_constant
 from metasub.setfn import (
     ABS_TOL,
-    REL_TOL,
+    CoverageFunction,
     DiversityFunction,
     TableFunction,
     WeightedSumFunction,
@@ -43,6 +43,7 @@ from util import (
     random_diversity,
     random_metric,
     random_mixed_oracle,
+    random_table,
     second_difference,
 )
 
@@ -259,7 +260,7 @@ def scalar_discrete_integral(t, orderings, seed):
                         total += 0.0
                 err = abs(total - b[mask])
                 worst = max(worst, err)
-                if not witness and err > max(ABS_TOL, REL_TOL * max(abs(total), abs(b[mask]))):
+                if not witness and err > t.tol:
                     witness = {"i": i, "R": elements_of(mask),
                                "order": [v for v in perm if mask >> v & 1],
                                "lhs": b[mask], "rhs": total}
@@ -323,6 +324,61 @@ def test_discrete_integral_reports_a_failure():
     assert check.worst_slack >= 1.0 - 1e-9
 
 
+def test_discrete_integral_passes_at_any_scale():
+    # the walks whose terms cancel leave a rounding residue that grows with f;
+    # the tolerance grows with it
+    values = random_table(np.random.default_rng(0), 5, monotone=True).value_table()
+    for scale in (1.0, 1e6, 1e12, 3 * 2.0**1000):
+        check = check_discrete_integral(TableFunction(values * scale))
+        assert check.passed, (scale, check.detail)
+
+
+def test_tolerance_scales_with_the_largest_value():
+    assert _tables(TableFunction([0.0, 0.5, -0.25, 0.0])).tol == ABS_TOL
+    assert _tables(TableFunction([0.0, 0.5, -4.0, 0.0])).tol == 4.0 * ABS_TOL
+
+
+def test_residues_within_the_tolerance_count_as_zero():
+    # f = 4 on the sets holding 1, less 3e-12 on those holding 0: within
+    # tol = 4e-12, so f is monotone and non-negative as far as the layer can tell
+    fn = TableFunction([0.0, -3e-12, 4.0, 4.0 - 3e-12])
+    cls = classify(fn)
+    assert cls.monotone and cls.second_order_submodular
+    check = lemma_checks(fn, cls, gamma_parameter(fn))["second_order_marginal_bound"]
+    assert check.passed, check
+
+
+def scaled_instances(rng, n, scale):
+    """Metric and squared diversity, coverage and a monotone table, times
+    scale; the same draws for every scale of one rng state."""
+    D = random_metric(rng, n)
+    cover = [list(np.flatnonzero(rng.random(2 * n) < 0.4)) for _ in range(n)]
+    weights = rng.random(2 * n)
+    values = random_table(rng, n, monotone=True).value_table()
+    yield DiversityFunction(D * scale)
+    yield DiversityFunction(D**2 * scale)
+    yield CoverageFunction(cover, weights * scale)
+    yield TableFunction(values * scale)
+
+
+def test_verdicts_do_not_depend_on_a_power_of_two_scale():
+    # gamma is a ratio of differences of f and the flags are their signs, so
+    # scaling f by 2^k leaves them as they were, and the lemma verdicts with them
+    def verdicts(fn):
+        g, cls = gamma_parameter(fn), classify(fn)
+        flags = (cls.monotone, cls.submodular, cls.supermodular, cls.second_order_submodular)
+        checks = lemma_checks(fn, cls, g, matroid=UniformMatroid(fn.n, 3))
+        return text(g), flags, {name: check.passed for name, check in checks.items()}
+
+    for seed in range(4):
+        for n in (4, 6, 8):
+            want = [verdicts(fn) for fn in scaled_instances(np.random.default_rng(seed), n, 1.0)]
+            for k in (10, 14, 30):
+                got = [verdicts(fn) for fn in
+                       scaled_instances(np.random.default_rng(seed), n, 2.0**k)]
+                assert got == want, (seed, n, k)
+
+
 def test_analysis_builds_one_table_per_oracle(monkeypatch):
     built = []
     init = ExactTables.__init__
@@ -384,12 +440,12 @@ def loop_gamma(t):
     for i in range(t.n):
         for j in range(i + 1, t.n):
             a = t.seconds(i, j)
-            active = nonempty & (a > ABS_TOL)
+            active = nonempty & (a > t.tol)
             if not active.any():
                 continue
             vacuous = False
             den = t.B[i] + t.B[j]
-            bad = active & (den <= ABS_TOL)
+            bad = active & (den <= t.tol)
             if bad.any():
                 return GammaReport(0.0, is_infinite=True, witness=(int(t.masks[bad][0]), i, j))
             ratio = np.where(active, t.sizes * a / np.where(active, den, 1.0), -np.inf)
@@ -406,7 +462,7 @@ def loop_classify(t):
     for i in range(t.n):
         b = t.B[i]
         k = int(np.argmin(b))
-        if b[k] < -ABS_TOL:
+        if b[k] < -t.tol:
             monotone = False
             witnesses["monotone"] = {"i": i, "S": elements_of(k), "B": float(b[k])}
             break
@@ -414,17 +470,17 @@ def loop_classify(t):
         for j in range(i + 1, t.n):
             a = t.seconds(i, j)
             hi, lo = int(np.argmax(a)), int(np.argmin(a))
-            if submodular and a[hi] > ABS_TOL:
+            if submodular and a[hi] > t.tol:
                 submodular = False
                 witnesses["submodular"] = {"i": i, "j": j, "S": elements_of(hi), "A": float(a[hi])}
-            if supermodular and a[lo] < -ABS_TOL:
+            if supermodular and a[lo] < -t.tol:
                 supermodular = False
                 witnesses["supermodular"] = {"i": i, "j": j, "S": elements_of(lo), "A": float(a[lo])}
             for k in range(t.n if second else 0):
                 bit = 1 << k
                 diff = a[t.masks | bit] - a[t.masks & ~bit]
                 w = int(np.argmax(diff))
-                if diff[w] > ABS_TOL:
+                if diff[w] > t.tol:
                     second = False
                     witnesses["second_order_submodular"] = {
                         "i": i, "j": j, "k": k, "S": elements_of(w), "delta": float(diff[w]),
@@ -441,9 +497,9 @@ def loop_kleinberg(t, g):
         for j in range(i + 1, t.n):
             a = t.seconds(i, j)
             outside = nonempty & (((t.masks >> i) & 1) == 0) & (((t.masks >> j) & 1) == 0)
-            if np.any(outside & (a > ABS_TOL)):
+            if np.any(outside & (a > t.tol)):
                 outside_form = False
-            if a[0] > ABS_TOL:
+            if a[0] > t.tol:
                 empty_ok = False
     return LemmaCheck("kleinberg_equivalence", g.vacuous == (outside_form and empty_ok),
                       detail={"zero_ms": g.vacuous, "kleinberg_form": outside_form})
@@ -563,9 +619,22 @@ def test_probabilities_and_gradient_on_a_stack_match_each_point():
 def test_gradient_growth_matches_the_per_point_loop():
     for case, fn in enumerate(reduction_cases()):
         t = _tables(fn)
-        for gamma in (0.0, 1.0, 2.5):
+        # past gamma = 256 only where the check runs, on monotone cases: elsewhere
+        # a negative derivative times an infinite power is -inf
+        for gamma in (0.0, 1.0, 2.5, 300.0) if classify(fn).monotone else (0.0, 1.0, 2.5):
             got = _check_gradient_growth(t, gamma, seed=case)
             assert text(got) == text(loop_gradient_growth(t, gamma, case)), (case, gamma)
+
+
+def test_gradient_growth_past_the_float_range():
+    # 2^(4 gamma) is +inf from gamma = 256: that bound holds and is never the
+    # witness, and a zero derivative bounds by zero rather than by inf * 0
+    flat = _check_gradient_growth(_tables(TableFunction(np.zeros(8))), 300.0, seed=0)
+    assert flat.passed and flat.worst_slack == 0.0 and flat.detail["rhs"] == 0.0
+    for seed in range(5):
+        check = _check_gradient_growth(_tables(all_ones_diversity(6)), 300.0, seed=seed)
+        assert check.passed
+        assert not check.detail or math.isfinite(check.detail["rhs"])
 
 
 def test_verify_lemmas_skips_when_hypotheses_fail():

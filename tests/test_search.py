@@ -13,6 +13,7 @@ from metasub.search import (
     SolveConfig,
     best_pair_init,
     brute_force_opt,
+    growth,
     guarantee_general,
     guarantee_supermodular,
     iteration_bound,
@@ -275,6 +276,13 @@ def test_guarantee_bounds_sanity():
     assert guarantee_supermodular(1.0, 1, 0.1, 8, c=None, second_order=True) == np.inf
     assert iteration_bound(8, 4, 1.0, 0.1) > 0
     assert iteration_bound(8, 1, 0.0, 0.1) == 0
+
+
+def test_growth_saturates_past_the_float_range():
+    assert growth(2.0, 1.0) == 16.0
+    assert growth(2.0, 255.0) == 2.0**1020
+    assert growth(2.0, 256.0) == growth(1.5, 1e6) == np.inf
+    assert guarantee_general(300.0, 4, 0.1, 8) == np.inf
 
 
 def test_end_to_end_ratio_within_guarantee():

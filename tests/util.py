@@ -8,6 +8,7 @@ import numpy as np
 from metasub.diag import GRADIENT_SAMPLE_POINTS, LemmaCheck, _leq
 from metasub.matching import exhaustive_matching  # noqa: F401 (re-exported)
 from metasub.metric import MATRIX_TOL, SemiMetricReport, euclidean
+from metasub.search import growth
 from metasub.setfn import (
     CoverageFunction,
     DiversityFunction,
@@ -137,7 +138,7 @@ def loop_gradient_growth(t, gamma: float, seed: int) -> LemmaCheck:
     worst = -math.inf
     passed = True
     detail: dict = {}
-    cap = 2.0 ** (4.0 * gamma)
+    cap = growth(2.0, gamma)
     for _ in range(GRADIENT_SAMPLE_POINTS):
         mask = int(rng.integers(1, 1 << t.n))
         r = mask.bit_count()
@@ -150,10 +151,11 @@ def loop_gradient_growth(t, gamma: float, seed: int) -> LemmaCheck:
         base = float(u @ t.gradient(ind))
         for eps in (0.25, 0.5, 1.0):
             moved = float(u @ t.gradient(ind + eps * u))
-            for name, rhs in (
-                ("power_of_two", cap * base),
-                ("norm_ratio", ((r + eps * float(u.sum())) / r) ** (4.0 * gamma) * base),
+            for name, power in (
+                ("power_of_two", cap),
+                ("norm_ratio", growth((r + eps * float(u.sum())) / r, gamma)),
             ):
+                rhs = power * base if base else base
                 slack = moved - rhs
                 if slack > worst:
                     worst = slack
