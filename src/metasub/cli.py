@@ -360,7 +360,7 @@ def verify_smoothness_suite(rng, samples: int, n: int) -> list[dict]:
             x = rng.random(n) * 0.9 + 0.05
             u = rng.random(n)
             chk = diag.check_one_sided_smooth(fn, x, u, sigma)
-            if chk.residual > 1e-9 * max(1.0, abs(chk.rhs)):
+            if chk.residual > metric.scaled_tol(metric.REL_TOL, abs(chk.rhs)):
                 failures.append({"trial": t, "check": chk.to_dict()})
             i, j = rng.integers(0, n, size=2)
             if i != j:
@@ -491,7 +491,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="structural diagnostics for an instance")
     p.add_argument("instance", nargs="?", default=None)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=1e-9,
+                   help="zero tolerance of the negative-type and square-root-metric checks, "
+                        "relative to max(1, the size they compare); 0 decides exactly")
     p.add_argument("--n-max", dest="n_max", type=int, default=diag.DEFAULT_N_MAX)
     p.set_defaults(func=cmd_analyze)
 

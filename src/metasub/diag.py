@@ -8,8 +8,10 @@ structural-inequality checks (lemma_checks).
 
 Overflow has one rule: ExactTables raises OverflowError when max |f| is above
 the largest float over 8n, and below that bound no reduction here meets a NaN.
-Zero has one rule: a difference of f is zero when its size is at most
-ExactTables.tol = 1e-12 max(1, max |f|), which grows with f as its rounding does.
+Zero has one rule, the package's metric.scaled_tol: a difference of f is zero
+when its size is at most ExactTables.tol = scaled_tol(ABS_TOL, max |f|), which
+grows with f as its rounding does, and an inequality holds up to
+scaled_tol(REL_TOL, |rhs|) (_leq).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from . import search
 from .errors import GuardError
-from .setfn import ABS_TOL, REL_TOL, SetFunctionOracle, elements_of
+from .metric import ABS_TOL, REL_TOL, scaled_tol
+from .setfn import SetFunctionOracle, elements_of
 
 DEFAULT_N_MAX = 14  # the default --n-max of analyze and verify
 GRADIENT_SAMPLE_POINTS = 10  # sets R drawn by the gradient-growth check
@@ -50,7 +53,7 @@ class ExactTables:
         # below 11n m 2^-53, 2.5e-14 m at n = 20. tol grows with f as that rounding
         # does, so scaling f by a power of two leaves every zero test as it was once m >= 1.
         # A denominator above tol also keeps gamma = |S| A / (B_i + B_j) below 4n 10^12
-        self.tol = ABS_TOL * max(1.0, m)
+        self.tol = scaled_tol(ABS_TOL, m)
         self.masks = np.arange(1 << n, dtype=np.int64)
         self.inside = ((self.masks >> np.arange(n)[:, None]) & 1).astype(bool)
         self.sizes = self.inside.sum(axis=0)
@@ -273,8 +276,8 @@ class LemmaCheck:
 
 
 def _leq(lhs, rhs):
-    """lhs <= rhs up to REL_TOL relative, elementwise on arrays."""
-    return lhs <= rhs + REL_TOL * np.maximum(1.0, np.abs(rhs))
+    """lhs <= rhs up to scaled_tol(REL_TOL, |rhs|), elementwise on arrays."""
+    return lhs <= rhs + scaled_tol(REL_TOL, np.abs(rhs))
 
 
 def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int = 0) -> LemmaCheck:
@@ -385,7 +388,9 @@ def _marginal_sum_check(name: str, t: ExactTables, marg_sum, factor: float, rows
 def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaCheck:
     """Directional-derivative growth along 1_R -> 1_R + u, two bounds at once:
     the 2^(4*gamma) cap and the (norm ratio)^(2*sigma) cap with sigma = 2*gamma.
-    A cap past the float range is +inf: that bound holds and is never the witness."""
+    A cap past the float range is +inf: that bound holds and is never the witness.
+    A derivative at 1_R sums B's with weights u, so it is zero, and bounds the
+    others by 0, when its size is at most |u|_1 tol."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     passed = True
@@ -402,12 +407,13 @@ def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaChec
             continue
         points = [ind, *(ind + eps * u for eps in STEPS)]
         base, *ahead = (float(u @ g) for g in t.gradient(points))
+        zero = abs(base) <= float(u.sum()) * t.tol
         for eps, moved in zip(STEPS, ahead):
             for name, power in (
                 ("power_of_two", cap),
                 ("norm_ratio", search.growth((r + eps * float(u.sum())) / r, gamma)),
             ):
-                rhs = power * base if base else base  # a zero derivative bounds by 0, not inf * 0
+                rhs = 0.0 if zero else power * base  # not inf * 0, nor inf times a residue
                 slack = moved - rhs
                 if slack > worst:
                     worst = slack

@@ -3,6 +3,15 @@
 Covers the semi-metric parameter (worst ratio d(i,j) / (d(i,k) + d(k,j))),
 negative-type certification via the centered quadratic form, square-root
 metric certification, and Jensen-Shannon distance matrices.
+
+This module is also the package's leaf for its one zero rule, `scaled_tol`:
+a quantity is zero when its size is at most eps * max(1, the size of the
+values it is compared among). The rounding of a sum or difference grows with
+its terms, and so does that tolerance once that size is at least 1, so the
+verdicts of the ratios sigma and gamma stay as they are when D or f is scaled
+up by a power of two.
+Validation of outside input (`validate_distance`, a table's f(empty)) keeps
+the absolute ABS_TOL.
 """
 
 from __future__ import annotations
@@ -15,7 +24,13 @@ import numpy as np
 
 from .errors import ValidationError
 
-MATRIX_TOL = 1e-12
+ABS_TOL = 1e-12  # zero among values of unit size
+REL_TOL = 1e-9  # the inequalities the checks verify hold up to this, relative
+
+
+def scaled_tol(eps, size):
+    """The one zero rule: eps * max(1, size), elementwise on arrays."""
+    return eps * np.maximum(1.0, size)
 
 
 def validate_distance(raw) -> np.ndarray:
@@ -24,11 +39,11 @@ def validate_distance(raw) -> np.ndarray:
     D = np.asarray(raw, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValidationError(f"distance matrix must be square, got shape {D.shape}")
-    diagonal = np.flatnonzero(np.abs(D.diagonal()) > MATRIX_TOL)
+    diagonal = np.flatnonzero(np.abs(D.diagonal()) > ABS_TOL)
     # non-finite cells are reported below; inf - inf is NaN, which is no asymmetry
     with np.errstate(invalid="ignore", over="ignore"):
-        asymmetric = np.argwhere(np.triu(np.abs(D - D.T) > MATRIX_TOL, 1))
-    negative = np.argwhere(D < -MATRIX_TOL)
+        asymmetric = np.argwhere(np.triu(np.abs(D - D.T) > ABS_TOL, 1))
+    negative = np.argwhere(D < -ABS_TOL)
     non_finite = ["non-finite entry"] if not np.all(np.isfinite(D)) else []
     count = len(diagonal) + len(asymmetric) + len(negative) + len(non_finite)
     if count:
@@ -62,17 +77,19 @@ def semi_metric_parameter(D: np.ndarray) -> SemiMetricReport:
     A positive entry whose every two-leg path has zero length yields the
     infinite flag. n < 3 reports sigma 0 by convention. Witnesses are the
     first in (i, j, k) order; each row i is one pass over the (j, k) plane.
+    An entry or leg sum is zero when at most scaled_tol(ABS_TOL, max |D|).
     """
     n = D.shape[0]
     if n < 3:
         return SemiMetricReport(0.0)
+    tol = scaled_tol(ABS_TOL, np.abs(D).max())
     best = 0.0
     witness = None
     off_diagonal = ~np.eye(n, dtype=bool)
     for i in range(n):
         denom = D[i] + D.T  # [j, k] = d(i,k) + d(k,j)
-        legs = (denom > MATRIX_TOL) & off_diagonal & off_diagonal[i]  # k != i, j
-        positive = off_diagonal[i] & (D[i] > MATRIX_TOL)
+        legs = (denom > tol) & off_diagonal & off_diagonal[i]  # k != i, j
+        positive = off_diagonal[i] & (D[i] > tol)
         stuck = positive & ~legs.any(axis=1)
         if stuck.any():
             j = int(np.argmax(stuck))
@@ -87,11 +104,11 @@ def semi_metric_parameter(D: np.ndarray) -> SemiMetricReport:
 
 
 def is_negative_type(D: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
-    """Decide x^T D x <= tol for all x on the sum-zero hyperplane.
+    """Decide x^T D x <= 0 for all x on the sum-zero hyperplane.
 
     Checked spectrally: the largest eigenvalue of P D P, with P the
-    centering projector, must not exceed tol. Returns the decision and
-    that eigenvalue.
+    centering projector, must not exceed scaled_tol(tol, max |D|). Returns
+    the decision and that eigenvalue.
     """
     n = D.shape[0]
     P = np.eye(n) - np.full((n, n), 1.0 / n)
@@ -100,14 +117,16 @@ def is_negative_type(D: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
     centered = (centered + centered.T) / 2.0
     eigvals = np.linalg.eigvalsh(centered)
     top = float(eigvals[-1])
-    return top <= tol, top
+    return bool(top <= scaled_tol(tol, np.abs(D).max())), top
 
 
 def is_sqrt_metric(D: np.ndarray, tol: float = 1e-9) -> tuple[bool, tuple[int, int, int] | None]:
-    """True iff the entrywise square root satisfies every triangle inequality;
+    """True iff the entrywise square root satisfies every triangle inequality
+    up to scaled_tol(tol, sqrt(max |D|)), the size of the roots it compares;
     the witness is the first broken (i, j > i, k), one row i at a time."""
     root = np.sqrt(D)
     n = D.shape[0]
+    tol = scaled_tol(tol, np.sqrt(np.abs(D).max()))
     off_diagonal = ~np.eye(n, dtype=bool)
     for i in range(n):
         # [j, k]: root(i,j) > root(i,k) + root(j,k) + tol, for k != i, j

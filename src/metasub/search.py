@@ -17,7 +17,7 @@ import numpy as np
 from .errors import GuardError, ValidationError
 from .matching import Matching, max_weight_matching_k
 from .matroid import MatroidOracle
-from .setfn import ABS_TOL, SetFunctionOracle, elements_of, split
+from .setfn import SetFunctionOracle, elements_of, split
 
 DEFAULT_EPSILON = 0.1
 DEFAULT_MAX_ITERATIONS = 1_000_000
@@ -84,9 +84,10 @@ def best_pair_init(fn: SetFunctionOracle, M: MatroidOracle) -> int:
 
 
 def _accepts(current: float, candidate: np.ndarray, threshold: float) -> np.ndarray:
-    if current > ABS_TOL:
-        return candidate >= threshold * current
-    return candidate > current + ABS_TOL
+    """The multiplicative threshold above a positive value, a strict gain
+    otherwise. Neither reads a tolerance, so f scaled by a power of two
+    accepts the same swaps."""
+    return candidate >= threshold * current if current > 0 else candidate > current
 
 
 def local_search(
@@ -99,7 +100,8 @@ def local_search(
     neighbourhood(S)).
 
     A swap S - i + j is accepted when it clears the multiplicative threshold
-    1 + epsilon/n^2 (absolute improvement when the current value is zero).
+    1 + epsilon/n^2 (any strict improvement when the current value is not
+    positive).
     Each round scores the whole neighbourhood at once and picks the first
     accepted swap in (i, j) scan order, or the first best one; evaluations
     count the feasible swaps a one-at-a-time scan would have scored.

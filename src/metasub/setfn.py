@@ -22,9 +22,6 @@ from .errors import GuardError, ValidationError
 
 TABLE_GUARD = 20  # largest n for anything that visits all 2^n subsets
 
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
-
 
 def check_integer(value, what: str) -> int:
     """A count or index: fractions, booleans and strings are rejected rather
@@ -81,10 +78,6 @@ def subset_sizes(n: int) -> np.ndarray:
 def check_mask(mask: int, n: int) -> None:
     if mask < 0 or mask >> n:
         raise ValidationError(f"mask {mask:#x} out of range for ground set of size {n}")
-
-
-def close(a: float, b: float) -> bool:
-    return abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
 
 
 class SetFunctionOracle:
@@ -265,7 +258,7 @@ class TableFunction(SetFunctionOracle):
             raise ValidationError(f"table length {size} is not a power of two >= 2")
         if not np.all(np.isfinite(values)):
             raise ValidationError("table contains non-finite values")
-        if abs(values[0]) > ABS_TOL:
+        if abs(values[0]) > metric.ABS_TOL:
             raise ValidationError("table value at the empty set must be 0")
         super().__init__(n)
         self._table = values.copy()

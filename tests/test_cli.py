@@ -2,6 +2,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -473,6 +474,51 @@ def test_analyze_power_document_has_infinite_gamma(tmp_path):
         assert code == 0, command
         results = _strict_results(out)
     assert results["gamma"]["is_infinite"]  # the analyze report
+
+
+def test_analyze_bounds_by_zero_a_derivative_within_the_zero_rule(tmp_path):
+    # f(S + 0) is f(S) less 5e-13, within tol = 1e-12: the directional derivative
+    # at 1_R is a negative residue, which times the infinite cap 2^(4 * 499) was -inf
+    values = [0, -5e-13, 1e-3, 1e-3 - 5e-13, 1e-3, 1e-3 - 5e-13, 1, 1 - 5e-13]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 3, "function": {"kind": "table", "values": values},
+                                "matroid": {"kind": "uniform", "r": 2}}))
+    code, out = run(["analyze", str(inst)], tmp_path)
+    assert code == 0
+    results = _strict_results(out)
+    assert results["gamma"]["gamma"] == 499.0
+    assert [check["passed"] for check in results["lemmas"].values()] == [True] * 6
+
+
+@pytest.mark.parametrize("kind", ["metric-random", "semimetric-power", "negtype-sqeuclid",
+                                  "js-random"])
+def test_analyze_does_not_depend_on_a_power_of_two_scale(kind, tmp_path):
+    # sigma and gamma are ratios and each zero test scales with what it compares,
+    # so D times 2^k (k even, so that the roots scale exactly too) keeps every
+    # verdict and witness; the values reported scale by 2^k
+    def analyze(doc, k):
+        doc = dict(doc, function=dict(doc["function"],
+                                      distance=np.ldexp(doc["function"]["distance"], k).tolist()))
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        assert run(["analyze", str(inst)], tmp_path)[0] == 0
+        results = _strict_results(tmp_path / "out.json")
+        metric, cls = results["metric"], results["classification"]
+        top = metric["negative_type"].pop("top_eigenvalue")
+        for witness in cls["witnesses"].values():
+            for key in set(witness) & {"A", "B", "delta"}:
+                witness[key] = math.ldexp(witness[key], -k)
+        return top, (metric, results["gamma"], cls)
+
+    for n in (3, 6, 9):
+        for seed in (0, 1):
+            _, inst = run(["gen", kind, "--n", str(n), "--seed", str(seed)], tmp_path, "gen.json")
+            doc = json.loads(inst.read_text())
+            top, want = analyze(doc, 0)
+            for k in (20, 60):
+                got_top, got = analyze(doc, k)
+                assert got == want, (n, seed, k)
+                assert math.ldexp(got_top, -k) == pytest.approx(top, abs=1e-12 * n), (n, seed, k)
 
 
 def test_analyze_carries_a_gamma_whose_power_passes_the_float_range(tmp_path):

@@ -22,9 +22,9 @@ from metasub.diag import (
 )
 from metasub.errors import GuardError
 from metasub.matroid import UniformMatroid
+from metasub.metric import ABS_TOL
 from metasub.search import pair_seed_constant
 from metasub.setfn import (
-    ABS_TOL,
     CoverageFunction,
     DiversityFunction,
     TableFunction,

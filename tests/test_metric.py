@@ -99,6 +99,29 @@ def test_semi_metric_scale_invariant():
     assert a == pytest.approx(b, rel=1e-12)
 
 
+def test_metric_verdicts_do_not_depend_on_a_power_of_two_scale():
+    # each check's zero tolerance scales with max |D| (the roots' with its root),
+    # so the rounding of a tight inequality at 2^k stays below it
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        points = rng.standard_normal((20, 3))
+        line = rng.standard_normal((8, 1))  # collinear: every root triangle is tight
+        for k in (20, 40, 60):
+            assert is_negative_type(np.ldexp(euclidean(points) ** 2, k))[0], k
+            assert is_sqrt_metric(np.ldexp(euclidean(line) ** 2, 2 * k)) == (True, None), k
+        D = random_metric(rng, 8) ** float(rng.choice([1.0, 2.0, 3.0]))
+        want = semi_metric_parameter(D)
+        for k in (20, 60):
+            assert semi_metric_parameter(np.ldexp(D, k)) == want, k
+
+
+def test_a_zero_tolerance_decides_exactly():
+    # tol 0 scales to 0: a root triangle broken by one part in 10^12 is broken
+    D = np.array([[0.0, 4.0 * (1 + 1e-12), 1.0], [4.0 * (1 + 1e-12), 0.0, 1.0], [1.0, 1.0, 0.0]])
+    assert is_sqrt_metric(D)[0]
+    assert is_sqrt_metric(D, 0.0) == (False, (0, 1, 2))
+
+
 def test_negative_type_squared_euclidean():
     rng = np.random.default_rng(1)
     for seed in range(5):

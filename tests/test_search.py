@@ -23,16 +23,16 @@ from metasub.search import (
     solve,
 )
 from metasub.setfn import (
-    ABS_TOL,
+    CoverageFunction,
     DiversityFunction,
     SetFunctionOracle,
     TableFunction,
-    close,
     elements_of,
     mask_of,
 )
 from util import (
     awkward_diversities,
+    close,
     fresh_oracles,
     loop_brute_force_opt,
     random_coverage,
@@ -108,13 +108,36 @@ def test_trace_values_increase_multiplicatively():
     prev = fn.value(start)
     factor = 1 + cfg.epsilon / 81
     for step in trace:
-        if prev > 1e-12:
+        if prev > 0:
             assert step["value"] >= factor * prev * (1 - 1e-12)
         else:
             assert step["value"] > prev
         prev = step["value"]
         removed, inserted = step["removed"], step["inserted"]
         assert 0 <= removed < 9 and 0 <= inserted < 9
+
+
+def test_solve_does_not_depend_on_a_power_of_two_scale():
+    # the acceptance rule reads no tolerance, and f times 2^k is exact short of
+    # subnormal values, so the search takes the same swaps at every scale
+    def run(fn):
+        result = solve(fn, UniformMatroid(30, 8))
+        moves = [(step["iteration"], step["removed"], step["inserted"]) for step in result.trace]
+        return result.chosen, result.S_prime, result.iterations, result.evaluations, moves
+
+    swaps = {}
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        D = random_metric(rng, 30)
+        cover = [list(np.flatnonzero(rng.random(60) < 0.05)) for _ in range(30)]
+        weights = rng.random(60)
+        for kind, make in (("diversity", lambda s: DiversityFunction(np.ldexp(D, s))),
+                           ("coverage", lambda s: CoverageFunction(cover, np.ldexp(weights, s)))):
+            want = run(make(0))
+            swaps[kind] = swaps.get(kind, 0) + want[2]
+            for k in (-1000, -50, 60, 900):
+                assert run(make(k)) == want, (kind, seed, k)
+    assert min(swaps.values()) > 0, swaps
 
 
 def test_trace_replay_preserves_independence():
@@ -351,7 +374,7 @@ def scalar_local_search(fn, M, S, config):
                     continue
                 v = fn.value(cand)
                 evaluations += 1
-                if v >= threshold * current if current > ABS_TOL else v > current + ABS_TOL:
+                if v >= threshold * current if current > 0 else v > current:
                     if pick is None or v > pick[2]:
                         pick = (i, j, v)
                     if config.pivot == "first":

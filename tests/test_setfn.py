@@ -9,13 +9,13 @@ from metasub.setfn import (
     SetFunctionOracle,
     TableFunction,
     WeightedSumFunction,
-    close,
     elements_of,
     mask_of,
     split,
 )
 from util import (
     awkward_diversities,
+    close,
     fresh_oracles,
     random_coverage,
     random_metric,

@@ -7,7 +7,7 @@ import numpy as np
 
 from metasub.diag import GRADIENT_SAMPLE_POINTS, LemmaCheck, _leq
 from metasub.matching import exhaustive_matching  # noqa: F401 (re-exported)
-from metasub.metric import MATRIX_TOL, SemiMetricReport, euclidean
+from metasub.metric import ABS_TOL, REL_TOL, SemiMetricReport, euclidean, scaled_tol
 from metasub.search import growth
 from metasub.setfn import (
     CoverageFunction,
@@ -24,6 +24,11 @@ from metasub.setfn import (
 OVERFLOWING_TABLE = [0, 0, 1e308, 1e308, -1e308, 1, 1, 0, 1e308, 0, 1, 1, -1e308, 1e308, 1,
                      1e308, -1e308, -1e308, -1e308, -1e308, -1e308, 1, 0, 0, -1e308, 1, 0,
                      1e308, 1e308, 1, 1e308, 0]
+
+
+def close(a: float, b: float) -> bool:
+    """a and b agree up to REL_TOL relative, or ABS_TOL near zero."""
+    return abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
 
 
 def random_metric(rng, n: int, dim: int = 3) -> np.ndarray:
@@ -149,13 +154,14 @@ def loop_gradient_growth(t, gamma: float, seed: int) -> LemmaCheck:
         if u.sum() <= 0:
             continue
         base = float(u @ t.gradient(ind))
+        zero = abs(base) <= float(u.sum()) * t.tol
         for eps in (0.25, 0.5, 1.0):
             moved = float(u @ t.gradient(ind + eps * u))
             for name, power in (
                 ("power_of_two", cap),
                 ("norm_ratio", growth((r + eps * float(u.sum())) / r, gamma)),
             ):
-                rhs = power * base if base else base
+                rhs = 0.0 if zero else power * base
                 slack = moved - rhs
                 if slack > worst:
                     worst = slack
@@ -167,13 +173,15 @@ def loop_gradient_growth(t, gamma: float, seed: int) -> LemmaCheck:
                       detail=detail)
 
 
-def loop_semi_metric_parameter(D: np.ndarray, tol: float = MATRIX_TOL) -> SemiMetricReport:
+def loop_semi_metric_parameter(D: np.ndarray) -> SemiMetricReport:
     """Reference sigma by a triple loop in (i, j, k) order: the witness is the
     first strict maximum, and the first positive entry with no positive
-    two-leg path returns the infinite flag at once."""
+    two-leg path returns the infinite flag at once. Zero is at most
+    scaled_tol(ABS_TOL, max |D|)."""
     n = D.shape[0]
     if n < 3:
         return SemiMetricReport(0.0)
+    tol = scaled_tol(ABS_TOL, max(abs(float(d)) for d in D.flat))
     best = 0.0
     witness = None
     for i in range(n):
@@ -198,10 +206,12 @@ def loop_semi_metric_parameter(D: np.ndarray, tol: float = MATRIX_TOL) -> SemiMe
 
 
 def loop_is_sqrt_metric(D: np.ndarray, tol: float = 1e-9):
-    """Reference square-root-metric test by a triple loop: the first broken
-    (i, j > i, k) in loop order, or None."""
+    """Reference square-root-metric test by a triple loop, up to
+    scaled_tol(tol, the largest root): the first broken (i, j > i, k) in
+    loop order, or None."""
     root = np.sqrt(D)
     n = D.shape[0]
+    tol = scaled_tol(tol, math.sqrt(max(abs(float(d)) for d in D.flat)))
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
