@@ -16,7 +16,6 @@ from .setfn import (
     DiversityFunction,
     SetFunctionOracle,
     TableFunction,
-    WeightedSumFunction,
     elements_of,
     mask_of,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "DiversityFunction",
     "CoverageFunction",
     "TableFunction",
-    "WeightedSumFunction",
     "mask_of",
     "elements_of",
     "SolveConfig",

@@ -159,7 +159,11 @@ def generate_distance(kind: str, n: int, rng, args) -> tuple[np.ndarray, float, 
     if kind == "semimetric-power":
         if not 1.0 <= args.power < np.inf:
             raise ValidationError(f"--power must be a finite number at least 1, got {args.power}")
-        return D ** args.power, 2.0 ** (args.power - 1), {"power": args.power}
+        try:
+            sigma = 2.0 ** (args.power - 1)
+        except OverflowError:  # +inf past the float range, as in search.growth: emit refuses it
+            sigma = np.inf
+        return D ** args.power, sigma, {"power": args.power}
     if kind == "negtype-sqeuclid":
         return D ** 2, 2.0, {"negative_type": True}
     raise ValidationError(f"unknown generator {kind!r}")

@@ -24,7 +24,7 @@ import numpy as np
 from . import search
 from .errors import GuardError
 from .metric import ABS_TOL, REL_TOL, scaled_tol
-from .setfn import SetFunctionOracle, elements_of
+from .setfn import SetFunctionOracle, elements_of, subset_sizes
 
 DEFAULT_N_MAX = 14  # the default --n-max of analyze and verify
 GRADIENT_SAMPLE_POINTS = 10  # sets R drawn by the gradient-growth check
@@ -56,7 +56,7 @@ class ExactTables:
         self.tol = scaled_tol(ABS_TOL, m)
         self.masks = np.arange(1 << n, dtype=np.int64)
         self.inside = ((self.masks >> np.arange(n)[:, None]) & 1).astype(bool)
-        self.sizes = self.inside.sum(axis=0)
+        self.sizes = subset_sizes(n)
         self.pairs = np.transpose(np.triu_indices(n, 1))
         # f(S+i) - f(S-i) and f(S+i+j) - f(S+i-j) - f(S-i+j) + f(S-i-j) on views over bits i, j
         self.B = np.empty((n, 1 << n))

@@ -266,34 +266,3 @@ class TableFunction(SetFunctionOracle):
     def _raw_value(self, mask: int) -> float:
         return float(self._table[mask])
 
-
-class WeightedSumFunction(SetFunctionOracle):
-    """Positive linear combination of oracles over a common ground set."""
-
-    kind = "weighted_sum"
-
-    def __init__(self, components: Sequence[tuple[SetFunctionOracle, float]]):
-        if not components:
-            raise ValidationError("weighted sum needs at least one component")
-        n = components[0][0].n
-        for fn, coeff in components:
-            if fn.n != n:
-                raise ValidationError("components must share the ground set size")
-            if not coeff > 0:
-                raise ValidationError(f"coefficient {coeff} must be positive")
-        super().__init__(n)
-        self.components = list(components)
-
-    def _raw_value(self, mask: int) -> float:
-        return sum(coeff * fn.value(mask) for fn, coeff in self.components)
-
-    def _fill_table(self) -> np.ndarray:
-        return sum(coeff * fn.value_table() for fn, coeff in self.components)
-
-    def neighbourhood(self, mask: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        # entry 0 adds the components' f(S) as _raw_value adds their values
-        parts = [(coeff, fn.neighbourhood(mask)) for fn, coeff in self.components]
-        return tuple(sum(coeff * values[k] for coeff, values in parts) for k in range(4))
-
-    def pair_values(self) -> np.ndarray:
-        return sum(coeff * fn.pair_values() for fn, coeff in self.components)

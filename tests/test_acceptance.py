@@ -30,12 +30,12 @@ from metasub.search import (
     iteration_bound,
     solve,
 )
-from metasub.setfn import DiversityFunction, WeightedSumFunction
 from metasub import cli
 from util import (
     euclidean,
     exhaustive_matching,
     marginal,
+    mixed_table,
     multilinear,
     random_coverage,
     random_diversity,
@@ -115,9 +115,7 @@ def test_criterion_04_gamma_class_theorems():
         ok = ok and gamma_parameter(random_diversity(rng, n)).gamma <= 1 + 1e-6
         p = 1.5 if trial % 2 else 2.0
         ok = ok and gamma_parameter(random_diversity(rng, n, power=p)).gamma <= 2 ** (p - 1) + 1e-6
-        mixed = WeightedSumFunction(
-            [(random_coverage(rng, n), 1.0), (random_diversity(rng, n), 1.0)]
-        )
+        mixed = mixed_table([(random_coverage(rng, n), 1.0), (random_diversity(rng, n), 1.0)])
         ok = ok and gamma_parameter(mixed).gamma <= 1 + 1e-6
         ok = ok and gamma_parameter(random_coverage(rng, n)).vacuous
     verdict(4, "meta-submodularity class bounds", ok, time.monotonic() - started, 60.0)

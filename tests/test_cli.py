@@ -638,6 +638,18 @@ def test_non_finite_power_exits_2(power, tmp_path, capsys):
     assert "--power must be a finite number at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("power", ["1025", "1e308"])
+def test_a_power_whose_sigma_overflows_exits_2_with_one_line(power, tmp_path, capsys):
+    # the declared sigma 2^(power - 1) passes the float range, and the report refuses it
+    out = tmp_path / "inst.json"
+    argv = ["gen", "semimetric-power", "--n", "4", "--power", power, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "(34," not in err, err
+    assert "not JSON compliant: inf" in err
+
+
 def test_every_command_runs_without_scipy(tmp_path):
     # a fresh interpreter in which any import of scipy fails
     inst = str(tmp_path / "inst.json")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import metasub
 from metasub import cli, diag
 from metasub.errors import GuardError, ValidationError
 from metasub.setfn import (
@@ -8,7 +9,6 @@ from metasub.setfn import (
     DiversityFunction,
     SetFunctionOracle,
     TableFunction,
-    WeightedSumFunction,
     elements_of,
     mask_of,
     split,
@@ -17,6 +17,7 @@ from util import (
     awkward_diversities,
     close,
     fresh_oracles,
+    mixed_table,
     random_coverage,
     random_metric,
     random_mixed_oracle,
@@ -76,28 +77,9 @@ def test_table_validation():
     assert fn.value(3) == 5.0
 
 
-def test_weighted_sum_requires_positive_coeffs_and_shared_n():
-    rng = np.random.default_rng(2)
-    a = DiversityFunction(random_metric(rng, 4))
-    b = DiversityFunction(random_metric(rng, 5))
-    with pytest.raises(ValidationError):
-        WeightedSumFunction([(a, 1.0), (b, 1.0)])
-    with pytest.raises(ValidationError):
-        WeightedSumFunction([(a, 0.0)])
-    c = DiversityFunction(random_metric(rng, 4))
-    s = WeightedSumFunction([(a, 2.0), (c, 0.5)])
-    m = mask_of([1, 3])
-    assert s.value(m) == pytest.approx(2.0 * a.value(m) + 0.5 * c.value(m))
-
-
-def test_weighted_sum_value_is_the_same_before_and_after_its_table():
-    # a table may hold f(empty) within ABS_TOL of 0; value must not shift by it
-    table = TableFunction([5e-13, 0.1, 0.2, 0.35, 0.4, 0.55, 0.6, 0.9])
-    coverage = CoverageFunction([[0], [1], [0, 2]], [0.5, 0.25, 0.125])
-    fn = WeightedSumFunction([(table, 1.0), (coverage, 2.0)])
-    before = [fn.value(mask) for mask in range(8)]
-    fn.value_table()
-    assert [fn.value(mask) for mask in range(8)] == before
+def test_public_names_resolve():
+    missing = [name for name in metasub.__all__ if not hasattr(metasub, name)]
+    assert not missing, missing
 
 
 def test_values_are_the_same_bits_before_and_after_the_table():
@@ -216,8 +198,8 @@ def test_pair_values_overrides_match_the_neighbourhood_rows():
             *fresh_oracles(rng, n),
             DiversityFunction(D),
             DiversityFunction(D, weights=rng.random(n)),
-            WeightedSumFunction([(DiversityFunction(D, weights=rng.random(n)), 0.5),
-                                 (random_coverage(rng, n), 1.5)]),
+            mixed_table([(DiversityFunction(D, weights=rng.random(n)), 0.5),
+                         (random_coverage(rng, n), 1.5)]),
             *awkward_diversities(rng, n),
         ]
         for fn in fns:

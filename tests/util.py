@@ -14,7 +14,6 @@ from metasub.setfn import (
     DiversityFunction,
     SetFunctionOracle,
     TableFunction,
-    WeightedSumFunction,
     elements_of,
     iter_elements,
 )
@@ -57,6 +56,12 @@ def random_table(rng, n: int, monotone: bool = False):
     return TableFunction(vals)
 
 
+def mixed_table(parts) -> TableFunction:
+    """A table of mixed kind: the positive combination sum c * f over (f, c)
+    in parts, summed table by table in order."""
+    return TableFunction(sum(c * fn.value_table() for fn, c in parts))
+
+
 def random_mixed_oracle(rng, n: int) -> SetFunctionOracle:
     roll = int(rng.integers(0, 4))
     if roll == 0:
@@ -65,9 +70,7 @@ def random_mixed_oracle(rng, n: int) -> SetFunctionOracle:
         return random_coverage(rng, n)
     if roll == 2:
         return random_table(rng, n)
-    return WeightedSumFunction(
-        [(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)]
-    )
+    return mixed_table([(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)])
 
 
 def fresh_oracles(rng, n: int):
@@ -76,7 +79,7 @@ def fresh_oracles(rng, n: int):
     yield DiversityFunction(random_metric(rng, n), weights=rng.random(n))
     yield random_coverage(rng, n)
     yield random_table(rng, n)
-    yield WeightedSumFunction([(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)])
+    yield mixed_table([(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)])
 
 
 def awkward_diversities(rng, n):
@@ -93,8 +96,8 @@ def awkward_diversities(rng, n):
     weights[rng.random(n) < 0.5] = -0.0
     yield DiversityFunction(D)
     yield DiversityFunction(D, weights=weights)
-    yield WeightedSumFunction([(DiversityFunction(D, weights=weights), 0.5),
-                               (random_coverage(rng, n), 1.5)])
+    yield mixed_table([(DiversityFunction(D, weights=weights), 0.5),
+                       (random_coverage(rng, n), 1.5)])
 
 
 def marginal(fn, i: int, mask: int) -> float:
