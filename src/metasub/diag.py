@@ -29,12 +29,14 @@ from .setfn import SetFunctionOracle, elements_of, subset_sizes
 DEFAULT_N_MAX = 14  # the default --n-max of analyze and verify
 GRADIENT_SAMPLE_POINTS = 10  # sets R drawn by the gradient-growth check
 STEPS = (0.25, 0.5, 1.0)  # ... and the steps eps it takes from 1_R along u
+INTEGRAL_ORDERINGS = 3  # permutations drawn by the discrete-integral check
 
 
 class ExactTables:
-    """Every B_i and A_ij of one oracle over all masks, built once: `B` is n x 2^n, and
-    `A` holds one row per pair i < j in row-major order (`pairs`). Bit k of a mask
-    index is element k. n is bounded by the value table's guard, max |f| by the bound below."""
+    """Every B_i and A_ij of one oracle, built once: `B` is n x 2^n, bit k of a mask being
+    element k. A_ij(S) does not depend on i, j in S, so `A` holds one row per pair i < j in
+    row-major order (`pairs`) over the 2^(n-2) sets of the others (`others`). n is
+    bounded by the value table's guard, max |f| by the bound below."""
 
     def __init__(self, fn: SetFunctionOracle):
         n = self.n = fn.n
@@ -54,8 +56,6 @@ class ExactTables:
         # does, so scaling f by a power of two leaves every zero test as it was once m >= 1.
         # A denominator above tol also keeps gamma = |S| A / (B_i + B_j) below 4n 10^12
         self.tol = scaled_tol(ABS_TOL, m)
-        self.masks = np.arange(1 << n, dtype=np.int64)
-        self.inside = ((self.masks >> np.arange(n)[:, None]) & 1).astype(bool)
         self.sizes = subset_sizes(n)
         self.pairs = np.transpose(np.triu_indices(n, 1))
         # f(S+i) - f(S-i) and f(S+i+j) - f(S+i-j) - f(S-i+j) + f(S-i-j) on views over bits i, j
@@ -63,24 +63,25 @@ class ExactTables:
         for i, row in enumerate(self.B):
             w = v.reshape(-1, 2, 1 << i)
             row.reshape(w.shape)[:] = w[:, 1:] - w[:, :1]
-        self.A = np.empty((len(self.pairs), 1 << n))
+        self.A = np.empty((len(self.pairs), 1 << max(n - 2, 0)))
         for row, (i, j) in zip(self.A, self.pairs.tolist()):
             w = v.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
-            row.reshape(w.shape)[:] = (w[:, 1:, :, 1:] - w[:, :1, :, 1:]
-                                       - w[:, 1:, :, :1] + w[:, :1, :, :1])
-        self._diagonal = np.zeros(1 << n)  # A_ii, the same zero row for every i
+            row.reshape(w[:, 0, :, 0].shape)[:] = (w[:, 1, :, 1] - w[:, 0, :, 1]
+                                                   - w[:, 1, :, 0] + w[:, 0, :, 0])
 
-    def rows_from(self, i: int) -> slice:
-        """Rows of `A` that hold the pairs (i, j), j > i, in order of j."""
-        start = i * (2 * self.n - i - 1) // 2
-        return slice(start, start + self.n - 1 - i)
+    def others(self, p: int) -> tuple[int, int, list[int]]:
+        """Pair p's (i, j) and the others in order: bit b of a column of A[p] is others[b]."""
+        i, j = map(int, self.pairs[p])
+        return i, j, [k for k in range(self.n) if k != i and k != j]
 
-    def seconds(self, i: int, j: int) -> np.ndarray:
-        """Vector of A_ij over all masks."""
-        if i == j:
-            return self._diagonal
-        i, j = min(i, j), max(i, j)
-        return self.A[self.rows_from(i).start + j - i - 1]
+    def rows(self, i: int) -> np.ndarray:
+        """A new n x 2^n block whose row v is A_iv over all masks; row i is zero."""
+        block = np.zeros((self.n, 1 << self.n))
+        for a, (lo, hi) in zip(self.A, self.pairs.tolist()):
+            if i in (lo, hi):
+                w = block[lo + hi - i].reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+                w[:] = a.reshape(w[:, :1, :, :1].shape)
+        return block
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """grad F(x), one dot product per row of B and point: a matrix product may
@@ -91,11 +92,11 @@ class ExactTables:
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of F(x): E_x[A_ij] at (i, j) and (j, i), zero diagonal, one
-        dot product per row of A as `gradient` takes one per row of B."""
+        dot product per full row A_ij, i < j, as `gradient` takes one per row of B."""
         p = self.probabilities(x)
         H = np.zeros((self.n, self.n))
-        i, j = self.pairs.T
-        H[i, j] = H[j, i] = [a @ p for a in self.A]
+        for i in range(self.n):
+            H[i, i + 1:] = H[i + 1:, i] = [a @ p for a in self.rows(i)[i + 1:]]
         return H
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
@@ -148,11 +149,10 @@ def gamma_parameter(fn: SetFunctionOracle) -> GammaReport:
     """
     t = _tables(fn)
     nonempty = t.sizes > 0
-    at = np.zeros(len(t.pairs), dtype=np.int64)  # per pair, the mask of its first largest ratio
-    top = np.zeros(len(t.pairs))  # ... and that ratio, -inf where no term constrains
+    at: list[int] = []  # per pair, the mask of its first largest ratio
+    top: list[float] = []  # ... and that ratio, -inf where no term constrains
     for i in range(t.n):
-        rows = t.rows_from(i)
-        a = t.A[rows]
+        a = t.rows(i)[i + 1:]
         active = nonempty & (a > t.tol)
         den = t.B[i] + t.B[i + 1:]
         bad = active & (den <= t.tol)
@@ -162,12 +162,13 @@ def gamma_parameter(fn: SetFunctionOracle) -> GammaReport:
         den[~active] = 1.0
         ratio = np.divide(t.sizes * a, den, out=den)  # in place: the block can be large
         ratio[~active] = -np.inf
-        at[rows] = ratio.argmax(axis=1)
-        top[rows] = np.take_along_axis(ratio, at[rows, None], axis=1)[:, 0]
+        k = ratio.argmax(axis=1)
+        at += k.tolist()
+        top += ratio[np.arange(len(k)), k].tolist()
     if np.isneginf(top).all():
         return GammaReport(0.0, vacuous=True)
     p = int(np.argmax(top))
-    return GammaReport(float(top[p]), witness=(int(at[p]), *map(int, t.pairs[p])))
+    return GammaReport(top[p], witness=(at[p], *map(int, t.pairs[p])))
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def classify(fn: SetFunctionOracle) -> ClassificationReport:
     """Exhaustive sign checks of B_i, A_ij, and the A_ij set-monotonicity.
 
     Each witness is the first (i[, j, k]) whose first extreme over the masks
-    crosses the tolerance, with that extreme's mask.
+    crosses the tolerance, with that extreme's mask, which holds no i, j (or k).
     """
     t = _tables(fn)
     witnesses: dict = {}
@@ -197,23 +198,23 @@ def classify(fn: SetFunctionOracle) -> ClassificationReport:
     for name, sign in (("submodular", 1), ("supermodular", -1)):
         hit = _first_beyond(t.A, sign, t.tol)
         if hit:
-            p, mask, a = hit
-            i, j = map(int, t.pairs[p])
-            witnesses[name] = {"i": i, "j": j, "S": elements_of(mask), "A": a}
-    # A_ij(S + k) - A_ij(S - k) for every pair and mask without k, one k at a time
+            p, q, a = hit
+            i, j, others = t.others(p)
+            witnesses[name] = {"i": i, "j": j, "S": [others[b] for b in elements_of(q)], "A": a}
+    # A_ij(S + k) - A_ij(S - k), k = others[b], for every pair and column without bit b
     second = None
-    for k in range(t.n):
-        v = t.A.reshape(len(t.pairs), 1 << (t.n - 1 - k), 2, 1 << k)
-        hit = _first_beyond((v[:, :, 1] - v[:, :, 0]).reshape(len(t.pairs), 1 << (t.n - 1)), 1,
-                            t.tol)
+    for b in range(t.n - 2):
+        v = t.A.reshape(len(t.pairs), -1, 2, 1 << b)
+        hit = _first_beyond((v[:, :, 1] - v[:, :, 0]).reshape(len(t.pairs), -1), 1, t.tol)
         if hit and (second is None or hit[0] < second[0]):
-            second = (*hit, k)
+            second = (*hit, b)
     if second:
-        p, w, delta, k = second
-        i, j = map(int, t.pairs[p])
-        mask = w + (w >> k << k)  # w counts the masks without k: put bit k back, clear
+        p, w, delta, b = second
+        i, j, others = t.others(p)
+        q = w + (w >> b << b)  # w counts the columns without b: put bit b back, clear
         witnesses["second_order_submodular"] = {
-            "i": i, "j": j, "k": k, "S": elements_of(mask), "delta": delta,
+            "i": i, "j": j, "k": others[b], "S": [others[c] for c in elements_of(q)],
+            "delta": delta,
         }
     return ClassificationReport("monotone" not in witnesses, "submodular" not in witnesses,
                                 "supermodular" not in witnesses, second is None, witnesses)
@@ -280,7 +281,7 @@ def _leq(lhs, rhs):
     return lhs <= rhs + scaled_tol(REL_TOL, np.abs(rhs))
 
 
-def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int = 0) -> LemmaCheck:
+def check_discrete_integral(fn: SetFunctionOracle, seed: int = 0) -> LemmaCheck:
     """B_i(R) = f({i}) + sum_j A_{i v_j}(prefix) for sampled orderings of every R.
 
     Each draw is one permutation of the ground set, and every R is walked in
@@ -295,28 +296,25 @@ def check_discrete_integral(fn: SetFunctionOracle, orderings: int = 3, seed: int
     t = _tables(fn)
     size = 1 << t.n
     rng = np.random.default_rng(seed)
-    perms = [[int(v) for v in rng.permutation(t.n)] for _ in range(orderings)]
+    perms = [[int(v) for v in rng.permutation(t.n)] for _ in range(INTEGRAL_ORDERINGS)]
     # A draw's column q stands for the set of its elements at the positions
     # that are the bits of q. `sets` holds that set's mask, and `source` the
     # flat index of the term its last element v adds, A_iv(set - v), in the
-    # n x 2^n block whose row v is A_iv.
-    order = np.array(perms, dtype=np.int64).reshape(orderings, t.n)
-    sets = np.zeros((orderings, size), dtype=np.int64)
-    source = np.zeros((orderings, size), dtype=np.int64)
+    # block rows(i), whose row v is A_iv.
+    order = np.array(perms, dtype=np.int64).reshape(INTEGRAL_ORDERINGS, t.n)
+    sets = np.zeros((INTEGRAL_ORDERINGS, size), dtype=np.int64)
+    source = np.zeros((INTEGRAL_ORDERINGS, size), dtype=np.int64)
     for p in range(t.n):
         h, v = 1 << p, order[:, p, None]
         source[:, h:2 * h] = v * size + sets[:, :h]
         sets[:, h:2 * h] = sets[:, :h] | 1 << v
     by_mask = np.empty_like(sets)  # the flat index in (draw, column) of each (draw, mask)
     np.put_along_axis(by_mask, sets, np.arange(size), axis=1)
-    by_mask += np.arange(orderings)[:, None] * size
-    block = np.empty((t.n, size))
+    by_mask += np.arange(INTEGRAL_ORDERINGS)[:, None] * size
     worst = 0.0
     witness: dict = {}
     for i in range(t.n):
-        for v, row in enumerate(block):
-            row[:] = t.seconds(i, v)
-        total = np.take(block, source)
+        total = np.take(t.rows(i), source)
         total[:, 0] = t.values[1 << i]
         for p in range(t.n):
             h = 1 << p
@@ -348,7 +346,8 @@ def lemma_checks(
     key is its check's name, in the battery's order, which orders the
     `verify lemmas` failures."""
     t = _tables(fn)
-    marg_sum = sum(t.inside[i] * t.B[i] for i in range(t.n))  # B_i(R-i) == B_i(R)
+    masks = np.arange(1 << t.n)
+    marg_sum = sum((masks >> i & 1) * t.B[i] for i in range(t.n))  # B_i(R-i) == B_i(R)
     big = t.sizes >= 2
 
     def with_gamma(name, check):
@@ -382,7 +381,7 @@ def _marginal_sum_check(name: str, t: ExactTables, marg_sum, factor: float, rows
     slack = marg_sum[rows] - bound
     k = int(np.argmax(slack))
     return LemmaCheck(name, bool(np.all(_leq(marg_sum[rows], bound))), worst_slack=float(slack[k]),
-                      detail={"R": elements_of(int(t.masks[rows][k]))})
+                      detail={"R": elements_of(int(np.arange(1 << t.n)[rows][k]))})
 
 
 def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaCheck:
@@ -430,12 +429,9 @@ def _check_kleinberg(t: ExactTables, g: GammaReport) -> LemmaCheck:
     form quantified over sets with an outside element.
 
     A_ij(S) = A_ij(S - {i, j}), so gamma is vacuous exactly when that form
-    holds and no A_ij of the empty set is positive.
+    holds (on the columns of `A` past the empty set) and no A_ij(empty) is positive.
     """
-    nonempty = t.sizes > 0
-    outside_form = not any(
-        np.any(nonempty & ~t.inside[i] & ~t.inside[i + 1:] & (t.A[t.rows_from(i)] > t.tol))
-        for i in range(t.n))
+    outside_form = not np.any(t.A[:, 1:] > t.tol)
     empty_ok = not np.any(t.A[:, 0] > t.tol)
     return LemmaCheck("kleinberg_equivalence", g.vacuous == (outside_form and empty_ok),
                       detail={"zero_ms": g.vacuous, "kleinberg_form": outside_form})

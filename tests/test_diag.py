@@ -6,6 +6,7 @@ import pytest
 
 from metasub import diag
 from metasub.diag import (
+    INTEGRAL_ORDERINGS,
     ClassificationReport,
     ExactTables,
     GammaReport,
@@ -123,12 +124,12 @@ def test_multilinear_indicator_identities():
                 assert grad[i] == pytest.approx(marginal(fn, i, mask), abs=1e-12)
                 for j in range(6):
                     assert H[i, j] == pytest.approx(second_difference(fn, i, j, mask), abs=1e-12)
-        # off the vertices each entry is one dot product with p_x, as seconds(i, j) @ p_x
+        # off the vertices each entry is one dot product of the full row A_ij with p_x
         x = rng.random(6)
-        H, p = t.hessian(x), t.probabilities(x)
+        H, p, seconds = t.hessian(x), t.probabilities(x), gathered_seconds(t)
         for i in range(6):
             for j in range(6):
-                assert H[i, j].hex() == float(t.seconds(i, j) @ p).hex(), (fn.kind, i, j)
+                assert H[i, j].hex() == float(seconds[i, j] @ p).hex(), (fn.kind, i, j)
 
 
 def test_multilinear_quadratic_closed_form():
@@ -231,16 +232,30 @@ def test_discrete_integral_modular_and_random():
         assert check_discrete_integral(random_mixed_oracle(rng, 6)).passed
 
 
-def scalar_discrete_integral(t, orderings, seed):
+def gathered_seconds(t):
+    """A_ij over all masks for every (i, j), zero where i == j, gathered from
+    the value table by the scalar definition: an n x n x 2^n array."""
+    masks, v = np.arange(1 << t.n), t.values
+    seconds = np.zeros((t.n, t.n, 1 << t.n))
+    for i, j in t.pairs.tolist():
+        bi, bj = 1 << i, 1 << j
+        base = masks & ~bi & ~bj
+        seconds[i, j] = seconds[j, i] = v[base | bi | bj] - v[base | bi] - v[base | bj] + v[base]
+    return seconds
+
+
+def scalar_discrete_integral(t, seed, seconds=None):
     """Reference: one Python walk per (i, R, ordering) over the same seeded
     permutations, each R taken in the order it inherits from them, where an
     element outside R adds an exact 0.0. The worst slack is the largest
-    error; the witness is the first failure in (i, mask, draw) order."""
+    error; the witness is the first failure in (i, mask, draw) order. The
+    terms are `seconds`, the gathered ones by default."""
+    seconds = gathered_seconds(t) if seconds is None else seconds
     rng = np.random.default_rng(seed)
-    perms = [[int(v) for v in rng.permutation(t.n)] for _ in range(orderings)]
+    perms = [[int(v) for v in rng.permutation(t.n)] for _ in range(INTEGRAL_ORDERINGS)]
     worst, witness = 0.0, {}
     for i in range(t.n):
-        rows = [t.seconds(i, v).tolist() for v in range(t.n)]
+        rows = seconds[i].tolist()
         b = t.B[i].tolist()
         for mask in range(1 << t.n):
             for perm in perms:
@@ -270,8 +285,8 @@ def test_discrete_integral_matches_scalar_walk():
     for trial in range(12):
         n = 4 + trial % 4
         fn = random_mixed_oracle(rng, n)
-        check = check_discrete_integral(fn, orderings=3, seed=trial)
-        assert text(check) == text(scalar_discrete_integral(_tables(fn), 3, trial))
+        check = check_discrete_integral(fn, seed=trial)
+        assert text(check) == text(scalar_discrete_integral(_tables(fn), trial))
 
 
 def test_discrete_integral_matches_scalar_walk_on_awkward_and_failing_tables():
@@ -285,10 +300,13 @@ def test_discrete_integral_matches_scalar_walk_on_awkward_and_failing_tables():
     for shift in (0.0, 1e-6, 1.0):
         for case, fn in enumerate(cases()):
             t = _tables(fn)
+            seconds = gathered_seconds(t)
             if shift:  # every third pair's A_ij: the walks through it fail
                 t.A[::3] += shift
-            check = check_discrete_integral(fn, orderings=3, seed=case)
-            assert text(check) == text(scalar_discrete_integral(t, 3, case)), (shift, case)
+                for i, j in t.pairs[::3].tolist():
+                    seconds[[i, j], [j, i]] += shift
+            check = check_discrete_integral(fn, seed=case)
+            assert text(check) == text(scalar_discrete_integral(t, case, seconds)), (shift, case)
             outcomes.add((fn.n, shift, check.passed))
     assert {(1, 1.0, True), (8, 0.0, True), (8, 1e-6, False), (8, 1.0, False)} <= outcomes
     # f({0}) = -0.0 and B_0 shifted by 1: the walk over R = {} fails at once, and
@@ -297,21 +315,21 @@ def test_discrete_integral_matches_scalar_walk_on_awkward_and_failing_tables():
     t = _tables(fn)
     t.B[0] += 1.0
     check = check_discrete_integral(fn)
-    assert text(check) == text(scalar_discrete_integral(t, 3, 0))
+    assert text(check) == text(scalar_discrete_integral(t, 0))
     assert (check.detail["R"], math.copysign(1.0, check.detail["rhs"])) == ([], 1.0)
 
 
 def test_discrete_integral_reports_a_failure():
     fn = random_diversity(np.random.default_rng(22), 5)
     t = _tables(fn)
-    t.A += 1.0  # every A_ij, i < j, shifted by 1.0 ...
-    t.seconds(0, 0)[:] += 1.0  # ... and A_ii, the one zero row every i shares
+    t.A += 1.0  # every A_ij, i < j, shifted by 1.0
     check = check_discrete_integral(fn)
     assert check.passed is False
     w = check.detail
     assert set(w) == {"i", "R", "order", "lhs", "rhs"}
-    # the first failing walk: i=0 over R={0}, which adds one shifted A_00 = 1.0
-    assert (w["i"], w["R"], w["order"]) == (0, [0], [0])
+    # the first failing walk: i=0 over R={1}, which adds one shifted A_01({}) (R={0}
+    # adds only A_00 = 0)
+    assert (w["i"], w["R"], w["order"]) == (0, [1], [1])
     assert w["lhs"] == marginal(fn, 0, mask_of(w["R"]))
     assert w["rhs"] - w["lhs"] == pytest.approx(1.0)
     assert check.worst_slack >= 1.0 - 1e-9
@@ -417,10 +435,9 @@ def test_kleinberg_equivalence_matches_vacuous_gamma():
 def test_kleinberg_equivalence_reports_a_failure():
     fn = random_coverage(np.random.default_rng(25), 5)
     t = _tables(fn)
-    # A_ij + 1 on every mask holding i, so gamma is not vacuous, while the
-    # sets outside i and j and the empty set keep A_ij <= 0
-    t.A += np.where(t.inside[t.pairs[:, 0]], 1.0, 0.0)
-    check = lemma_checks(fn, classify(fn), gamma_parameter(fn))["kleinberg_equivalence"]
+    # coverage is submodular: no A_ij is positive, so the form holds and gamma is
+    # vacuous, which a finite gamma report contradicts
+    check = _check_kleinberg(t, GammaReport(1.0, witness=(4, 0, 1)))
     assert check.passed is False
     assert check.detail == {"zero_ms": False, "kleinberg_form": True}
 
@@ -429,10 +446,10 @@ def loop_gamma(t):
     """Reference: one pass per pair (i, j), a running strict maximum over
     each pair's first largest ratio."""
     best, witness, vacuous = 0.0, None, True
-    nonempty = t.sizes > 0
+    nonempty, masks, seconds = t.sizes > 0, np.arange(1 << t.n), gathered_seconds(t)
     for i in range(t.n):
         for j in range(i + 1, t.n):
-            a = t.seconds(i, j)
+            a = seconds[i, j]
             active = nonempty & (a > t.tol)
             if not active.any():
                 continue
@@ -440,11 +457,11 @@ def loop_gamma(t):
             den = t.B[i] + t.B[j]
             bad = active & (den <= t.tol)
             if bad.any():
-                return GammaReport(0.0, is_infinite=True, witness=(int(t.masks[bad][0]), i, j))
+                return GammaReport(0.0, is_infinite=True, witness=(int(masks[bad][0]), i, j))
             ratio = np.where(active, t.sizes * a / np.where(active, den, 1.0), -np.inf)
             k = int(np.argmax(ratio))
             if ratio[k] > best or witness is None:
-                best, witness = float(ratio[k]), (int(t.masks[k]), i, j)
+                best, witness = float(ratio[k]), (int(masks[k]), i, j)
     return GammaReport(0.0, vacuous=True) if vacuous else GammaReport(best, witness=witness)
 
 
@@ -452,6 +469,7 @@ def loop_classify(t):
     """Reference: the sign checks one element, pair and (pair, k) at a time."""
     witnesses = {}
     monotone = submodular = supermodular = second = True
+    masks, seconds = np.arange(1 << t.n), gathered_seconds(t)
     for i in range(t.n):
         b = t.B[i]
         k = int(np.argmin(b))
@@ -461,7 +479,7 @@ def loop_classify(t):
             break
     for i in range(t.n):
         for j in range(i + 1, t.n):
-            a = t.seconds(i, j)
+            a = seconds[i, j]
             hi, lo = int(np.argmax(a)), int(np.argmin(a))
             if submodular and a[hi] > t.tol:
                 submodular = False
@@ -471,7 +489,7 @@ def loop_classify(t):
                 witnesses["supermodular"] = {"i": i, "j": j, "S": elements_of(lo), "A": float(a[lo])}
             for k in range(t.n if second else 0):
                 bit = 1 << k
-                diff = a[t.masks | bit] - a[t.masks & ~bit]
+                diff = a[masks | bit] - a[masks & ~bit]
                 w = int(np.argmax(diff))
                 if diff[w] > t.tol:
                     second = False
@@ -485,11 +503,11 @@ def loop_classify(t):
 def loop_kleinberg(t, g):
     """Reference: the diminishing-marginals form one pair at a time."""
     outside_form = empty_ok = True
-    nonempty = t.sizes > 0
+    nonempty, masks, seconds = t.sizes > 0, np.arange(1 << t.n), gathered_seconds(t)
     for i in range(t.n):
         for j in range(i + 1, t.n):
-            a = t.seconds(i, j)
-            outside = nonempty & (((t.masks >> i) & 1) == 0) & (((t.masks >> j) & 1) == 0)
+            a = seconds[i, j]
+            outside = nonempty & (((masks >> i) & 1) == 0) & (((masks >> j) & 1) == 0)
             if np.any(outside & (a > t.tol)):
                 outside_form = False
             if a[0] > t.tol:
@@ -566,20 +584,44 @@ def test_the_value_table_bound_is_inclusive(n):
             ExactTables(TableFunction(values))
 
 
+def layout_cases():
+    """reduction_cases() and the awkward diversities, -0.0 cells and weights among them."""
+    yield from reduction_cases()
+    rng = np.random.default_rng(30)
+    for n in (2, 3, 4, 6):
+        yield from awkward_diversities(rng, n)
+
+
 def test_tables_match_the_gathered_differences():
-    # the scalar definitions, gathered per element and pair over all masks
-    for fn in reduction_cases():
-        t, v = ExactTables(fn), fn.value_table()
+    # the scalar definitions: B_i gathered over all masks, and each A[p, q] the
+    # second difference at all four masks T, T+i, T+j and T+i+j, T the set of
+    # column q; rows(i) is every A_iv over all masks, gathered the same way
+    for fn in layout_cases():
+        t, v, masks = ExactTables(fn), fn.value_table(), np.arange(1 << fn.n)
+        assert t.A.shape == (fn.n * (fn.n - 1) // 2, 1 << max(fn.n - 2, 0))
         for i in range(fn.n):
             bi = 1 << i
-            np.testing.assert_array_equal(t.B[i], v[t.masks | bi] - v[t.masks & ~bi])
-            np.testing.assert_array_equal(t.seconds(i, i), np.zeros(1 << fn.n))
-            for j in range(i + 1, fn.n):
-                bj = 1 << j
-                base = t.masks & ~bi & ~bj
-                want = v[base | bi | bj] - v[base | bi] - v[base | bj] + v[base]
-                np.testing.assert_array_equal(t.seconds(i, j), want)
-                np.testing.assert_array_equal(t.seconds(j, i), want)
+            np.testing.assert_array_equal(t.B[i], v[masks | bi] - v[masks & ~bi])
+        seconds = gathered_seconds(t)
+        for i in range(fn.n):
+            assert t.rows(i).tobytes() == seconds[i].tobytes(), (fn.n, i)
+        for p, row in enumerate(t.A.tolist()):
+            i, j, others = t.others(p)
+            assert others == sorted(set(range(fn.n)) - {i, j})
+            for q, a in enumerate(row):
+                T = sum(1 << others[b] for b in elements_of(q))
+                for S in (T, T | 1 << i, T | 1 << j, T | 1 << i | 1 << j):
+                    assert a.hex() == second_difference(fn, i, j, S).hex(), (fn.n, p, q, S)
+
+
+def test_classify_witnesses_hold_no_i_j_or_k():
+    seen = set()
+    for fn in layout_cases():
+        for name, w in classify(fn).witnesses.items():
+            if name != "monotone":
+                seen.add(name)
+                assert not {w["i"], w["j"], w.get("k")} & set(w["S"]), (name, w)
+    assert seen == {"submodular", "supermodular", "second_order_submodular"}
 
 
 def test_reductions_match_the_pair_loops():
