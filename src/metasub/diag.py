@@ -75,7 +75,8 @@ class ExactTables:
         return i, j, [k for k in range(self.n) if k != i and k != j]
 
     def rows(self, i: int) -> np.ndarray:
-        """A new n x 2^n block whose row v is A_iv over all masks; row i is zero."""
+        """A new n x 2^n block whose row v is A_iv over all masks; row i is zero. For the
+        readers of whole rows: the discrete-integral check and the Hessian."""
         block = np.zeros((self.n, 1 << self.n))
         for a, (lo, hi) in zip(self.A, self.pairs.tolist()):
             if i in (lo, hi):
@@ -91,13 +92,10 @@ class ExactTables:
                         ).reshape(np.shape(x))
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Hessian of F(x): E_x[A_ij] at (i, j) and (j, i), zero diagonal, one
-        dot product per full row A_ij, i < j, as `gradient` takes one per row of B."""
+        """Hessian of F(x): E_x[A_ij] at (i, j), zero diagonal, one dot product
+        per full row A_iv, as `gradient` takes one per row of B."""
         p = self.probabilities(x)
-        H = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            H[i, i + 1:] = H[i + 1:, i] = [a @ p for a in self.rows(i)[i + 1:]]
-        return H
+        return np.array([[a @ p for a in self.rows(i)] for i in range(self.n)])
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         """p_x over all masks; bit k of the index is element k. On a stack of
@@ -148,27 +146,24 @@ def gamma_parameter(fn: SetFunctionOracle) -> GammaReport:
     witness is the first (i, j, S) that attains gamma.
     """
     t = _tables(fn)
-    nonempty = t.sizes > 0
-    at: list[int] = []  # per pair, the mask of its first largest ratio
-    top: list[float] = []  # ... and that ratio, -inf where no term constrains
-    for i in range(t.n):
-        a = t.rows(i)[i + 1:]
-        active = nonempty & (a > t.tol)
-        den = t.B[i] + t.B[i + 1:]
+    top, witness = -np.inf, None
+    for a, (i, j) in zip(t.A, t.pairs.tolist()):
+        # A_ij(S) at every mask S: length-1 axes at bits j and i, whose C order is mask order
+        shape = (-1, 2, 1 << (j - i - 1), 2, 1 << i)
+        a = a.reshape(-1, 1, 1 << (j - i - 1), 1, 1 << i)
+        sizes = t.sizes.reshape(shape)
+        active = (sizes > 0) & (a > t.tol)
+        den = (t.B[i] + t.B[j]).reshape(shape)
         bad = active & (den <= t.tol)
         if bad.any():
-            r, mask = divmod(int(np.argmax(bad)), 1 << t.n)
-            return GammaReport(0.0, is_infinite=True, witness=(mask, i, i + 1 + r))
+            return GammaReport(0.0, is_infinite=True, witness=(int(np.argmax(bad)), i, j))
         den[~active] = 1.0
-        ratio = np.divide(t.sizes * a, den, out=den)  # in place: the block can be large
+        ratio = np.divide(sizes * a, den, out=den)
         ratio[~active] = -np.inf
-        k = ratio.argmax(axis=1)
-        at += k.tolist()
-        top += ratio[np.arange(len(k)), k].tolist()
-    if np.isneginf(top).all():
-        return GammaReport(0.0, vacuous=True)
-    p = int(np.argmax(top))
-    return GammaReport(top[p], witness=(at[p], *map(int, t.pairs[p])))
+        k = int(ratio.argmax())
+        if ratio.flat[k] > top:  # strictly: the first pair with the largest ratio
+            top, witness = float(ratio.flat[k]), (k, i, j)
+    return GammaReport(top, witness=witness) if witness else GammaReport(0.0, vacuous=True)
 
 
 @dataclass(frozen=True)
@@ -260,8 +255,8 @@ def check_expectation_inequality(fn: SetFunctionOracle, x, i: int, j: int, sigma
     """Residual of |x|_1 H_ij(x) <= sigma (grad_i(x) + grad_j(x))."""
     x = np.asarray(x, dtype=float)
     t = _tables(fn)
-    grad = t.gradient(x)
-    return float(x.sum()) * float(t.hessian(x)[i, j]) - sigma * float(grad[i] + grad[j])
+    p = t.probabilities(x)
+    return float(x.sum()) * float(t.rows(i)[j] @ p) - sigma * float(t.B[i] @ p + t.B[j] @ p)
 
 
 @dataclass(frozen=True)

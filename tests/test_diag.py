@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -637,6 +638,34 @@ def test_reductions_match_the_pair_loops():
         assert _check_kleinberg(t, got[0]) == loop_kleinberg(t, want[0])
     assert kinds == {(True, False), (False, True), (False, False)}
     assert monotone == {True, False}
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (0, 5), (4, 5), (2, 3)])
+def test_gamma_witness_at_the_edges_of_a_pair_view(a, b):
+    """One long distance d(a, b) = 10 among halves: gamma = 10 at S = {c}, c the
+    first element outside the pair, on pairs at bit 0, adjacent bits and bit n-1."""
+    D = np.full((6, 6), 0.5) - 0.5 * np.eye(6)
+    D[a, b] = D[b, a] = 10.0
+    fn = DiversityFunction(D)
+    c = min(set(range(6)) - {a, b})
+    report = gamma_parameter(fn)
+    assert report == GammaReport(10.0, witness=(1 << c, a, b))
+    assert report == loop_gamma(ExactTables(fn))
+
+
+@pytest.mark.parametrize("n", [10, 14])
+def test_gamma_holds_no_block_of_full_rows(n):
+    """gamma reads each pair's row of A in place: its peak stays within a few
+    arrays over the masks, where one n x 2^n block alone would pass the bound."""
+    fn = random_diversity(np.random.default_rng(31), n)
+    _tables(fn)
+    tracemalloc.start()
+    try:
+        gamma_parameter(fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 << n, peak / (8 << n)
 
 
 def test_probabilities_and_gradient_on_a_stack_match_each_point():
