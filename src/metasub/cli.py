@@ -178,9 +178,7 @@ def generate(kind: str, n: int, seed: int, args) -> dict:
     matroid = {"kind": "uniform", "r": args.r if args.r is not None else max(2, n // 3)}
     if kind == "coverage-random":
         m = args.universe if args.universe is not None else 2 * n
-        incidence = [
-            sorted(int(u) for u in np.flatnonzero(rng.random(m) < 0.4)) for _ in range(n)
-        ]
+        incidence = [np.flatnonzero(row).tolist() for row in rng.random((n, m)) < 0.4]
         function = {
             "kind": "coverage",
             "incidence": incidence,

@@ -291,21 +291,17 @@ def check_discrete_integral(fn: SetFunctionOracle, seed: int = 0) -> LemmaCheck:
     t = _tables(fn)
     size = 1 << t.n
     rng = np.random.default_rng(seed)
-    perms = [[int(v) for v in rng.permutation(t.n)] for _ in range(INTEGRAL_ORDERINGS)]
+    order = np.array([rng.permutation(t.n) for _ in range(INTEGRAL_ORDERINGS)], dtype=np.int64)
     # A draw's column q stands for the set of its elements at the positions
     # that are the bits of q. `sets` holds that set's mask, and `source` the
     # flat index of the term its last element v adds, A_iv(set - v), in the
     # block rows(i), whose row v is A_iv.
-    order = np.array(perms, dtype=np.int64).reshape(INTEGRAL_ORDERINGS, t.n)
     sets = np.zeros((INTEGRAL_ORDERINGS, size), dtype=np.int64)
     source = np.zeros((INTEGRAL_ORDERINGS, size), dtype=np.int64)
     for p in range(t.n):
         h, v = 1 << p, order[:, p, None]
         source[:, h:2 * h] = v * size + sets[:, :h]
         sets[:, h:2 * h] = sets[:, :h] | 1 << v
-    by_mask = np.empty_like(sets)  # the flat index in (draw, column) of each (draw, mask)
-    np.put_along_axis(by_mask, sets, np.arange(size), axis=1)
-    by_mask += np.arange(INTEGRAL_ORDERINGS)[:, None] * size
     worst = 0.0
     witness: dict = {}
     for i in range(t.n):
@@ -314,18 +310,19 @@ def check_discrete_integral(fn: SetFunctionOracle, seed: int = 0) -> LemmaCheck:
         for p in range(t.n):
             h = 1 << p
             np.add(total[:, :h], total[:, h:2 * h], out=total[:, h:2 * h])
-        total = np.take(total, by_mask) + 0.0
-        b = t.B[i]
-        err = np.abs(total - b)
+        total += 0.0
+        err = np.abs(total - np.take(t.B[i], sets))
         worst = max(worst, float(err.max()))
         failed = err > t.tol
         if not witness and failed.any():
-            # the first failure in (mask, draw) order, as a scalar walk meets it
-            mask = int(np.argmax(failed.any(axis=0)))
-            k = int(np.argmax(failed[:, mask]))
+            # the first failure in (mask, draw) order, as a scalar walk meets it;
+            # each draw holds the mask in one column
+            mask = int(sets[failed].min())
+            at = sets == mask
+            k = int(np.argmax(failed[at]))
             witness = {"i": i, "R": elements_of(mask),
-                       "order": [v for v in perms[k] if mask >> v & 1],
-                       "lhs": float(b[mask]), "rhs": float(total[k, mask])}
+                       "order": [v for v in order[k].tolist() if mask >> v & 1],
+                       "lhs": float(t.B[i][mask]), "rhs": float(total[at][k])}
     return LemmaCheck("discrete_integral", not witness, worst_slack=worst, detail=witness)
 
 

@@ -149,10 +149,15 @@ class PartitionMatroid(MatroidOracle):
         caps = [check_integer(c, "partition cap") for c in caps]
         if len(blocks) != len(caps):
             raise ValidationError("one cap per block required")
+        blocks = [[check_integer(v, "partition block element") for v in block] for block in blocks]
+        # a dense, disjoint cover of count elements is exactly 0 .. count - 1
+        count = sum(map(len, blocks))
+        if not all(0 <= v < count for block in blocks for v in block):
+            raise ValidationError("blocks must cover the ground set densely")
         seen = 0
         masks = []
         for block in blocks:
-            m = mask_of(check_integer(v, "partition block element") for v in block)
+            m = mask_of(block)
             if m & seen:
                 raise ValidationError("blocks must be disjoint")
             seen |= m

@@ -143,14 +143,13 @@ def euclidean(points: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
-def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Jensen-Shannon divergence with natural logarithm; 0*log(0) := 0."""
+def js_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+    """Jensen-Shannon divergence with natural logarithm; 0*log(0) := 0. On a
+    matrix q of distributions, one per row, one divergence per row."""
     m = (p + q) / 2.0
-    total = 0.0
-    for a, b in ((p, m), (q, m)):
-        pos = a > 0
-        total += 0.5 * float(np.sum(a[pos] * np.log(a[pos] / b[pos])))
-    return total
+    with np.errstate(divide="ignore", invalid="ignore"):  # in the terms `where` drops
+        return (0.5 * np.where(p > 0, p * np.log(p / m), 0.0).sum(-1)
+                + 0.5 * np.where(q > 0, q * np.log(q / m), 0.0).sum(-1))
 
 
 def js_divergence_matrix(distributions: Sequence[Sequence[float]]) -> np.ndarray:
@@ -163,9 +162,4 @@ def js_divergence_matrix(distributions: Sequence[Sequence[float]]) -> np.ndarray
             raise ValidationError(f"distribution {idx} has a negative entry")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValidationError(f"distribution {idx} sums to {p.sum()!r}, not 1")
-    n = probs.shape[0]
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = js_divergence(probs[i], probs[j])
-    return validate_distance(D)
+    return validate_distance(np.array([js_divergence(p, probs) for p in probs]))

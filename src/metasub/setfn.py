@@ -150,10 +150,9 @@ class DiversityFunction(SetFunctionOracle):
     when none are given), summed in one order on every path."""
 
     def __init__(self, distance: np.ndarray, weights: Sequence[float] | None = None):
-        distance = np.asarray(distance, dtype=float)
-        n = distance.shape[0]
-        super().__init__(n)
         self.distance = metric.validate_distance(distance)
+        n = self.distance.shape[0]
+        super().__init__(n)
         self.kind = "diversity" if weights is None else "diversity_plus_modular"
         weights = np.zeros(n) if weights is None else np.asarray(weights, dtype=float)
         if weights.shape != (n,):
@@ -252,6 +251,8 @@ class TableFunction(SetFunctionOracle):
 
     def __init__(self, values: Sequence[float]):
         values = np.asarray(values, dtype=float)
+        if values.ndim != 1:
+            raise ValidationError(f"table values must be a flat list, got shape {values.shape}")
         size = len(values)
         n = size.bit_length() - 1
         if size < 2 or size != 1 << n:

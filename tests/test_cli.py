@@ -588,6 +588,18 @@ def test_non_integer_counts_and_indices_exit_2(doc, tmp_path, capsys):
     assert err.count("must be an integer") == 2 and "Traceback" not in err
 
 
+def test_a_nested_table_exits_2_with_one_error_line(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 1, "function": {"kind": "table", "values": [[0], [1]]},
+                                "matroid": {"kind": "uniform", "r": 1}}))
+    for command in ("analyze", "solve"):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, str(inst), "--out", str(out)]) == 2, command
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: table values must be a flat list, got shape (2, 1)"], err
+
+
 def test_analyze_a_single_element_instance(tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(_diversity_doc([[0.0]], r=1)))

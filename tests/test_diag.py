@@ -320,6 +320,23 @@ def test_discrete_integral_matches_scalar_walk_on_awkward_and_failing_tables():
     assert (check.detail["R"], math.copysign(1.0, check.detail["rhs"])) == ([], 1.0)
 
 
+def test_discrete_integral_witness_from_a_later_draw():
+    # A_01 at T = {2} shifted by 1: only the walks that meet 2 before 1 fail, the
+    # first at R = {1, 2}, which seed 1 walks as [1, 2] in draws 0 and 1, [2, 1] in 2
+    fn = random_diversity(np.random.default_rng(23), 5)
+    t = _tables(fn)
+    seconds = gathered_seconds(t)
+    t.A[0, 1] += 1.0
+    seconds[[0, 1], [1, 0]] += (np.arange(1 << t.n) & ~0b11) == 0b100
+    rng = np.random.default_rng(1)
+    perms = [rng.permutation(t.n).tolist() for _ in range(INTEGRAL_ORDERINGS)]
+    assert [p.index(2) < p.index(1) for p in perms] == [False, False, True]
+    check = check_discrete_integral(fn, seed=1)
+    assert text(check) == text(scalar_discrete_integral(t, 1, seconds))
+    assert (check.passed, check.detail["i"], check.detail["R"], check.detail["order"]) == (
+        False, 0, [1, 2], [2, 1])
+
+
 def test_discrete_integral_reports_a_failure():
     fn = random_diversity(np.random.default_rng(22), 5)
     t = _tables(fn)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,19 @@ def test_partition_basics():
         PartitionMatroid([[0, 1], [1, 2]], [1, 1])  # overlap
     with pytest.raises(ValidationError):
         PartitionMatroid([[0, 2]], [1])  # not dense
+
+
+def test_partition_rejects_elements_outside_the_count_before_any_shift():
+    with pytest.raises(ValidationError, match="densely"):
+        PartitionMatroid([[-1]], [1])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="densely"):
+            PartitionMatroid([[0], [10**9]], [1, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak  # no mask of 10^9 bits was built
 
 
 def test_graphic_triangle():

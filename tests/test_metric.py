@@ -16,6 +16,7 @@ from util import (
     awkward_diversities,
     euclidean,
     loop_is_sqrt_metric,
+    loop_js_divergence,
     loop_semi_metric_parameter,
     random_metric,
 )
@@ -245,3 +246,26 @@ def test_js_matrix_properties_and_validation():
         js_divergence_matrix([[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(ValidationError, match="negative"):
         js_divergence_matrix([[1.5, -0.5], [0.5, 0.5]])
+
+
+def sparse_distributions(rng, n, support):
+    """n distributions over `support` items, each with about half its entries 0."""
+    probs = rng.dirichlet(np.ones(support), size=n) * (rng.random((n, support)) < 0.5)
+    probs[np.arange(n), rng.integers(0, support, n)] += 1.0  # one positive entry at least
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def test_js_matrix_matches_the_pairwise_loop():
+    rng = np.random.default_rng(31)
+    cases = [(rng.dirichlet(np.ones(support), size=n), True)
+             for support in (2, 4, 8, 30) for n in (2, 5, 12)]
+    # numpy sums fewer than 8 terms in order, and more in 8 interleaved partial
+    # sums, which the zero terms of a sparse row regroup
+    cases += [(sparse_distributions(rng, 12, support), support < 8) for support in range(1, 20)]
+    for probs, exact in cases:
+        D, ref = js_divergence_matrix(probs), loop_js_divergence(probs)
+        assert np.array_equal(D, D.T) and not D.diagonal().any(), probs.shape
+        if exact:
+            assert np.array_equal(D, ref), probs.shape
+        else:
+            assert np.all(np.abs(D - ref) <= 1e-15 * ref), probs.shape

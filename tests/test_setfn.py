@@ -58,6 +58,18 @@ def test_diversity_modular_weights():
         DiversityFunction(D, weights=[-1.0, 0.0])
 
 
+def test_table_rejects_nested_values():
+    for raw, shape in (([[0.0], [1.0]], r"\(2, 1\)"), (0.0, r"\(\)")):
+        with pytest.raises(ValidationError, match=f"flat list, got shape {shape}"):
+            TableFunction(raw)
+
+
+def test_diversity_validates_the_distance_before_reading_its_shape():
+    for raw in (5, [1.0, 2.0]):
+        with pytest.raises(ValidationError, match="must be square"):
+            DiversityFunction(raw)
+
+
 def test_coverage_is_union_weight():
     fn = CoverageFunction([[0, 1], [1, 2], [3]], [1.0, 2.0, 4.0, 8.0])
     assert fn.value(mask_of([0])) == 3.0

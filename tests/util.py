@@ -223,3 +223,20 @@ def loop_is_sqrt_metric(D: np.ndarray, tol: float = 1e-9):
                 if root[i, j] > root[i, k] + root[j, k] + tol:
                     return False, (i, j, k)
     return True, None
+
+
+def loop_js_divergence(probs) -> np.ndarray:
+    """Reference JS matrix, pair by pair (i < j): each half sums its terms
+    over the compressed positive entries of its distribution."""
+    n = len(probs)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            p, q = probs[i], probs[j]
+            m = (p + q) / 2.0
+            total = 0.0
+            for a in (p, q):
+                pos = a > 0
+                total += 0.5 * float(np.sum(a[pos] * np.log(a[pos] / m[pos])))
+            D[i, j] = D[j, i] = total
+    return D
