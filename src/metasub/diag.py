@@ -29,6 +29,7 @@ from .setfn import SetFunctionOracle, elements_of, subset_sizes
 DEFAULT_N_MAX = 14  # the default --n-max of analyze and verify
 GRADIENT_SAMPLE_POINTS = 10  # sets R drawn by the gradient-growth check
 STEPS = (0.25, 0.5, 1.0)  # ... and the steps eps it takes from 1_R along u
+STEP_FLOATS = 1 << 20  # probabilities of the steps built at once, unless one sample's are more
 INTEGRAL_ORDERINGS = 3  # permutations drawn by the discrete-integral check
 
 
@@ -58,30 +59,45 @@ class ExactTables:
         self.tol = scaled_tol(ABS_TOL, m)
         self.sizes = subset_sizes(n)
         self.pairs = np.transpose(np.triu_indices(n, 1))
-        # f(S+i) - f(S-i) and f(S+i+j) - f(S+i-j) - f(S-i+j) + f(S-i-j) on views over bits i, j
+        # f(S+i) - f(S-i) on the view over bit i, and A_ij(T) = f(T+i+j) - f(T+i) - f(T+j)
+        # + f(T) on the view over bits i, j, whose first difference is B_j(T+i)
         self.B = np.empty((n, 1 << n))
         for i, row in enumerate(self.B):
             w = v.reshape(-1, 2, 1 << i)
-            row.reshape(w.shape)[:] = w[:, 1:] - w[:, :1]
+            np.subtract(w[:, 1:], w[:, :1], out=row.reshape(w.shape))
         self.A = np.empty((len(self.pairs), 1 << max(n - 2, 0)))
         for row, (i, j) in zip(self.A, self.pairs.tolist()):
             w = v.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
-            row.reshape(w[:, 0, :, 0].shape)[:] = (w[:, 1, :, 1] - w[:, 0, :, 1]
-                                                   - w[:, 1, :, 0] + w[:, 0, :, 0])
+            out = row.reshape(w[:, 0, :, 0].shape)
+            np.subtract(self.B[j].reshape(w.shape)[:, 0, :, 1], w[:, 1, :, 0], out=out)
+            out += w[:, 0, :, 0]
 
     def others(self, p: int) -> tuple[int, int, list[int]]:
         """Pair p's (i, j) and the others in order: bit b of a column of A[p] is others[b]."""
         i, j = map(int, self.pairs[p])
         return i, j, [k for k in range(self.n) if k != i and k != j]
 
+    def pair(self, i: int, j: int) -> int:
+        """The row of A that holds A_ij, for i != j in either order."""
+        i, j = min(i, j), max(i, j)
+        return i * (2 * self.n - i - 1) // 2 + j - i - 1
+
+    def expand(self, p: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Pair p's A_ij at every mask, into `out` (a new array by default): each
+        column of A[p] copied to the four masks that differ from it in bits i, j."""
+        i, j = map(int, self.pairs[p])
+        out = np.empty(1 << self.n) if out is None else out
+        w = out.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+        w[:] = self.A[p].reshape(w[:, :1, :, :1].shape)
+        return out
+
     def rows(self, i: int) -> np.ndarray:
-        """A new n x 2^n block whose row v is A_iv over all masks; row i is zero. For the
-        readers of whole rows: the discrete-integral check and the Hessian."""
+        """A new n x 2^n block whose row v is A_iv over all masks; row i is zero.
+        For the one reader of whole rows, the Hessian."""
         block = np.zeros((self.n, 1 << self.n))
-        for a, (lo, hi) in zip(self.A, self.pairs.tolist()):
-            if i in (lo, hi):
-                w = block[lo + hi - i].reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-                w[:] = a.reshape(w[:, :1, :, :1].shape)
+        for v in range(self.n):
+            if v != i:
+                self.expand(self.pair(i, v), out=block[v])
         return block
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -101,10 +117,12 @@ class ExactTables:
         """p_x over all masks; bit k of the index is element k. On a stack of
         points (one per row), one row of p per point."""
         x = np.asarray(x, dtype=float)
-        p = np.ones(x.shape[:-1] + (1,))
-        for i in range(self.n):
-            xi = x[..., i, None]
-            p = np.concatenate([p * (1.0 - xi), p * xi], axis=-1)
+        p = np.empty(x.shape[:-1] + (1 << self.n,))
+        p[..., 0] = 1.0
+        for i in range(self.n):  # in place: the masks with bit i, then those without
+            h, xi = 1 << i, x[..., i, None]
+            np.multiply(p[..., :h], xi, out=p[..., h:2 * h])
+            np.multiply(p[..., :h], 1.0 - xi, out=p[..., :h])
         return p
 
 
@@ -146,23 +164,28 @@ def gamma_parameter(fn: SetFunctionOracle) -> GammaReport:
     witness is the first (i, j, S) that attains gamma.
     """
     t = _tables(fn)
+    size = 1 << t.n
+    sizes = t.sizes.astype(float)
+    a, den, ratio = np.empty(size), np.empty(size), np.empty(size)
+    active, bad = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     top, witness = -np.inf, None
-    for a, (i, j) in zip(t.A, t.pairs.tolist()):
-        # A_ij(S) at every mask S: length-1 axes at bits j and i, whose C order is mask order
-        shape = (-1, 2, 1 << (j - i - 1), 2, 1 << i)
-        a = a.reshape(-1, 1, 1 << (j - i - 1), 1, 1 << i)
-        sizes = t.sizes.reshape(shape)
-        active = (sizes > 0) & (a > t.tol)
-        den = (t.B[i] + t.B[j]).reshape(shape)
-        bad = active & (den <= t.tol)
+    # a pair constrains gamma where its A_ij > tol, and each column of A[p] is
+    # A_ij at four masks, at least three of them nonempty
+    live = t.A.max(axis=1) > t.tol
+    for p in np.flatnonzero(live).tolist():
+        i, j = t.pairs[p].tolist()
+        np.greater(t.expand(p, out=a), t.tol, out=active)
+        active[0] = False  # S = {}, whose |S| A_ij is 0
+        np.add(t.B[i], t.B[j], out=den)
+        np.less_equal(den, t.tol, out=bad)
+        bad &= active
         if bad.any():
             return GammaReport(0.0, is_infinite=True, witness=(int(np.argmax(bad)), i, j))
-        den[~active] = 1.0
-        ratio = np.divide(sizes * a, den, out=den)
-        ratio[~active] = -np.inf
-        k = int(ratio.argmax())
-        if ratio.flat[k] > top:  # strictly: the first pair with the largest ratio
-            top, witness = float(ratio.flat[k]), (k, i, j)
+        ratio.fill(-np.inf)
+        np.divide(np.multiply(sizes, a, out=a), den, out=ratio, where=active)
+        k = int(ratio.argmax())  # masks in order: the first mask with the largest ratio
+        if ratio[k] > top:  # strictly: the first pair with the largest ratio
+            top, witness = float(ratio[k]), (k, i, j)
     return GammaReport(top, witness=witness) if witness else GammaReport(0.0, vacuous=True)
 
 
@@ -256,7 +279,8 @@ def check_expectation_inequality(fn: SetFunctionOracle, x, i: int, j: int, sigma
     x = np.asarray(x, dtype=float)
     t = _tables(fn)
     p = t.probabilities(x)
-    return float(x.sum()) * float(t.rows(i)[j] @ p) - sigma * float(t.B[i] @ p + t.B[j] @ p)
+    h = 0.0 if i == j else float(t.expand(t.pair(i, j)) @ p)
+    return float(x.sum()) * h - sigma * float(t.B[i] @ p + t.B[j] @ p)
 
 
 @dataclass(frozen=True)
@@ -289,34 +313,65 @@ def check_discrete_integral(fn: SetFunctionOracle, seed: int = 0) -> LemmaCheck:
     walk's exact zero for an element outside R would.
     """
     t = _tables(fn)
-    size = 1 << t.n
+    n, size, width = t.n, 1 << t.n, t.A.shape[1]
     rng = np.random.default_rng(seed)
-    order = np.array([rng.permutation(t.n) for _ in range(INTEGRAL_ORDERINGS)], dtype=np.int64)
+    order = np.array([rng.permutation(n) for _ in range(INTEGRAL_ORDERINGS)], dtype=np.int64)
+    position = np.argsort(order, axis=1)  # position[k, v]: where draw k puts v
+    first = [t.pair(v, v + 1) - v - 1 for v in range(n)]  # A_vw is row first[v] + w, v < w
     # A draw's column q stands for the set of its elements at the positions
-    # that are the bits of q. `sets` holds that set's mask, and `source` the
-    # flat index of the term its last element v adds, A_iv(set - v), in the
-    # block rows(i), whose row v is A_iv.
+    # that are the bits of q; `sets` holds that set's mask. Its last element v
+    # adds A_iv(set - v), which A holds in the row of the pair (i, v), at the
+    # column that is set - v without bits i and v. `key` is set - v without
+    # bit v, and `offset` v's share of the flat index into A: width * v while
+    # v > i, and width * first[v] once v < i.
     sets = np.zeros((INTEGRAL_ORDERINGS, size), dtype=np.int64)
-    source = np.zeros((INTEGRAL_ORDERINGS, size), dtype=np.int64)
-    for p in range(t.n):
+    key = np.zeros_like(sets)
+    offset = np.zeros_like(sets)
+    for p in range(n):
         h, v = 1 << p, order[:, p, None]
-        source[:, h:2 * h] = v * size + sets[:, :h]
+        key[:, h:2 * h] = _drop_bit(sets[:, :h], v)
+        offset[:, h:2 * h] = width * v
         sets[:, h:2 * h] = sets[:, :h] | 1 << v
+    # i's bit in `key` is i while v > i and i - 1 once v < i. Those keys move
+    # up by `half`, to where `columns` drops bit i - 1 and adds i's share
+    half = size >> 1
+    low = np.arange(half, dtype=np.int64)
+    below = low  # low without bit i - 1
+    columns, index = np.empty(size, dtype=np.int64), np.empty_like(sets)
+    total = np.empty((INTEGRAL_ORDERINGS, size))
+    err = np.empty_like(total)
     worst = 0.0
     witness: dict = {}
-    for i in range(t.n):
-        total = np.take(t.rows(i), source)
+    for i in range(n):
+        if i:  # the walks whose v is i - 1 now have v < i
+            for k, p in enumerate(position[:, i - 1].tolist()):
+                key[k, 1 << p:2 << p] += half
+                offset[k, 1 << p:2 << p] = width * first[i - 1]
+        np.add(below, width * i, out=columns[half:])
+        below = _drop_bit(low, i)
+        np.add(below, width * first[i], out=columns[:half])
+        # "clip" spares the buffered copy of `out`; only the walks' v = i
+        # terms, set to 0 below, can index outside A
+        np.take(columns, key, out=index, mode="clip")
+        index += offset
+        if t.A.size:  # at n = 1 there is no pair, and every term is A_ii
+            np.take(t.A.ravel(), index, out=total, mode="clip")
+        for k, p in enumerate(position[:, i].tolist()):
+            total[k, 1 << p:2 << p] = 0.0  # v = i adds A_ii = 0
         total[:, 0] = t.values[1 << i]
-        for p in range(t.n):
+        for p in range(n):
             h = 1 << p
             np.add(total[:, :h], total[:, h:2 * h], out=total[:, h:2 * h])
         total += 0.0
-        err = np.abs(total - np.take(t.B[i], sets))
-        worst = max(worst, float(err.max()))
-        failed = err > t.tol
-        if not witness and failed.any():
+        np.take(t.B[i], sets, out=err, mode="clip")
+        np.subtract(total, err, out=err)
+        np.abs(err, out=err)
+        top = float(err.max())
+        worst = max(worst, top)
+        if not witness and top > t.tol:
             # the first failure in (mask, draw) order, as a scalar walk meets it;
             # each draw holds the mask in one column
+            failed = err > t.tol
             mask = int(sets[failed].min())
             at = sets == mask
             k = int(np.argmax(failed[at]))
@@ -324,6 +379,11 @@ def check_discrete_integral(fn: SetFunctionOracle, seed: int = 0) -> LemmaCheck:
                        "order": [v for v in order[k].tolist() if mask >> v & 1],
                        "lhs": float(t.B[i][mask]), "rhs": float(total[at][k])}
     return LemmaCheck("discrete_integral", not witness, worst_slack=worst, detail=witness)
+
+
+def _drop_bit(y, b):
+    """y with bit b removed, the bits above it one lower; b may be an array."""
+    return y & (1 << b) - 1 | y >> (b + 1) << b
 
 
 def lemma_checks(
@@ -383,26 +443,39 @@ def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaChec
     A derivative at 1_R sums B's with weights u, so it is zero, and bounds the
     others by 0, when its size is at most |u|_1 tol."""
     rng = np.random.default_rng(seed)
+    samples, steps = [], []  # every draw comes first, as none reads a gradient
+    for _ in range(GRADIENT_SAMPLE_POINTS):
+        mask = int(rng.integers(1, 1 << t.n))
+        ind = np.array([(mask >> i) & 1 for i in range(t.n)], dtype=float)
+        x = rng.random(t.n)
+        x *= min(1.0, mask.bit_count() / max(x.sum(), 1e-12)) * rng.random()
+        u = np.maximum(ind, x) - ind
+        if u.sum() > 0:
+            samples.append((mask, u))
+            steps += [ind + eps * u for eps in STEPS]
+    per = max(1, STEP_FLOATS // (len(STEPS) << t.n))  # samples per in-place doubling
     worst = -math.inf
     passed = True
     detail: dict = {}
     cap = search.growth(2.0, gamma)
-    for _ in range(GRADIENT_SAMPLE_POINTS):
-        mask = int(rng.integers(1, 1 << t.n))
-        r = mask.bit_count()
-        ind = np.array([(mask >> i) & 1 for i in range(t.n)], dtype=float)
-        x = rng.random(t.n)
-        x *= min(1.0, r / max(x.sum(), 1e-12)) * rng.random()
-        u = np.maximum(ind, x) - ind
-        if u.sum() <= 0:
-            continue
-        points = [ind, *(ind + eps * u for eps in STEPS)]
-        base, *ahead = (float(u @ g) for g in t.gradient(points))
-        zero = abs(base) <= float(u.sum()) * t.tol
-        for eps, moved in zip(STEPS, ahead):
+    for k, (mask, u) in enumerate(samples):
+        if k % per == 0:  # one row per step
+            p = t.probabilities(np.reshape(steps[len(STEPS) * k:len(STEPS) * (k + per)], (-1, t.n)))
+        r, length = mask.bit_count(), float(u.sum())
+        # p at 1_R is the unit vector at R, so each dot product with a row of B is
+        # that row's entry at R, and + 0.0 is what the dot product makes of a -0.0
+        base = float(u @ (t.B[:, mask] + 0.0))
+        zero = abs(base) <= length * t.tol
+        # where u is 0.0 its term of u @ g is a zero whatever g holds, so only the
+        # rows where u is nonzero are dotted with p
+        along = np.flatnonzero(u)
+        g = np.zeros(t.n)
+        for eps, q in zip(STEPS, p[len(STEPS) * (k % per):]):
+            g[along] = [t.B[i] @ q for i in along]
+            moved = float(u @ g)
             for name, power in (
                 ("power_of_two", cap),
-                ("norm_ratio", search.growth((r + eps * float(u.sum())) / r, gamma)),
+                ("norm_ratio", search.growth((r + eps * length) / r, gamma)),
             ):
                 rhs = 0.0 if zero else power * base  # not inf * 0, nor inf times a residue
                 slack = moved - rhs

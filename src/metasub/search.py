@@ -83,10 +83,10 @@ def best_pair_init(fn: SetFunctionOracle, M: MatroidOracle) -> int:
     return 1 << int(np.argmax(np.where(independent, fn.neighbourhood(0)[2], -np.inf)))
 
 
-def _accepts(current: float, candidate: np.ndarray, threshold: float) -> np.ndarray:
+def _accepts(current: float, candidate: float | np.ndarray, threshold: float):
     """The multiplicative threshold above a positive value, a strict gain
-    otherwise. Neither reads a tolerance, so f scaled by a power of two
-    accepts the same swaps."""
+    otherwise, on one candidate value or an array of them. Neither reads a
+    tolerance, so f scaled by a power of two accepts the same swaps."""
     return candidate >= threshold * current if current > 0 else candidate > current
 
 
@@ -104,7 +104,12 @@ def local_search(
     positive).
     Each round scores the whole neighbourhood at once and picks the first
     accepted swap in (i, j) scan order, or the first best one; evaluations
-    count the feasible swaps a one-at-a-time scan would have scored.
+    count the feasible swaps a one-at-a-time scan would have scored. A pick
+    is taken only if f(T), as neighbourhood(T) gives it for the set T it
+    moves to, clears the test too, else the next accepted swap in pick order
+    is tried: a closed-form score that differs from f(T) in its last bits
+    cannot accept a swap that does not improve f, so every taken swap raises
+    the current value and the search ends.
     """
     n = fn.n
     threshold = 1.0 + config.epsilon / (n * n)
@@ -122,20 +127,21 @@ def local_search(
         values = swap.ravel()
         feasible = M.swap_feasible(S).ravel()
         accepted = np.flatnonzero(feasible & _accepts(current, values, threshold))
-        if not accepted.size:
+        if config.pivot == "best":  # best first, ties in scan order
+            accepted = accepted[np.argsort(-values[accepted], kind="stable")]
+        for pick in accepted:
+            a, b = divmod(int(pick), len(outside))
+            i, j = int(inside[a]), int(outside[b])
+            T = (S & ~(1 << i)) | (1 << j)
+            after = fn.neighbourhood(T)
+            if _accepts(current, after[0], threshold):
+                break
+        else:
             evaluations += int(feasible.sum())
             break
-        if config.pivot == "first":
-            pick = accepted[0]
-            evaluations += int(feasible[: pick + 1].sum())
-        else:
-            pick = accepted[np.argmax(values[accepted])]
-            evaluations += int(feasible.sum())
-        a, b = divmod(int(pick), len(outside))
-        i, j = int(inside[a]), int(outside[b])
-        S = (S & ~(1 << i)) | (1 << j)
+        evaluations += int(feasible[: pick + 1].sum() if config.pivot == "first" else feasible.sum())
+        S, around = T, after
         iterations += 1
-        around = fn.neighbourhood(S)
         trace.append({"iteration": iterations, "removed": i, "inserted": j, "value": around[0]})
         if iterations >= DEFAULT_MAX_ITERATIONS:
             raise GuardError(f"local search exceeded {DEFAULT_MAX_ITERATIONS} accepted swaps; "

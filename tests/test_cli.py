@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metasub import cli, diag
+from metasub import cli, diag, search
 from util import OVERFLOWING_TABLE
 
 
@@ -198,6 +198,18 @@ def test_epsilon_outside_positive_finite_exits_2(epsilon, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: epsilon must be positive and finite") and err.count("\n") == 1
+
+
+def test_solve_ends_on_a_js_instance_whose_swap_scores_round(tmp_path, monkeypatch):
+    # one-item Dirichlet draws give divergences down to -5.6e-17, and the closed-form
+    # swap scores then exceed f in their last bits at a value <= 0: the search
+    # cycled between {1, 2, 6} and {0, 2, 6} until the guard
+    monkeypatch.setattr(search, "DEFAULT_MAX_ITERATIONS", 1000)
+    _, inst = run(["gen", "js-random", "--support", "1", "--n", "9", "--seed", "2"],
+                  tmp_path, "js.json")
+    code, rep = run(["solve", str(inst)], tmp_path, "solve.json")
+    assert code == 0
+    assert json.loads(rep.read_text())["results"]["iterations"] <= 3
 
 
 def test_exit_code_guard_error(tmp_path):

@@ -685,6 +685,39 @@ def test_gamma_holds_no_block_of_full_rows(n):
     assert peak <= 8 * 8 << n, peak / (8 << n)
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_discrete_integral_holds_no_block_of_full_rows(n):
+    """The check reads each term from A in place: its peak stays within a few
+    arrays over the draws' masks, where one n x 2^n block alone would pass the
+    bound."""
+    fn = random_diversity(np.random.default_rng(33), n)
+    _tables(fn)
+    tracemalloc.start()
+    try:
+        check_discrete_integral(fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * INTEGRAL_ORDERINGS * 8 << n, peak / (8 << n)
+
+
+def test_gradient_at_a_vertex_is_its_column_of_b():
+    """At 1_R, p is the unit vector at R, so each dot product of the gradient is
+    B's entry at R, a -0.0 entry coming out as 0.0: what the gradient-growth
+    check reads for the derivative at 1_R."""
+    rng = np.random.default_rng(34)
+    signed_zeros = [TableFunction(np.r_[0.0, rng.choice([-0.0, 0.0, 1.0, -2.0], (1 << n) - 1)])
+                    for n in (1, 3, 5)]
+    negative_zeros = 0
+    for fn in [*layout_cases(), *signed_zeros]:
+        t = _tables(fn)
+        for R in range(1 << fn.n):
+            x = np.array([R >> k & 1 for k in range(fn.n)], dtype=float)
+            assert t.gradient(x).tobytes() == (t.B[:, R] + 0.0).tobytes(), (fn.n, R)
+        negative_zeros += int(np.sum(np.signbit(t.B) & (t.B == 0.0)))
+    assert negative_zeros
+
+
 def test_probabilities_and_gradient_on_a_stack_match_each_point():
     rng = np.random.default_rng(29)
     for fn in reduction_cases():
@@ -707,6 +740,16 @@ def test_gradient_growth_matches_the_per_point_loop():
         for gamma in (0.0, 1.0, 2.5, 300.0) if classify(fn).monotone else (0.0, 1.0, 2.5):
             got = _check_gradient_growth(t, gamma, seed=case)
             assert text(got) == text(loop_gradient_growth(t, gamma, case)), (case, gamma)
+
+
+@pytest.mark.parametrize("floats", [1, 3 * 4 << 6])
+def test_gradient_growth_in_smaller_blocks_matches_the_per_point_loop(floats, monkeypatch):
+    # one sample's steps per doubling, or four samples' at n = 6
+    monkeypatch.setattr(diag, "STEP_FLOATS", floats)
+    for case, fn in enumerate(reduction_cases()):
+        t = _tables(fn)
+        got = _check_gradient_growth(t, 1.0, seed=case)
+        assert text(got) == text(loop_gradient_growth(t, 1.0, case)), case
 
 
 def test_gradient_growth_past_the_float_range():

@@ -117,6 +117,38 @@ def test_trace_values_increase_multiplicatively():
         assert 0 <= removed < 9 and 0 <= inserted < 9
 
 
+class OneUlpSwaps(TableFunction):
+    """A table whose neighbourhood scores every swap one ulp above f(T): a
+    closed form that rounds differently from the value it stands for."""
+
+    def neighbourhood(self, mask):
+        current, drop, add, swap = super().neighbourhood(mask)
+        return current, drop, add, np.nextafter(swap, np.inf)
+
+
+@pytest.mark.parametrize("pivot", ["first", "best"])
+def test_local_search_ends_when_swap_scores_overstate_f(pivot, monkeypatch):
+    # at a value <= 0 any strict gain is accepted, and a score one ulp above an
+    # equal f(T) is one; a search that took scores on trust would swap forever
+    monkeypatch.setattr(search, "DEFAULT_MAX_ITERATIONS", 100)
+    config = SolveConfig(pivot=pivot)
+    M = UniformMatroid(4, 2)
+    start = M.extend_to_base(0)
+    assert start == 0b0011
+    S, iterations, evaluations, trace, around = local_search(
+        OneUlpSwaps(np.zeros(16)), M, start, config)
+    assert (S, iterations, evaluations, trace, around[0]) == (start, 0, 4, [], 0.0)
+    # f = -1 off the empty set and -0.5 at {0, 3}: the first three accepted
+    # scores from {0, 1} are not confirmed by f, the swap to {0, 3}, last in
+    # scan order and best, is
+    values = np.where(np.arange(16) == 0b1001, -0.5, -1.0)
+    values[0] = 0.0
+    S, iterations, evaluations, trace, around = local_search(
+        OneUlpSwaps(values), M, start, config)
+    assert (S, iterations, evaluations, around[0]) == (0b1001, 1, 8, -0.5)
+    assert trace == [{"iteration": 1, "removed": 1, "inserted": 3, "value": -0.5}]
+
+
 def test_solve_does_not_depend_on_a_power_of_two_scale():
     # the acceptance rule reads no tolerance, and f times 2^k is exact short of
     # subnormal values, so the search takes the same swaps at every scale
