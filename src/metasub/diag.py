@@ -29,7 +29,6 @@ from .setfn import SetFunctionOracle, elements_of, subset_sizes
 DEFAULT_N_MAX = 14  # the default --n-max of analyze and verify
 GRADIENT_SAMPLE_POINTS = 10  # sets R drawn by the gradient-growth check
 STEPS = (0.25, 0.5, 1.0)  # ... and the steps eps it takes from 1_R along u
-STEP_FLOATS = 1 << 20  # probabilities of the steps built at once, unless one sample's are more
 INTEGRAL_ORDERINGS = 3  # permutations drawn by the discrete-integral check
 
 
@@ -169,11 +168,7 @@ def gamma_parameter(fn: SetFunctionOracle) -> GammaReport:
     a, den, ratio = np.empty(size), np.empty(size), np.empty(size)
     active, bad = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     top, witness = -np.inf, None
-    # a pair constrains gamma where its A_ij > tol, and each column of A[p] is
-    # A_ij at four masks, at least three of them nonempty
-    live = t.A.max(axis=1) > t.tol
-    for p in np.flatnonzero(live).tolist():
-        i, j = t.pairs[p].tolist()
+    for p, (i, j) in enumerate(t.pairs.tolist()):
         np.greater(t.expand(p, out=a), t.tol, out=active)
         active[0] = False  # S = {}, whose |S| A_ij is 0
         np.add(t.B[i], t.B[j], out=den)
@@ -313,57 +308,49 @@ def check_discrete_integral(fn: SetFunctionOracle, seed: int = 0) -> LemmaCheck:
     walk's exact zero for an element outside R would.
     """
     t = _tables(fn)
-    n, size, width = t.n, 1 << t.n, t.A.shape[1]
+    n, size = t.n, 1 << t.n
     rng = np.random.default_rng(seed)
     order = np.array([rng.permutation(n) for _ in range(INTEGRAL_ORDERINGS)], dtype=np.int64)
     position = np.argsort(order, axis=1)  # position[k, v]: where draw k puts v
-    first = [t.pair(v, v + 1) - v - 1 for v in range(n)]  # A_vw is row first[v] + w, v < w
     # A draw's column q stands for the set of its elements at the positions
-    # that are the bits of q; `sets` holds that set's mask. Its last element v
-    # adds A_iv(set - v), which A holds in the row of the pair (i, v), at the
-    # column that is set - v without bits i and v. `key` is set - v without
-    # bit v, and `offset` v's share of the flat index into A: width * v while
-    # v > i, and width * first[v] once v < i.
-    sets = np.zeros((INTEGRAL_ORDERINGS, size), dtype=np.int64)
-    key = np.zeros_like(sets)
-    offset = np.zeros_like(sets)
+    # that are the bits of q: `sets` holds that set's mask and `last` its last
+    # element v. The term v adds, A_iv(set - v), is read from A in place: the
+    # row of the pair (i, v), the column that is set - v without bits i and v.
+    # `key` is set - v without bit v, in which i's bit is i where v > i and
+    # i - 1 where v < i.
+    sets, key = np.zeros((2, INTEGRAL_ORDERINGS, size), dtype=np.int64)
+    last = np.zeros(sets.shape, dtype=np.int8)
     for p in range(n):
         h, v = 1 << p, order[:, p, None]
+        last[:, h:2 * h] = v
         key[:, h:2 * h] = _drop_bit(sets[:, :h], v)
-        offset[:, h:2 * h] = width * v
         sets[:, h:2 * h] = sets[:, :h] | 1 << v
-    # i's bit in `key` is i while v > i and i - 1 once v < i. Those keys move
-    # up by `half`, to where `columns` drops bit i - 1 and adds i's share
+    # offset[i, v]: where the row of the pair (i, v) starts in A; 0 at v = i
+    offset = t.A.shape[1] * np.array([[t.pair(i, v) if v != i else 0 for v in range(n)]
+                                      for i in range(n)], dtype=np.int64)
     half = size >> 1
     low = np.arange(half, dtype=np.int64)
-    below = low  # low without bit i - 1
-    columns, index = np.empty(size, dtype=np.int64), np.empty_like(sets)
-    total = np.empty((INTEGRAL_ORDERINGS, size))
-    err = np.empty_like(total)
     worst = 0.0
     witness: dict = {}
     for i in range(n):
-        if i:  # the walks whose v is i - 1 now have v < i
-            for k, p in enumerate(position[:, i - 1].tolist()):
-                key[k, 1 << p:2 << p] += half
-                offset[k, 1 << p:2 << p] = width * first[i - 1]
-        np.add(below, width * i, out=columns[half:])
-        below = _drop_bit(low, i)
-        np.add(below, width * first[i], out=columns[:half])
-        # "clip" spares the buffered copy of `out`; only the walks' v = i
-        # terms, set to 0 below, can index outside A
-        np.take(columns, key, out=index, mode="clip")
-        index += offset
-        if t.A.size:  # at n = 1 there is no pair, and every term is A_ii
-            np.take(t.A.ravel(), index, out=total, mode="clip")
-        for k, p in enumerate(position[:, i].tolist()):
-            total[k, 1 << p:2 << p] = 0.0  # v = i adds A_ii = 0
+        # `columns` drops i's bit from a key: bit i in its lower half, read by
+        # the walks whose v is above i, and bit i - 1 in its upper half
+        columns = np.concatenate([_drop_bit(low, i), _drop_bit(low, max(i - 1, 0))])
+        index = columns.take(key + half * (last < i))
+        index += offset[i].take(last)
+        own = [(k, slice(1 << p, 2 << p)) for k, p in enumerate(position[:, i].tolist())]
+        for k, at in own:
+            index[k, at] = 0  # v = i, whose A_ii is no entry of A
+        # at n = 1 there is no pair, and every term is A_ii
+        total = t.A.take(index) if t.A.size else np.zeros(index.shape)
+        for k, at in own:
+            total[k, at] = 0.0  # v = i adds A_ii = 0
         total[:, 0] = t.values[1 << i]
         for p in range(n):
             h = 1 << p
             np.add(total[:, :h], total[:, h:2 * h], out=total[:, h:2 * h])
         total += 0.0
-        np.take(t.B[i], sets, out=err, mode="clip")
+        err = t.B[i].take(sets)
         np.subtract(total, err, out=err)
         np.abs(err, out=err)
         top = float(err.max())
@@ -443,25 +430,20 @@ def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaChec
     A derivative at 1_R sums B's with weights u, so it is zero, and bounds the
     others by 0, when its size is at most |u|_1 tol."""
     rng = np.random.default_rng(seed)
-    samples, steps = [], []  # every draw comes first, as none reads a gradient
-    for _ in range(GRADIENT_SAMPLE_POINTS):
-        mask = int(rng.integers(1, 1 << t.n))
-        ind = np.array([(mask >> i) & 1 for i in range(t.n)], dtype=float)
-        x = rng.random(t.n)
-        x *= min(1.0, mask.bit_count() / max(x.sum(), 1e-12)) * rng.random()
-        u = np.maximum(ind, x) - ind
-        if u.sum() > 0:
-            samples.append((mask, u))
-            steps += [ind + eps * u for eps in STEPS]
-    per = max(1, STEP_FLOATS // (len(STEPS) << t.n))  # samples per in-place doubling
     worst = -math.inf
     passed = True
     detail: dict = {}
     cap = search.growth(2.0, gamma)
-    for k, (mask, u) in enumerate(samples):
-        if k % per == 0:  # one row per step
-            p = t.probabilities(np.reshape(steps[len(STEPS) * k:len(STEPS) * (k + per)], (-1, t.n)))
-        r, length = mask.bit_count(), float(u.sum())
+    for _ in range(GRADIENT_SAMPLE_POINTS):
+        mask = int(rng.integers(1, 1 << t.n))
+        r = mask.bit_count()
+        ind = np.array([(mask >> i) & 1 for i in range(t.n)], dtype=float)
+        x = rng.random(t.n)
+        x *= min(1.0, r / max(x.sum(), 1e-12)) * rng.random()
+        u = np.maximum(ind, x) - ind
+        if u.sum() <= 0:
+            continue
+        length = float(u.sum())
         # p at 1_R is the unit vector at R, so each dot product with a row of B is
         # that row's entry at R, and + 0.0 is what the dot product makes of a -0.0
         base = float(u @ (t.B[:, mask] + 0.0))
@@ -470,7 +452,7 @@ def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaChec
         # rows where u is nonzero are dotted with p
         along = np.flatnonzero(u)
         g = np.zeros(t.n)
-        for eps, q in zip(STEPS, p[len(STEPS) * (k % per):]):
+        for eps, q in zip(STEPS, t.probabilities([ind + eps * u for eps in STEPS])):
             g[along] = [t.B[i] @ q for i in along]
             moved = float(u @ g)
             for name, power in (

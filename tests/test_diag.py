@@ -742,16 +742,6 @@ def test_gradient_growth_matches_the_per_point_loop():
             assert text(got) == text(loop_gradient_growth(t, gamma, case)), (case, gamma)
 
 
-@pytest.mark.parametrize("floats", [1, 3 * 4 << 6])
-def test_gradient_growth_in_smaller_blocks_matches_the_per_point_loop(floats, monkeypatch):
-    # one sample's steps per doubling, or four samples' at n = 6
-    monkeypatch.setattr(diag, "STEP_FLOATS", floats)
-    for case, fn in enumerate(reduction_cases()):
-        t = _tables(fn)
-        got = _check_gradient_growth(t, 1.0, seed=case)
-        assert text(got) == text(loop_gradient_growth(t, 1.0, case)), case
-
-
 def test_gradient_growth_past_the_float_range():
     # 2^(4 gamma) is +inf from gamma = 256: that bound holds and is never the
     # witness, and a zero derivative bounds by zero rather than by inf * 0
