@@ -91,8 +91,7 @@ class ExactTables:
         return out
 
     def rows(self, i: int) -> np.ndarray:
-        """A new n x 2^n block whose row v is A_iv over all masks; row i is zero.
-        For the one reader of whole rows, the Hessian."""
+        """A new n x 2^n block whose row v is A_iv over all masks; row i is zero."""
         block = np.zeros((self.n, 1 << self.n))
         for v in range(self.n):
             if v != i:
@@ -107,10 +106,15 @@ class ExactTables:
                         ).reshape(np.shape(x))
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Hessian of F(x): E_x[A_ij] at (i, j), zero diagonal, one dot product
-        per full row A_iv, as `gradient` takes one per row of B."""
+        """Hessian of F(x): E_x[A_ij] at (i, j) and (j, i), zero diagonal, one
+        dot product per pair's row expanded to all masks, as `gradient` takes
+        one per row of B."""
         p = self.probabilities(x)
-        return np.array([[a @ p for a in self.rows(i)] for i in range(self.n)])
+        H = np.zeros((self.n, self.n))
+        row = np.empty(1 << self.n)
+        for q, (i, j) in enumerate(self.pairs.tolist()):
+            H[i, j] = H[j, i] = self.expand(q, out=row) @ p
+        return H
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         """p_x over all masks; bit k of the index is element k. On a stack of

@@ -1,8 +1,10 @@
 """Matroid oracles: uniform, partition, and graphic.
 
 Each oracle answers independence queries over bitmask subsets and caches
-its rank and minimum circuit size. Base extension and greedy closures use
-ascending element order everywhere, so runs are reproducible.
+its rank and minimum circuit size. `greedy` and `extend_to_base` take
+elements in the order given (ascending for `extend_to_base`), so runs are
+reproducible; the solver extends its seed pair by gain instead, reading which
+elements may join from `add_feasible`.
 """
 
 from __future__ import annotations
@@ -54,6 +56,16 @@ class MatroidOracle:
             for i in inside for j in outside
         ]
         return np.array(feasible, dtype=bool).reshape(len(inside), len(outside))
+
+    def add_feasible(self, mask: int) -> np.ndarray:
+        """Independence of S + j for j not in S, in elements_of order.
+
+        One is_independent call per entry: the reference that the overrides,
+        which may assume S independent, must match.
+        """
+        check_mask(mask, self.n)
+        outside = split(mask, self.n)[1]
+        return np.array([self.is_independent(mask | (1 << int(j))) for j in outside], dtype=bool)
 
     def pair_feasible(self) -> np.ndarray:
         """Independence of {i, j} for i != j as an n x n boolean matrix, with
@@ -135,6 +147,11 @@ class UniformMatroid(MatroidOracle):
         size = mask.bit_count()
         return np.full((size, self.n - size), size <= self.rank)
 
+    def add_feasible(self, mask: int) -> np.ndarray:
+        check_mask(mask, self.n)
+        size = mask.bit_count()
+        return np.full(self.n - size, size < self.rank)
+
     def pair_feasible(self) -> np.ndarray:
         return ~np.eye(self.n, dtype=bool) & (self.rank >= 2)
 
@@ -190,10 +207,16 @@ class PartitionMatroid(MatroidOracle):
         # block or j's block is below its cap in S
         check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
-        below_cap = np.array([(mask & m).bit_count() < c
-                              for m, c in zip(self.block_masks, self.caps)])
         into = self._block_of[outside]
-        return (self._block_of[inside][:, None] == into) | below_cap[into]
+        return (self._block_of[inside][:, None] == into) | self._below_cap(mask)[into]
+
+    def add_feasible(self, mask: int) -> np.ndarray:
+        # from an independent S, S + j is independent when j's block is below its cap in S
+        check_mask(mask, self.n)
+        return self._below_cap(mask)[self._block_of[split(mask, self.n)[1]]]
+
+    def _below_cap(self, mask: int) -> np.ndarray:
+        return np.array([(mask & m).bit_count() < c for m, c in zip(self.block_masks, self.caps)])
 
     def _fill_independence(self) -> np.ndarray:
         # |S & block| is the size of the mask S & block
@@ -234,12 +257,13 @@ class GraphicMatroid(MatroidOracle):
         label = {v: k for k, v in enumerate(touched)}
         self._order = len(touched)
         self._ends = [(label[u], label[v]) for u, v in self.edges]
+        self._end_array = np.array(self._ends)
         self.rank = self.greedy(range(self.n)).bit_count()
         self.min_circuit_size = self._girth()
 
     def pair_feasible(self) -> np.ndarray:
         # two edges are a forest unless one is a loop or they are parallel
-        ends = np.array(self._ends)
+        ends = self._end_array
         low, high = ends.min(1), ends.max(1)
         parallel = (low[:, None] == low) & (high[:, None] == high)  # the diagonal too
         proper = low != high
@@ -247,21 +271,30 @@ class GraphicMatroid(MatroidOracle):
 
     def is_independent(self, mask: int) -> bool:
         check_mask(mask, self.n)
+        return self._forest(mask) is not None
+
+    def add_feasible(self, mask: int) -> np.ndarray:
+        # S + j is a forest iff j's ends lie in different trees of S; a loop's
+        # two ends share their root, so it never joins
+        check_mask(mask, self.n)
+        outside = split(mask, self.n)[1]
+        parent = self._forest(mask)
+        if parent is None:
+            return np.zeros(len(outside), dtype=bool)
+        roots = np.array([_find(parent, v) for v in range(self._order)])
+        ends = self._end_array[outside]
+        return roots[ends[:, 0]] != roots[ends[:, 1]]
+
+    def _forest(self, mask: int) -> list[int] | None:
+        """Union-find links over the edges of S, or None once an edge closes a cycle."""
         parent = list(range(self._order))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for e in iter_elements(mask):
             u, v = self._ends[e]
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
-                return False
+                return None
             parent[ru] = rv
-        return True
+        return parent
 
     def _girth(self) -> int | None:
         # the shortest cycle through edge e = (u, v) is e plus the shortest
@@ -285,6 +318,14 @@ class GraphicMatroid(MatroidOracle):
             if v in dist and (best is None or dist[v] + 1 < best):
                 best = dist[v] + 1
         return best
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def generic_min_circuit(M: MatroidOracle) -> int | None:

@@ -1,10 +1,10 @@
 """Local-search maximization over matroid bases with a matching fallback.
 
-The pipeline: seed with the best independent pair, extend greedily to a base,
-run swap local search with a multiplicative acceptance threshold, then build a
-second candidate from a maximum-weight matching on the second-difference
-weights between the base and its complement. The better of the two candidates
-wins.
+The pipeline: seed with the best independent pair, extend it greedily by
+gain to a base, run swap local search with a multiplicative acceptance
+threshold, then build a second candidate from a maximum-weight matching on
+the second-difference weights between the base and its complement. The
+better of the two candidates wins.
 """
 
 from __future__ import annotations
@@ -81,6 +81,18 @@ def best_pair_init(fn: SetFunctionOracle, M: MatroidOracle) -> int:
     if not independent.any():
         return 0
     return 1 << int(np.argmax(np.where(independent, fn.neighbourhood(0)[2], -np.inf)))
+
+
+def greedy_extend(fn: SetFunctionOracle, M: MatroidOracle, S: int) -> int:
+    """Base containing the independent set S, grown one element at a time by
+    the largest f(S + j) among the j that M lets join (the first in index
+    order on a tie). It stops at the rank, so the base's neighbourhood is
+    left to the local search."""
+    while S.bit_count() < M.rank:
+        outside = split(S, fn.n)[1]
+        gain = np.where(M.add_feasible(S), fn.neighbourhood(S)[2], -np.inf)
+        S |= 1 << int(outside[np.argmax(gain)])
+    return S
 
 
 def _accepts(current: float, candidate: float | np.ndarray, threshold: float):
@@ -186,7 +198,7 @@ def solve(
     """Full pipeline; the locally-optimal base wins ties against the
     matching candidate."""
     seed = best_pair_init(fn, M)
-    base = M.extend_to_base(seed)
+    base = greedy_extend(fn, M, seed)
     S, iterations, evaluations, trace, around = local_search(fn, M, base, config)
     s_value = around[0]
     S_prime, matching, k = matching_step(M, S, around)

@@ -243,6 +243,14 @@ class CoverageFunction(SetFunctionOracle):
         current, drop, add, swap = (np.where(union, w, 0.0).sum(-1) for union in unions)
         return float(current), drop, add, swap
 
+    def pair_values(self) -> np.ndarray:
+        # f({i, j}) as neighbourhood({i}) sums it, the masked row of the union;
+        # one i at a time, so no n x n x m block is held
+        inc, w = self._incidence, self.universe_weights
+        values = np.array([np.where(row | inc, w, 0.0).sum(-1) for row in inc])
+        np.fill_diagonal(values, 0.0)
+        return values
+
 
 class TableFunction(SetFunctionOracle):
     """Explicit lookup over all 2^n subsets."""

@@ -224,6 +224,44 @@ def test_swap_feasible_overrides_match_the_independence_loop():
                 np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {mask:#x}")
 
 
+def test_add_feasible_overrides_match_the_independence_loop():
+    rng = np.random.default_rng(8)
+    random_graphs = [  # few vertices, so loops and parallel edges are common
+        GraphicMatroid(v, [tuple(int(u) for u in rng.integers(0, v, size=2))
+                           for _ in range(int(rng.integers(1, 10)))])
+        for v in rng.integers(1, 6, size=300)
+    ]
+    random_partitions = []
+    for n in rng.integers(1, 9, size=100):
+        labels = rng.integers(0, 3, size=n)
+        blocks = [block for b in range(3) if (block := np.flatnonzero(labels == b).tolist())]
+        random_partitions.append(PartitionMatroid(blocks, rng.integers(0, 3, size=len(blocks))))
+    checked = {}
+    for M in (
+        *(UniformMatroid(n, r) for n in range(1, 8) for r in range(n + 2)),
+        *random_partitions,
+        *random_graphs,
+    ):
+        for mask in all_independent(M):  # overrides may assume S independent
+            outside = [j for j in range(M.n) if not mask >> j & 1]
+            want = np.array([M.is_independent(mask | (1 << j)) for j in outside], dtype=bool)
+            for method in (MatroidOracle.add_feasible, type(M).add_feasible):
+                got = method(M, mask)
+                assert got.dtype == bool and got.shape == want.shape
+                np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {mask:#x}")
+            checked[M.kind] = checked.get(M.kind, 0) + 1
+    assert min(checked.values()) > 1000, checked
+
+
+def test_graphic_add_feasible_never_adds_a_loop_or_closes_a_cycle():
+    M = GraphicMatroid(4, [(0, 1), (1, 2), (2, 2), (0, 2), (1, 0), (2, 3)])
+    # the path 0-1-2 joins vertices 0, 1 and 2: only the edge to 3 may join
+    np.testing.assert_array_equal(M.add_feasible(mask_of([0, 1])), [False, False, False, True])
+    np.testing.assert_array_equal(M.add_feasible(0), [True, True, False, True, True, True])
+    # a set that is not a forest has no independent superset
+    assert not M.add_feasible(mask_of([0, 3, 1])).any()
+
+
 def test_partition_swaps_at_the_cap_stay_inside_a_block():
     M = PartitionMatroid([[0, 1, 2], [3, 4]], [2, 1])
     # both blocks at their cap: rows 0, 1, 3 and columns 2, 4 pair only within a block

@@ -13,6 +13,7 @@ from metasub.search import (
     SolveConfig,
     best_pair_init,
     brute_force_opt,
+    greedy_extend,
     growth,
     guarantee_general,
     guarantee_supermodular,
@@ -179,7 +180,7 @@ def test_trace_replay_preserves_independence():
                        + [(4, 5), (4, 0)])
     M = UniformMatroid(8, 3) if M.n != 8 else M
     result = solve(fn, M)
-    S = M.extend_to_base(best_pair_init(fn, M))
+    S = greedy_extend(fn, M, best_pair_init(fn, M))
     for step in result.trace:
         S = (S & ~(1 << step["removed"])) | (1 << step["inserted"])
         assert M.is_independent(S)
@@ -434,7 +435,8 @@ def subclasses(base):
 def force_reference_loops(monkeypatch):
     """Route every override of the neighbourhood and pair methods to the base loop."""
     for base, name in ((SetFunctionOracle, "neighbourhood"), (SetFunctionOracle, "pair_values"),
-                       (MatroidOracle, "swap_feasible"), (MatroidOracle, "pair_feasible")):
+                       (MatroidOracle, "swap_feasible"), (MatroidOracle, "pair_feasible"),
+                       (MatroidOracle, "add_feasible")):
         for cls in subclasses(base):
             if name in vars(cls):
                 monkeypatch.setattr(cls, name, getattr(base, name))
@@ -479,6 +481,38 @@ def test_solve_with_overrides_matches_the_reference_loops(matroid, pivot, monkey
                 assert close(fast.matching.total_weight, ref.matching.total_weight), case
                 # the base loops give the second differences bit for bit
                 np.testing.assert_array_equal(weights[0], sd, err_msg=str(case))
+
+
+def scalar_greedy_extend(fn, M, S):
+    """Reference extension from value and is_independent calls only: the
+    first strict maximum of f(S + j) over the j that keep S independent."""
+    while S.bit_count() < M.rank:
+        best = None
+        for j in range(fn.n):
+            if not S >> j & 1 and M.is_independent(S | (1 << j)):
+                v = fn.value(S | (1 << j))
+                if best is None or v > best[0]:
+                    best = (v, j)
+        S |= 1 << best[1]
+    return S
+
+
+@pytest.mark.parametrize("matroid", sorted(MATROIDS))
+def test_greedy_extend_matches_the_scalar_greedy_loop(matroid, monkeypatch):
+    for seed in range(4):
+        rng = np.random.default_rng([seed, 23])
+        # all-ones distances tie every gain, so the first index must win
+        for fn in [*fresh_oracles(rng, 9), *awkward_diversities(rng, 9), all_ones_diversity(9)]:
+            M = MATROIDS[matroid]()
+            singles = [1 << i for i in range(9) if M.is_independent(1 << i)]
+            for start in (0, best_pair_init(fn, M), singles[seed % len(singles)]):
+                want = scalar_greedy_extend(fn, M, start)
+                assert want & start == start and want.bit_count() == M.rank
+                assert M.is_independent(want)
+                assert greedy_extend(fn, M, start) == want, (matroid, seed, fn.kind, start)
+                with monkeypatch.context() as m:
+                    force_reference_loops(m)
+                    assert greedy_extend(fn, M, start) == want, (matroid, seed, fn.kind, start)
 
 
 @pytest.mark.parametrize("matroid", ["uniform", "partition", "graphic"])

@@ -230,6 +230,20 @@ def test_pair_values_overrides_match_the_neighbourhood_rows():
                 np.testing.assert_array_equal(got, want, err_msg=f"{fn.kind} {n} {filled}")
 
 
+def test_coverage_pair_values_are_the_bits_of_the_base_method():
+    # one masked row sum per pair, as neighbourhood({i}) sums f({i, j})
+    rng = np.random.default_rng(40)
+    for k in range(40):
+        n = int(rng.integers(1, 63))
+        m = int(rng.integers(0, 2 * n + 1))
+        incidence = [list(np.flatnonzero(rng.random(m) < rng.random())) for _ in range(n)]
+        weights = rng.random(m) * (rng.random(m) < 0.8) * 10.0 ** rng.integers(-3, 4)
+        fn = CoverageFunction(incidence, weights)
+        got = fn.pair_values()
+        assert got.shape == (n, n) and not got.diagonal().any()
+        np.testing.assert_array_equal(got, SetFunctionOracle.pair_values(fn), err_msg=str(k))
+
+
 def test_coverage_rejects_fractional_and_boolean_items():
     for item in (0.5, True, "0"):
         with pytest.raises(ValidationError, match="incidence item must be an integer"):
