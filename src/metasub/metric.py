@@ -39,22 +39,27 @@ def validate_distance(raw) -> np.ndarray:
     D = np.asarray(raw, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValidationError(f"distance matrix must be square, got shape {D.shape}")
-    diagonal = np.flatnonzero(np.abs(D.diagonal()) > ABS_TOL)
     # non-finite cells are reported below; inf - inf is NaN, which is no asymmetry
     with np.errstate(invalid="ignore", over="ignore"):
-        asymmetric = np.argwhere(np.triu(np.abs(D - D.T) > ABS_TOL, 1))
-    negative = np.argwhere(D < -ABS_TOL)
-    non_finite = ["non-finite entry"] if not np.all(np.isfinite(D)) else []
+        asymmetric = np.abs(D - D.T) > ABS_TOL
+    diagonal = np.abs(D.diagonal()) > ABS_TOL
+    negative = D < -ABS_TOL
+    finite = np.isfinite(D).all()
+    if finite and not (diagonal.any() or asymmetric.any() or negative.any()):
+        return D
+    # a check failed: list the cells, an asymmetric pair once, from its upper cell
+    diagonal = np.flatnonzero(diagonal)
+    asymmetric = np.argwhere(np.triu(asymmetric, 1))
+    negative = np.argwhere(negative)
+    non_finite = [] if finite else ["non-finite entry"]
     count = len(diagonal) + len(asymmetric) + len(negative) + len(non_finite)
-    if count:
-        violations = list(itertools.islice(itertools.chain(
-            (f"nonzero diagonal at ({i},{i}): {D[i, i]!r}" for i in diagonal),
-            (f"asymmetry at ({i},{j}): {D[i, j]!r} vs {D[j, i]!r}" for i, j in asymmetric),
-            (f"negative entry at ({i},{j}): {D[i, j]!r}" for i, j in negative),
-            non_finite), 10))
-        rest = [f"and {count - 10} more"] if count > 10 else []
-        raise ValidationError("invalid distance matrix: " + "; ".join(violations + rest))
-    return D
+    violations = list(itertools.islice(itertools.chain(
+        (f"nonzero diagonal at ({i},{i}): {D[i, i]!r}" for i in diagonal),
+        (f"asymmetry at ({i},{j}): {D[i, j]!r} vs {D[j, i]!r}" for i, j in asymmetric),
+        (f"negative entry at ({i},{j}): {D[i, j]!r}" for i, j in negative),
+        non_finite), 10))
+    rest = [f"and {count - 10} more"] if count > 10 else []
+    raise ValidationError("invalid distance matrix: " + "; ".join(violations + rest))
 
 
 @dataclass(frozen=True)

@@ -83,18 +83,6 @@ def best_pair_init(fn: SetFunctionOracle, M: MatroidOracle) -> int:
     return 1 << int(np.argmax(np.where(independent, fn.neighbourhood(0)[2], -np.inf)))
 
 
-def greedy_extend(fn: SetFunctionOracle, M: MatroidOracle, S: int) -> int:
-    """Base containing the independent set S, grown one element at a time by
-    the largest f(S + j) among the j that M lets join (the first in index
-    order on a tie). It stops at the rank, so the base's neighbourhood is
-    left to the local search."""
-    while S.bit_count() < M.rank:
-        outside = split(S, fn.n)[1]
-        gain = np.where(M.add_feasible(S), fn.neighbourhood(S)[2], -np.inf)
-        S |= 1 << int(outside[np.argmax(gain)])
-    return S
-
-
 def _accepts(current: float, candidate: float | np.ndarray, threshold: float):
     """The multiplicative threshold above a positive value, a strict gain
     otherwise, on one candidate value or an array of them. Neither reads a
@@ -198,7 +186,7 @@ def solve(
     """Full pipeline; the locally-optimal base wins ties against the
     matching candidate."""
     seed = best_pair_init(fn, M)
-    base = greedy_extend(fn, M, seed)
+    base = fn.greedy_extend(M, seed)
     S, iterations, evaluations, trace, around = local_search(fn, M, base, config)
     s_value = around[0]
     S_prime, matching, k = matching_step(M, S, around)

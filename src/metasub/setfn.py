@@ -2,7 +2,8 @@
 
 Every oracle is normalized so that the empty set evaluates to 0. It answers
 f(S), f at every set one drop, add or swap from S (neighbourhood) and f at
-every pair (pair_values) on Python-int masks, for any n. The 2^n value table,
+every pair (pair_values) on Python-int masks, for any n, and grows a set to
+a matroid base by greedy gain (greedy_extend). The 2^n value table,
 from which diag.ExactTables takes every first and second difference and
 search.brute_force_opt its optimum, serves only that exhaustive layer and
 stops at TABLE_GUARD.
@@ -13,12 +14,15 @@ from __future__ import annotations
 import math
 import operator
 import reprlib
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from . import metric
 from .errors import GuardError, ValidationError
+
+if TYPE_CHECKING:
+    from .matroid import MatroidOracle
 
 TABLE_GUARD = 20  # largest n for anything that visits all 2^n subsets
 
@@ -133,6 +137,21 @@ class SetFunctionOracle:
             values[i, off_diagonal[i]] = self.neighbourhood(1 << i)[2]
         return values
 
+    def greedy_extend(self, M: MatroidOracle, mask: int) -> int:
+        """Base of M containing the independent set S = mask, grown one
+        element at a time by the largest f(S + j) among the j that M lets join
+        (the first in index order on a tie). It stops at the rank, so the
+        base's neighbourhood is left to the local search.
+
+        Reads f(S + j) from neighbourhood(S): the reference that the overrides
+        must match.
+        """
+        while mask.bit_count() < M.rank:
+            outside = split(mask, self.n)[1]
+            gain = np.where(M.add_feasible(mask), self.neighbourhood(mask)[2], -np.inf)
+            mask |= 1 << int(outside[np.argmax(gain)])
+        return mask
+
     def value_table(self) -> np.ndarray:
         """Dense vector of f over all 2^n masks (cached; n capped)."""
         check_exhaustive(self.n, "value table")
@@ -202,6 +221,19 @@ class DiversityFunction(SetFunctionOracle):
         np.fill_diagonal(values, 0.0)
         return values
 
+    def greedy_extend(self, M: MatroidOracle, mask: int) -> int:
+        # f(S+j) = f(S) + g_j, so the largest g_j among the allowed j wins; g
+        # = D[:, S].sum(1) + w gains the column D[:, j] when j joins
+        check_mask(mask, self.n)
+        inside, outside = split(mask, self.n)
+        g = self.distance[:, inside].sum(axis=1) + self.weights
+        while mask.bit_count() < M.rank:
+            j = int(outside[np.argmax(np.where(M.add_feasible(mask), g[outside], -np.inf))])
+            mask |= 1 << j
+            outside = outside[outside != j]
+            g += self.distance[:, j]
+        return mask
+
 
 class CoverageFunction(SetFunctionOracle):
     """Weighted coverage: value of the union of per-element universe subsets."""
@@ -250,6 +282,21 @@ class CoverageFunction(SetFunctionOracle):
         values = np.array([np.where(row | inc, w, 0.0).sum(-1) for row in inc])
         np.fill_diagonal(values, 0.0)
         return values
+
+    def greedy_extend(self, M: MatroidOracle, mask: int) -> int:
+        # the covered items of S, grown by each pick; every add is scored as
+        # neighbourhood scores it, the masked row of covered | inc[j]
+        check_mask(mask, self.n)
+        inc, w = self._incidence, self.universe_weights
+        inside, outside = split(mask, self.n)
+        covered = inc[inside].any(axis=0)
+        while mask.bit_count() < M.rank:
+            add = np.where(covered | inc[outside], w, 0.0).sum(-1)
+            j = int(outside[np.argmax(np.where(M.add_feasible(mask), add, -np.inf))])
+            mask |= 1 << j
+            outside = outside[outside != j]
+            covered |= inc[j]
+        return mask
 
 
 class TableFunction(SetFunctionOracle):

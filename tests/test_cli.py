@@ -100,6 +100,20 @@ def test_solve_digest_covers_its_flags(tmp_path):
     assert len(set(digests.values())) == 4
 
 
+def test_the_one_parser_leaks_no_option_into_the_next_call(tmp_path):
+    # main parses every call with the same cached parser
+    assert cli.make_parser() is cli.make_parser()
+    _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "9"], tmp_path, "inst.json")
+    _, with_opt = run(["solve", str(inst), "--with-opt", "--pivot", "best"], tmp_path, "a.json")
+    _, plain = run(["solve", str(inst)], tmp_path, "b.json")
+    with_opt, plain = (json.loads(path.read_text()) for path in (with_opt, plain))
+    assert "opt" in with_opt["results"] and "opt" not in plain["results"]
+    sha = hashlib.sha256(inst.read_bytes()).hexdigest()
+    assert plain["inputs_digest"] == cli.digest(
+        {"instance_sha256": sha, "epsilon": search.DEFAULT_EPSILON, "pivot": "first",
+         "with_opt": False})
+
+
 def test_inputs_digest_hashes_the_instance_bytes_and_the_options(tmp_path):
     _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "9"], tmp_path, "inst.json")
     sha = hashlib.sha256(inst.read_bytes()).hexdigest()

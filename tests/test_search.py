@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -13,7 +14,6 @@ from metasub.search import (
     SolveConfig,
     best_pair_init,
     brute_force_opt,
-    greedy_extend,
     growth,
     guarantee_general,
     guarantee_supermodular,
@@ -174,13 +174,13 @@ def test_solve_does_not_depend_on_a_power_of_two_scale():
 
 
 def test_trace_replay_preserves_independence():
-    rng = np.random.default_rng(2)
+    # an instance on which local search still swaps (twice) from the greedy base
+    rng = np.random.default_rng(51)
     fn = random_diversity(rng, 8)
-    M = GraphicMatroid(6, [(i, j) for i in range(4) for j in range(i + 1, 4)][:8]
-                       + [(4, 5), (4, 0)])
-    M = UniformMatroid(8, 3) if M.n != 8 else M
+    M = GraphicMatroid(6, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(4, 5), (4, 0)])
     result = solve(fn, M)
-    S = greedy_extend(fn, M, best_pair_init(fn, M))
+    assert len(result.trace) >= 1
+    S = fn.greedy_extend(M, best_pair_init(fn, M))
     for step in result.trace:
         S = (S & ~(1 << step["removed"])) | (1 << step["inserted"])
         assert M.is_independent(S)
@@ -433,8 +433,9 @@ def subclasses(base):
 
 
 def force_reference_loops(monkeypatch):
-    """Route every override of the neighbourhood and pair methods to the base loop."""
+    """Route every override of the neighbourhood, pair and greedy methods to the base loop."""
     for base, name in ((SetFunctionOracle, "neighbourhood"), (SetFunctionOracle, "pair_values"),
+                       (SetFunctionOracle, "greedy_extend"),
                        (MatroidOracle, "swap_feasible"), (MatroidOracle, "pair_feasible"),
                        (MatroidOracle, "add_feasible")):
         for cls in subclasses(base):
@@ -497,22 +498,67 @@ def scalar_greedy_extend(fn, M, S):
     return S
 
 
+def signed_zero_diversity(rng, n):
+    """Distances of 1.0, 0.0 and -0.0 and weights of 0.0 and -0.0: most gains
+    tie, among them -0.0 against 0.0, so the first index must win."""
+    D = np.triu(rng.choice([1.0, 0.0, -0.0], size=(n, n)), 1)
+    D = D + D.T
+    D[(D == 0) & (rng.random((n, n)) < 0.5)] = -0.0  # either side of a pair, the diagonal too
+    return DiversityFunction(D, weights=rng.choice([0.0, -0.0], size=n))
+
+
 @pytest.mark.parametrize("matroid", sorted(MATROIDS))
 def test_greedy_extend_matches_the_scalar_greedy_loop(matroid, monkeypatch):
     for seed in range(4):
         rng = np.random.default_rng([seed, 23])
         # all-ones distances tie every gain, so the first index must win
-        for fn in [*fresh_oracles(rng, 9), *awkward_diversities(rng, 9), all_ones_diversity(9)]:
+        for fn in [*fresh_oracles(rng, 9), *awkward_diversities(rng, 9), all_ones_diversity(9),
+                   signed_zero_diversity(rng, 9)]:
             M = MATROIDS[matroid]()
             singles = [1 << i for i in range(9) if M.is_independent(1 << i)]
             for start in (0, best_pair_init(fn, M), singles[seed % len(singles)]):
                 want = scalar_greedy_extend(fn, M, start)
                 assert want & start == start and want.bit_count() == M.rank
                 assert M.is_independent(want)
-                assert greedy_extend(fn, M, start) == want, (matroid, seed, fn.kind, start)
+                assert fn.greedy_extend(M, start) == want, (matroid, seed, fn.kind, start)
+                # the base method, reading the neighbourhood override
+                assert SetFunctionOracle.greedy_extend(fn, M, start) == want, (
+                    matroid, seed, fn.kind, start)
                 with monkeypatch.context() as m:
                     force_reference_loops(m)
-                    assert greedy_extend(fn, M, start) == want, (matroid, seed, fn.kind, start)
+                    assert fn.greedy_extend(M, start) == want, (matroid, seed, fn.kind, start)
+
+
+def large_matroid(kind, n, rng):
+    """A matroid of the given kind over n elements, rank up to 20."""
+    if kind == "uniform":
+        return UniformMatroid(n, min(20, n - 1))
+    if kind == "partition":
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
+        blocks = [part.tolist() for part in np.split(np.arange(n), cuts)]
+        return PartitionMatroid(blocks, [int(c) for c in rng.integers(0, 8, size=len(blocks))])
+    vertices = max(2, n // 5)
+    return GraphicMatroid(vertices, [tuple(int(v) for v in rng.integers(0, vertices, size=2))
+                                     for _ in range(n)])
+
+
+@pytest.mark.parametrize("matroid", ["uniform", "partition", "graphic"])
+def test_greedy_extend_overrides_match_the_base_method_up_to_62(matroid):
+    rng = np.random.default_rng(28)
+    for n in (2, 5, 17, 40, 62):
+        M = large_matroid(matroid, n, rng)
+        fns = [random_diversity(rng, n),
+               DiversityFunction(random_metric(rng, n), weights=rng.random(n)),
+               *itertools.islice(awkward_diversities(rng, n), 2), all_ones_diversity(n),
+               signed_zero_diversity(rng, n),
+               random_coverage(rng, n), random_coverage(rng, n, m=int(rng.integers(1, 5))),
+               CoverageFunction([[]] * n, [])]
+        for fn in fns:
+            for start in (0, best_pair_init(fn, M)):
+                want = scalar_greedy_extend(fn, M, start)
+                case = (matroid, n, fn.kind, start)
+                assert SetFunctionOracle.greedy_extend(fn, M, start) == want, case
+                assert fn.greedy_extend(M, start) == want, case
 
 
 @pytest.mark.parametrize("matroid", ["uniform", "partition", "graphic"])
@@ -539,7 +585,7 @@ def test_solve_past_62_elements_is_the_same_on_the_base_oracle_methods(monkeypat
     M = UniformMatroid(100, 10)
     fast = solve(fn, M)
     with monkeypatch.context() as m:
-        for name in ("neighbourhood", "pair_values"):
+        for name in ("neighbourhood", "pair_values", "greedy_extend"):
             m.setattr(DiversityFunction, name, getattr(SetFunctionOracle, name))
         ref = solve(fn, M)
     assert fast.chosen == ref.chosen and fast.chosen.bit_count() == 10
