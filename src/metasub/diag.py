@@ -99,11 +99,10 @@ class ExactTables:
         return block
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad F(x), one dot product per row of B and point: a matrix product may
-        sum in another order. On a stack of points, one gradient per point."""
-        p = self.probabilities(x)
-        return np.array([[b @ q for b in self.B] for q in p.reshape(-1, p.shape[-1])]
-                        ).reshape(np.shape(x))
+        """grad F(x), one vecdot of each row of B with p: the same dot product per
+        row and point as b @ q, where a matrix product may sum in another order.
+        On a stack of points, one gradient per point."""
+        return np.vecdot(self.B, self.probabilities(x)[..., None, :])
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of F(x): E_x[A_ij] at (i, j) and (j, i), zero diagonal, one
@@ -170,21 +169,24 @@ def gamma_parameter(fn: SetFunctionOracle) -> GammaReport:
     size = 1 << t.n
     sizes = t.sizes.astype(float)
     a, den, ratio = np.empty(size), np.empty(size), np.empty(size)
-    active, bad = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    idle = np.empty(size, dtype=bool)
     top, witness = -np.inf, None
-    for p, (i, j) in enumerate(t.pairs.tolist()):
-        np.greater(t.expand(p, out=a), t.tol, out=active)
-        active[0] = False  # S = {}, whose |S| A_ij is 0
-        np.add(t.B[i], t.B[j], out=den)
-        np.less_equal(den, t.tol, out=bad)
-        bad &= active
-        if bad.any():
-            return GammaReport(0.0, is_infinite=True, witness=(int(np.argmax(bad)), i, j))
-        ratio.fill(-np.inf)
-        np.divide(np.multiply(sizes, a, out=a), den, out=ratio, where=active)
-        k = int(ratio.argmax())  # masks in order: the first mask with the largest ratio
-        if ratio[k] > top:  # strictly: the first pair with the largest ratio
-            top, witness = float(ratio[k]), (k, i, j)
+    # every mask is divided, and the idle ones' quotients, which may be inf or NaN,
+    # are overwritten with -inf: the active ones' denominators are above tol
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p, (i, j) in enumerate(t.pairs.tolist()):
+            np.less_equal(t.expand(p, out=a), t.tol, out=idle)
+            idle[0] = True  # S = {}, whose |S| A_ij is 0
+            np.add(t.B[i], t.B[j], out=den)
+            if den[1:].min() <= t.tol:  # else no active mask has a denominator at most tol
+                bad = (den <= t.tol) & ~idle
+                if bad.any():
+                    return GammaReport(0.0, is_infinite=True, witness=(int(np.argmax(bad)), i, j))
+            np.divide(np.multiply(sizes, a, out=a), den, out=ratio)
+            np.copyto(ratio, -np.inf, where=idle)
+            k = int(ratio.argmax())  # masks in order: the first mask with the largest ratio
+            if ratio[k] > top:  # strictly: the first pair with the largest ratio
+                top, witness = float(ratio[k]), (k, i, j)
     return GammaReport(top, witness=witness) if witness else GammaReport(0.0, vacuous=True)
 
 
@@ -218,9 +220,13 @@ def classify(fn: SetFunctionOracle) -> ClassificationReport:
             p, q, a = hit
             i, j, others = t.others(p)
             witnesses[name] = {"i": i, "j": j, "S": [others[b] for b in elements_of(q)], "A": a}
-    # A_ij(S + k) - A_ij(S - k), k = others[b], for every pair and column without bit b
+    # A_ij(S + k) - A_ij(S - k), k = others[b], for every pair and column without bit b.
+    # Rounding is monotone, so no such difference exceeds its row's max - min, the
+    # same subtraction rounded: when no row spreads beyond tol, no difference does
+    # (diversity's rows are constant)
     second = None
-    for b in range(t.n - 2):
+    spread = t.A.max(axis=1) - t.A.min(axis=1)
+    for b in range(t.n - 2 if np.any(spread > t.tol) else 0):
         v = t.A.reshape(len(t.pairs), -1, 2, 1 << b)
         hit = _first_beyond((v[:, :, 1] - v[:, :, 0]).reshape(len(t.pairs), -1), 1, t.tol)
         if hit and (second is None or hit[0] < second[0]):
@@ -316,22 +322,24 @@ def check_discrete_integral(fn: SetFunctionOracle, seed: int = 0) -> LemmaCheck:
     rng = np.random.default_rng(seed)
     order = np.array([rng.permutation(n) for _ in range(INTEGRAL_ORDERINGS)], dtype=np.int64)
     position = np.argsort(order, axis=1)  # position[k, v]: where draw k puts v
-    # A draw's column q stands for the set of its elements at the positions
-    # that are the bits of q: `sets` holds that set's mask and `last` its last
-    # element v. The term v adds, A_iv(set - v), is read from A in place: the
-    # row of the pair (i, v), the column that is set - v without bits i and v.
-    # `key` is set - v without bit v, in which i's bit is i where v > i and
+    # Row q of a draw's column stands for the set of its elements at the
+    # positions that are the bits of q: `sets` holds that set's mask and `last`
+    # its last element v. Rows are masks, so each doubling step below is one
+    # contiguous block. The term v adds, A_iv(set - v), is read from A in place:
+    # the row of the pair (i, v), the column that is set - v without bits i and
+    # v. `key` is set - v without bit v, in which i's bit is i where v > i and
     # i - 1 where v < i.
-    sets, key = np.zeros((2, INTEGRAL_ORDERINGS, size), dtype=np.int64)
+    sets, key = np.zeros((2, size, INTEGRAL_ORDERINGS), dtype=np.int64)
     last = np.zeros(sets.shape, dtype=np.int8)
     for p in range(n):
-        h, v = 1 << p, order[:, p, None]
-        last[:, h:2 * h] = v
-        key[:, h:2 * h] = _drop_bit(sets[:, :h], v)
-        sets[:, h:2 * h] = sets[:, :h] | 1 << v
+        h, v = 1 << p, order[:, p]
+        last[h:2 * h] = v
+        key[h:2 * h] = _drop_bit(sets[:h], v)
+        sets[h:2 * h] = sets[:h] | 1 << v
     # offset[i, v]: where the row of the pair (i, v) starts in A; 0 at v = i
-    offset = t.A.shape[1] * np.array([[t.pair(i, v) if v != i else 0 for v in range(n)]
-                                      for i in range(n)], dtype=np.int64)
+    offset = np.zeros((n, n), dtype=np.int64)
+    lo, hi = t.pairs.T
+    offset[lo, hi] = offset[hi, lo] = t.A.shape[1] * np.arange(len(t.pairs))
     half = size >> 1
     low = np.arange(half, dtype=np.int64)
     worst = 0.0
@@ -342,17 +350,17 @@ def check_discrete_integral(fn: SetFunctionOracle, seed: int = 0) -> LemmaCheck:
         columns = np.concatenate([_drop_bit(low, i), _drop_bit(low, max(i - 1, 0))])
         index = columns.take(key + half * (last < i))
         index += offset[i].take(last)
-        own = [(k, slice(1 << p, 2 << p)) for k, p in enumerate(position[:, i].tolist())]
-        for k, at in own:
-            index[k, at] = 0  # v = i, whose A_ii is no entry of A
+        own = [(slice(1 << p, 2 << p), k) for k, p in enumerate(position[:, i].tolist())]
+        for at in own:
+            index[at] = 0  # v = i, whose A_ii is no entry of A
         # at n = 1 there is no pair, and every term is A_ii
         total = t.A.take(index) if t.A.size else np.zeros(index.shape)
-        for k, at in own:
-            total[k, at] = 0.0  # v = i adds A_ii = 0
-        total[:, 0] = t.values[1 << i]
+        for at in own:
+            total[at] = 0.0  # v = i adds A_ii = 0
+        total[0] = t.values[1 << i]
         for p in range(n):
             h = 1 << p
-            np.add(total[:, :h], total[:, h:2 * h], out=total[:, h:2 * h])
+            np.add(total[:h], total[h:2 * h], out=total[h:2 * h])
         total += 0.0
         err = t.B[i].take(sets)
         np.subtract(total, err, out=err)
@@ -361,14 +369,15 @@ def check_discrete_integral(fn: SetFunctionOracle, seed: int = 0) -> LemmaCheck:
         worst = max(worst, top)
         if not witness and top > t.tol:
             # the first failure in (mask, draw) order, as a scalar walk meets it;
-            # each draw holds the mask in one column
+            # each draw holds the mask in one row, and the transposed views
+            # list the draws in order
             failed = err > t.tol
             mask = int(sets[failed].min())
-            at = sets == mask
-            k = int(np.argmax(failed[at]))
+            at = (sets == mask).T
+            k = int(np.argmax(failed.T[at]))
             witness = {"i": i, "R": elements_of(mask),
                        "order": [v for v in order[k].tolist() if mask >> v & 1],
-                       "lhs": float(t.B[i][mask]), "rhs": float(total[at][k])}
+                       "lhs": float(t.B[i][mask]), "rhs": float(total.T[at][k])}
     return LemmaCheck("discrete_integral", not witness, worst_slack=worst, detail=witness)
 
 
@@ -433,31 +442,24 @@ def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaChec
     A cap past the float range is +inf: that bound holds and is never the witness.
     A derivative at 1_R sums B's with weights u, so it is zero, and bounds the
     others by 0, when its size is at most |u|_1 tol."""
-    rng = np.random.default_rng(seed)
     worst = -math.inf
     passed = True
     detail: dict = {}
     cap = search.growth(2.0, gamma)
-    for _ in range(GRADIENT_SAMPLE_POINTS):
-        mask = int(rng.integers(1, 1 << t.n))
+    for mask, u, points in _growth_samples(t.n, seed):
         r = mask.bit_count()
-        ind = np.array([(mask >> i) & 1 for i in range(t.n)], dtype=float)
-        x = rng.random(t.n)
-        x *= min(1.0, r / max(x.sum(), 1e-12)) * rng.random()
-        u = np.maximum(ind, x) - ind
-        if u.sum() <= 0:
-            continue
         length = float(u.sum())
         # p at 1_R is the unit vector at R, so each dot product with a row of B is
         # that row's entry at R, and + 0.0 is what the dot product makes of a -0.0
         base = float(u @ (t.B[:, mask] + 0.0))
         zero = abs(base) <= length * t.tol
         # where u is 0.0 its term of u @ g is a zero whatever g holds, so only the
-        # rows where u is nonzero are dotted with p
+        # rows where u is nonzero are read from the dot products with p
         along = np.flatnonzero(u)
         g = np.zeros(t.n)
-        for eps, q in zip(STEPS, t.probabilities([ind + eps * u for eps in STEPS])):
-            g[along] = [t.B[i] @ q for i in along]
+        dots = np.vecdot(t.B, _probabilities_above(t.n, mask, points)[:, None, :])
+        for eps, d in zip(STEPS, dots):
+            g[along] = d[along]
             moved = float(u @ g)
             for name, power in (
                 ("power_of_two", cap),
@@ -473,6 +475,39 @@ def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaChec
                     passed = False
     return LemmaCheck("gradient_growth", passed, worst_slack=None if worst == -math.inf else worst,
                       detail=detail)
+
+
+def _growth_samples(n: int, seed: int):
+    """The gradient-growth check's draws: each set R (as a mask) with a nonzero
+    direction u, 0.0 on R and in [0, 1) off it, and the points 1_R + eps u, one
+    row per step in STEPS."""
+    rng = np.random.default_rng(seed)
+    for _ in range(GRADIENT_SAMPLE_POINTS):
+        mask = int(rng.integers(1, 1 << n))
+        r = mask.bit_count()
+        ind = np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
+        x = rng.random(n)
+        x *= min(1.0, r / max(x.sum(), 1e-12)) * rng.random()
+        u = np.maximum(ind, x) - ind
+        if u.sum() > 0:
+            yield mask, u, np.array([ind + eps * u for eps in STEPS])
+
+
+def _probabilities_above(n: int, R: int, points: np.ndarray) -> np.ndarray:
+    """ExactTables.probabilities of points in [0, 1] that are 1.0 on R, without the
+    factors R contributes: each mask off the supersets of R takes a factor
+    1 - 1.0 and is 0.0, and on the supersets each factor of R is 1.0, so p there
+    is the doubling over the elements outside R alone, the same products in the
+    same order, scattered to the supersets in mask order."""
+    factors = np.stack([1.0 - points, points], axis=-1)  # without and with each element
+    part = np.ones((len(points), 1))
+    for k in range(n):
+        if not R >> k & 1:  # the sets without k, then those with it
+            part = (factors[:, k, :, None] * part[:, None, :]).reshape(len(points), -1)
+    supersets = np.flatnonzero(np.arange(1 << n) & R == R)
+    p = np.zeros((len(points), 1 << n))
+    p[:, supersets] = part
+    return p
 
 
 def _check_kleinberg(t: ExactTables, g: GammaReport) -> LemmaCheck:

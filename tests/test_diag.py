@@ -14,6 +14,8 @@ from metasub.diag import (
     LemmaCheck,
     _check_gradient_growth,
     _check_kleinberg,
+    _growth_samples,
+    _probabilities_above,
     _tables,
     check_discrete_integral,
     check_expectation_inequality,
@@ -38,6 +40,7 @@ from util import (
     OVERFLOWING_TABLE,
     awkward_diversities,
     fresh_oracles,
+    loop_gradient,
     loop_gradient_growth,
     marginal,
     multilinear,
@@ -657,6 +660,57 @@ def test_reductions_match_the_pair_loops():
     assert monotone == {True, False}
 
 
+def cube(n: int, triple, c: float) -> TableFunction:
+    """c on the supersets of the triple, else 0: each of its three pairs' A
+    rises by c with the third element, so those rows spread by exactly c."""
+    mask = mask_of(triple)
+    return TableFunction(np.array([c if S & mask == mask else 0.0 for S in range(1 << n)]))
+
+
+def spreads(t) -> np.ndarray:
+    return t.A.max(axis=1) - t.A.min(axis=1)
+
+
+@pytest.mark.parametrize("triple, bit", [((0, 1, 2), 0), ((2, 3, 5), 3), ((4, 6, 7), 5)])
+def test_classify_scans_a_spread_one_ulp_over_tol(triple, bit):
+    """The cube's first pair (a, b) spreads by one ulp over tol at the column
+    bit of c, the low, a middle and the top bit at n=8: the scan runs and
+    finds that witness, as the loop does."""
+    fn = cube(8, triple, np.nextafter(ABS_TOL, 1.0))
+    t = _tables(fn)
+    assert t.tol == ABS_TOL and spreads(t).max() > t.tol
+    a, b, c = triple
+    assert t.others(t.pair(a, b))[2].index(c) == bit
+    got = classify(fn)
+    assert got == loop_classify(t)
+    w = got.witnesses["second_order_submodular"]
+    assert not got.second_order_submodular and (w["i"], w["j"], w["k"]) == triple
+
+
+def test_classify_skips_a_spread_of_exactly_tol():
+    """A spread of exactly tol is no second-order hit: the scan is skipped and
+    the loop agrees."""
+    fn = cube(8, (2, 3, 5), ABS_TOL)
+    t = _tables(fn)
+    assert spreads(t).max() == t.tol
+    got = classify(fn)
+    assert got.second_order_submodular and got == loop_classify(t)
+
+
+def test_classify_guard_on_coverage_and_diversity():
+    """Coverage's rows spread beyond tol, so the scan runs and finds a witness;
+    diversity's rows are constant up to rounding, so it is skipped. Both
+    match the loop, witnesses included."""
+    rng = np.random.default_rng(35)
+    for n in (5, 8, 10):
+        for fn, scanned in ((random_coverage(rng, n), True), (random_diversity(rng, n), False)):
+            t = _tables(fn)
+            assert bool(np.any(spreads(t) > t.tol)) is scanned, (n, type(fn))
+            got = classify(fn)
+            assert got == loop_classify(t)
+            assert got.second_order_submodular is not scanned
+
+
 @pytest.mark.parametrize("a, b", [(0, 1), (0, 5), (4, 5), (2, 3)])
 def test_gamma_witness_at_the_edges_of_a_pair_view(a, b):
     """One long distance d(a, b) = 10 among halves: gamma = 10 at S = {c}, c the
@@ -701,6 +755,22 @@ def test_discrete_integral_holds_no_block_of_full_rows(n):
     assert peak <= 8 * INTEGRAL_ORDERINGS * 8 << n, peak / (8 << n)
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_gradient_growth_holds_no_block_of_full_rows(n):
+    """The check dots all of B with each sample's points in place: its peak
+    stays within a few arrays over the masks, where a gather of B's rows
+    would pass the bound."""
+    fn = random_diversity(np.random.default_rng(36), n)
+    t = _tables(fn)
+    tracemalloc.start()
+    try:
+        _check_gradient_growth(t, 1.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 << n, peak / (8 << n)
+
+
 def test_gradient_at_a_vertex_is_its_column_of_b():
     """At 1_R, p is the unit vector at R, so each dot product of the gradient is
     B's entry at R, a -0.0 entry coming out as 0.0: what the gradient-growth
@@ -740,6 +810,42 @@ def test_gradient_growth_matches_the_per_point_loop():
         for gamma in (0.0, 1.0, 2.5, 300.0) if classify(fn).monotone else (0.0, 1.0, 2.5):
             got = _check_gradient_growth(t, gamma, seed=case)
             assert text(got) == text(loop_gradient_growth(t, gamma, case)), (case, gamma)
+
+
+def test_gradient_matches_the_per_row_loop():
+    rng = np.random.default_rng(37)
+    for fn in layout_cases():
+        t = _tables(fn)
+        points = rng.random((4, fn.n))
+        points[0] = points[0] < 0.5
+        for x in (points, points[1], points[0]):
+            assert t.gradient(x).tobytes() == loop_gradient(t, x).tobytes(), fn.n
+
+
+def test_vecdot_is_one_dot_product_per_row():
+    """np.vecdot of B's rows with a stack of points gives the bits of b @ q for
+    each row b and point q, up to n=16, where a matrix product may sum in
+    another order: the gradient and the growth check rely on it."""
+    rng = np.random.default_rng(38)
+    for n in range(1, 17):
+        B = rng.standard_normal((n, 1 << n)) * (rng.random((n, 1 << n)) < 0.8)
+        q = _tables(TableFunction(np.zeros(1 << n))).probabilities(rng.random((3, n)))
+        want = np.array([[b @ p for b in B] for p in q])
+        assert np.vecdot(B, q[:, None, :]).tobytes() == want.tobytes(), n
+
+
+def test_growth_probabilities_match_the_doubling():
+    """At every point the check draws, p from the elements outside R alone is
+    probabilities' p byte for byte, R with a single outside element among them."""
+    single = 0
+    for n in range(1, 13):
+        t = _tables(TableFunction(np.zeros(1 << n)))
+        for seed in range(50):
+            for mask, u, points in _growth_samples(n, seed):
+                got = _probabilities_above(n, mask, points)
+                assert got.tobytes() == t.probabilities(points).tobytes(), (n, seed, mask)
+                single += n - mask.bit_count() == 1
+    assert single
 
 
 def test_gradient_growth_past_the_float_range():

@@ -139,8 +139,16 @@ def multilinear(t, x) -> float:
     return float(t.values @ t.probabilities(np.asarray(x, dtype=float)))
 
 
+def loop_gradient(t, x) -> np.ndarray:
+    """Reference grad F(x) of ExactTables t: one dot product b @ q per row b
+    of B and point; on a stack of points, one gradient per point."""
+    p = t.probabilities(x)
+    return np.array([[b @ q for b in t.B] for q in p.reshape(-1, p.shape[-1])]
+                    ).reshape(np.shape(x))
+
+
 def loop_gradient_growth(t, gamma: float, seed: int) -> LemmaCheck:
-    """Reference gradient-growth check: one gradient call per point, the
+    """Reference gradient-growth check: one per-row gradient per point, the
     indicator 1_R first and then each step along u."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
@@ -156,10 +164,10 @@ def loop_gradient_growth(t, gamma: float, seed: int) -> LemmaCheck:
         u = np.maximum(ind, x) - ind
         if u.sum() <= 0:
             continue
-        base = float(u @ t.gradient(ind))
+        base = float(u @ loop_gradient(t, ind))
         zero = abs(base) <= float(u.sum()) * t.tol
         for eps in (0.25, 0.5, 1.0):
-            moved = float(u @ t.gradient(ind + eps * u))
+            moved = float(u @ loop_gradient(t, ind + eps * u))
             for name, power in (
                 ("power_of_two", cap),
                 ("norm_ratio", growth((r + eps * float(u.sum())) / r, gamma)),
