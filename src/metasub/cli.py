@@ -196,9 +196,9 @@ def generate(kind: str, n: int, seed: int, args) -> dict:
 
 def make_report(args, results: dict, work: dict, instance_sha256: str | None = None) -> dict:
     """inputs_digest covers every option the command parsed, bar those that
-    route it or place and shape its output, plus the instance's bytes."""
+    route it or place its output, plus the instance's bytes."""
     inputs = {key: value for key, value in vars(args).items()
-              if key not in ("cmd", "func", "out", "format", "instance")}
+              if key not in ("cmd", "func", "out", "instance")}
     if instance_sha256 is not None:
         inputs["instance_sha256"] = instance_sha256
     return {
@@ -210,7 +210,13 @@ def make_report(args, results: dict, work: dict, instance_sha256: str | None = N
     }
 
 
-def write(text: str, args) -> None:
+def emit(doc: dict, args) -> None:
+    """Write a strict-JSON report. Inputs are finite, so a NaN or infinity
+    here comes from arithmetic that overflowed on the instance's magnitudes."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise OverflowError(str(exc)) from exc
     try:
         if args.out:
             with open(args.out, "w") as f:
@@ -226,23 +232,6 @@ def write(text: str, args) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         raise ValidationError(f"cannot write report: {exc}") from exc
-
-
-def emit(doc: dict, args) -> None:
-    """Write a strict-JSON report. Inputs are finite, so a NaN or infinity
-    here comes from arithmetic that overflowed on the instance's magnitudes."""
-    try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise OverflowError(str(exc)) from exc
-    write(text + "\n", args)
-
-
-def trace_csv(result_dict: dict) -> str:
-    lines = ["iteration,removed,inserted,value"]
-    for step in result_dict["trace"]:
-        lines.append(f'{step["iteration"]},{step["removed"]},{step["inserted"]},{step["value"]!r}')
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------- commands
@@ -323,9 +312,6 @@ def cmd_solve(args) -> int:
             "ratio": ratio,
         }
     work = {"iterations": result.iterations, "evaluations": result.evaluations}
-    if args.format == "csv":
-        write(trace_csv(payload), args)
-        return 0
     emit(make_report(args, payload, work, instance_sha256), args)
     return 0
 
@@ -408,7 +394,7 @@ def verify_matroid_suite(rng, samples: int, n: int) -> list[dict]:
         M = _random_matroid(rng, n)
         if M.min_circuit_size != generic_min_circuit(M):
             failures.append({"trial": t, "kind": M.kind, "bad": "min_circuit_size"})
-        base1 = M.extend_to_base(0)
+        base1 = M.greedy(range(M.n))
         for i, j in M.exchange_bijection(base1, M.greedy(rng.permutation(M.n))):
             if not M.is_independent((base1 & ~(1 << i)) | (1 << j)):
                 failures.append({"trial": t, "kind": M.kind, "bad": "exchange", "pair": [i, j]})
@@ -504,7 +490,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--pivot", choices=["first", "best"], default="first")
     p.add_argument("--with-opt", dest="with_opt", action="store_true")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="run a randomized property suite")

@@ -90,14 +90,6 @@ class ExactTables:
         w[:] = self.A[p].reshape(w[:, :1, :, :1].shape)
         return out
 
-    def rows(self, i: int) -> np.ndarray:
-        """A new n x 2^n block whose row v is A_iv over all masks; row i is zero."""
-        block = np.zeros((self.n, 1 << self.n))
-        for v in range(self.n):
-            if v != i:
-                self.expand(self.pair(i, v), out=block[v])
-        return block
-
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """grad F(x), one vecdot of each row of B with p: the same dot product per
         row and point as b @ q, where a matrix product may sum in another order.

@@ -1,10 +1,9 @@
 """Matroid oracles: uniform, partition, and graphic.
 
 Each oracle answers independence queries over bitmask subsets and caches
-its rank and minimum circuit size. `greedy` and `extend_to_base` take
-elements in the order given (ascending for `extend_to_base`), so runs are
-reproducible; the solver extends its seed pair by gain instead, reading which
-elements may join from `add_feasible`.
+its rank and minimum circuit size. `greedy` takes elements in the order
+given, so runs are reproducible; the solver extends its seed pair by gain
+instead, reading which elements may join from `add_feasible`.
 """
 
 from __future__ import annotations
@@ -91,21 +90,17 @@ class MatroidOracle:
         return np.array([self.is_independent(mask) for mask in range(1 << self.n)], dtype=bool)
 
     def greedy(self, order: Iterable[int], start: int = 0) -> int:
-        """Greedy independent superset of start: each element of order, in
-        turn, joins when the set stays independent."""
+        """Greedy independent superset of an independent start: each element
+        of order, in turn, joins when the set stays independent."""
+        check_mask(start, self.n)
+        if not self.is_independent(start):
+            raise ValidationError(f"set {start:#x} is not independent")
         acc = start
         for v in order:
             bit = 1 << int(v)
             if not acc & bit and self.is_independent(acc | bit):
                 acc |= bit
         return acc
-
-    def extend_to_base(self, mask: int) -> int:
-        """Smallest-first greedy superset base of an independent set."""
-        check_mask(mask, self.n)
-        if not self.is_independent(mask):
-            raise ValidationError(f"set {mask:#x} is not independent")
-        return self.greedy(range(self.n), mask)
 
     def exchange_bijection(self, S: int, T: int) -> list[tuple[int, int]]:
         """Sorted pairing of S\\T onto T\\S with every single swap independent.

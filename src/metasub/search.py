@@ -77,7 +77,7 @@ def best_pair_init(fn: SetFunctionOracle, M: MatroidOracle) -> int:
         # the first maximum in row-major order, as in a strict-> scan over (i, j)
         i, j = divmod(int(np.argmax(np.where(pairs, fn.pair_values(), -np.inf))), fn.n)
         return (1 << i) | (1 << j)
-    independent = np.array([M.is_independent(1 << i) for i in range(fn.n)])
+    independent = M.add_feasible(0)
     if not independent.any():
         return 0
     return 1 << int(np.argmax(np.where(independent, fn.neighbourhood(0)[2], -np.inf)))

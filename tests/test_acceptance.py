@@ -134,7 +134,7 @@ def test_criterion_05_smoothness_suite():
         nonempty = t.sizes > 0
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = t.sizes * t.rows(i)[j]
+                lhs = t.sizes * t.expand(t.pair(i, j))
                 rhs = sigma * (t.B[i] + t.B[j])
                 ok = ok and bool(np.all(lhs[nonempty] <= rhs[nonempty] + 1e-9))
         for _ in range(100):

@@ -166,16 +166,6 @@ def test_reports_are_deterministic(tmp_path):
     assert len(blobs) == 1
 
 
-def test_csv_trace_format(tmp_path):
-    _, inst = run(["gen", "metric-random", "--n", "7", "--seed", "2"], tmp_path, "inst.json")
-    code, out = run(["solve", str(inst), "--format", "csv"], tmp_path, "trace.csv")
-    assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "iteration,removed,inserted,value"
-    for line in lines[1:]:
-        assert len(line.split(",")) == 4
-
-
 def test_epsilon_orders_iterations(tmp_path):
     _, inst = run(["gen", "metric-random", "--n", "9", "--seed", "13"], tmp_path, "inst.json")
     counts = {}
@@ -236,7 +226,6 @@ def test_exit_code_guard_error(tmp_path):
     ["gen", "metric-random", "--n", "5"],
     ["analyze", "{inst}"],
     ["solve", "{inst}"],
-    ["solve", "{inst}", "--format", "csv"],
     ["verify", "matching", "--samples", "2"],
 ])
 def test_an_unwritable_out_exits_2_with_one_error_line(argv, tmp_path, capsys):
@@ -379,6 +368,7 @@ def test_reports_follow_schema_v2(tmp_path):
     ["solve", "inst.json", "--seed", "3"],
     ["solve", "inst.json", "--tolerance", "1e-9"],
     ["solve", "inst.json", "--n-max", "10"],
+    ["solve", "inst.json", "--format", "csv"],
     ["gen", "metric-random", "--n", "5", "--tolerance", "1e-9"],
     ["gen", "metric-random", "--n", "5", "--n-max", "10"],
     ["verify", "matching", "--tolerance", "1e-9"],

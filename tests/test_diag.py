@@ -616,7 +616,7 @@ def layout_cases():
 def test_tables_match_the_gathered_differences():
     # the scalar definitions: B_i gathered over all masks, and each A[p, q] the
     # second difference at all four masks T, T+i, T+j and T+i+j, T the set of
-    # column q; rows(i) is every A_iv over all masks, gathered the same way
+    # column q; expand(pair(i, v)) is A_iv over all masks, gathered the same way
     for fn in layout_cases():
         t, v, masks = ExactTables(fn), fn.value_table(), np.arange(1 << fn.n)
         assert t.A.shape == (fn.n * (fn.n - 1) // 2, 1 << max(fn.n - 2, 0))
@@ -625,7 +625,9 @@ def test_tables_match_the_gathered_differences():
             np.testing.assert_array_equal(t.B[i], v[masks | bi] - v[masks & ~bi])
         seconds = gathered_seconds(t)
         for i in range(fn.n):
-            assert t.rows(i).tobytes() == seconds[i].tobytes(), (fn.n, i)
+            for v in range(fn.n):
+                if v != i:
+                    assert t.expand(t.pair(i, v)).tobytes() == seconds[i, v].tobytes(), (fn.n, i, v)
         for p, row in enumerate(t.A.tolist()):
             i, j, others = t.others(p)
             assert others == sorted(set(range(fn.n)) - {i, j})

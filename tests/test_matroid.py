@@ -139,15 +139,15 @@ def test_rank_of_is_monotone_submodular():
                 assert a <= 0
 
 
-def test_extend_to_base():
+def test_greedy_extends_an_independent_start():
     M = UniformMatroid(4, 2)
-    assert M.extend_to_base(mask_of([3])) == mask_of([0, 3])
+    assert M.greedy(range(M.n), mask_of([3])) == mask_of([0, 3])
     base = mask_of([1, 2])
-    assert M.extend_to_base(base) == base
+    assert M.greedy(range(M.n), base) == base
     with pytest.raises(ValidationError):
-        M.extend_to_base(mask_of([0, 1, 2]))
+        M.greedy(range(M.n), mask_of([0, 1, 2]))
     path = GraphicMatroid(3, [(0, 1), (1, 2)])
-    assert path.extend_to_base(0) == 0b11
+    assert path.greedy(range(path.n)) == 0b11
 
 
 def test_exchange_bijection_uniform():

@@ -74,9 +74,37 @@ def test_best_pair_dominant_entry():
     assert best_pair_init(DiversityFunction(D), UniformMatroid(4, 2)) == mask_of([2, 3])
 
 
+def scalar_best_singleton(fn, M) -> int:
+    """Reference: the first independent singleton of largest value, or 0."""
+    best, best_value = 0, -math.inf
+    for i in range(fn.n):
+        if M.is_independent(1 << i) and fn.value(1 << i) > best_value:
+            best, best_value = 1 << i, fn.value(1 << i)
+    return best
+
+
 def test_best_pair_rank_one_fallback():
     fn = DiversityFunction(np.zeros((2, 2)), weights=[1.0, 5.0])
     assert best_pair_init(fn, UniformMatroid(2, 1)) == mask_of([1])
+    matroids = [
+        UniformMatroid(5, 0),
+        UniformMatroid(5, 1),
+        PartitionMatroid([range(5)], [1]),
+        PartitionMatroid([[1, 3], [0, 2, 4]], [0, 1]),
+        # a star on one leaf: two loops and three parallel edges
+        GraphicMatroid(3, [(0, 0), (0, 1), (1, 0), (1, 1), (0, 1)]),
+        GraphicMatroid(2, [(0, 0), (1, 1), (0, 0), (1, 1), (0, 0)]),
+    ]
+    rng = np.random.default_rng(4)
+    for trial in range(20):
+        # few distinct values, so that ties show the first maximum is kept
+        values = rng.integers(-2, 3, 1 << 5).astype(float)
+        values[0] = 0.0
+        fn = TableFunction(values)
+        for M in matroids:
+            assert M.rank <= 1
+            assert best_pair_init(fn, M) == scalar_best_singleton(fn, M), (trial, M.kind)
+    assert best_pair_init(fn, matroids[-1]) == 0
 
 
 def test_local_search_certificate():
@@ -85,7 +113,7 @@ def test_local_search_certificate():
         fn = random_diversity(rng, 8)
         M = UniformMatroid(8, 4)
         cfg = SolveConfig()
-        start = M.extend_to_base(best_pair_init(fn, M))
+        start = M.greedy(range(M.n), best_pair_init(fn, M))
         S, iters, _, trace, _ = local_search(fn, M, start, cfg)
         assert S.bit_count() == M.rank
         assert M.is_independent(S)
@@ -104,7 +132,7 @@ def test_trace_values_increase_multiplicatively():
     fn = random_diversity(rng, 9)
     M = UniformMatroid(9, 4)
     cfg = SolveConfig(epsilon=0.3)
-    start = M.extend_to_base(0)  # poor start to force swaps
+    start = M.greedy(range(M.n))  # poor start to force swaps
     S, _, _, trace, _ = local_search(fn, M, start, cfg)
     prev = fn.value(start)
     factor = 1 + cfg.epsilon / 81
@@ -134,7 +162,7 @@ def test_local_search_ends_when_swap_scores_overstate_f(pivot, monkeypatch):
     monkeypatch.setattr(search, "DEFAULT_MAX_ITERATIONS", 100)
     config = SolveConfig(pivot=pivot)
     M = UniformMatroid(4, 2)
-    start = M.extend_to_base(0)
+    start = M.greedy(range(M.n))
     assert start == 0b0011
     S, iterations, evaluations, trace, around = local_search(
         OneUlpSwaps(np.zeros(16)), M, start, config)
@@ -193,7 +221,7 @@ def test_iteration_guard(monkeypatch):
     fn = random_diversity(rng, 8)
     M = UniformMatroid(8, 4)
     with pytest.raises(GuardError):
-        local_search(fn, M, M.extend_to_base(0), SolveConfig(epsilon=1e-9))
+        local_search(fn, M, M.greedy(range(M.n)), SolveConfig(epsilon=1e-9))
 
 
 def test_an_epsilon_below_float_resolution_is_rejected(monkeypatch):
@@ -237,7 +265,7 @@ def test_matching_step_supermodular_value_dominates_weight():
     for _ in range(10):
         fn = random_diversity(rng, 8)
         M = UniformMatroid(8, 4)
-        S = M.extend_to_base(best_pair_init(fn, M))
+        S = M.greedy(range(M.n), best_pair_init(fn, M))
         S_prime, matching, k = matching_step(M, S, fn.neighbourhood(S))
         if matching is not None:
             assert fn.value(S_prime) >= matching.total_weight - 1e-9
@@ -274,7 +302,7 @@ def test_epsilon_orders_iteration_counts():
     rng = np.random.default_rng(8)
     fn = random_diversity(rng, 9)
     M = UniformMatroid(9, 4)
-    start = M.extend_to_base(0)
+    start = M.greedy(range(M.n))
     _, coarse, _, _, _ = local_search(fn, M, start, SolveConfig(epsilon=0.5))
     _, fine, _, _, _ = local_search(fn, M, start, SolveConfig(epsilon=0.01))
     assert fine >= coarse
@@ -459,19 +487,19 @@ def test_solve_with_overrides_matches_the_reference_loops(matroid, pivot, monkey
         for fn in fresh_oracles(np.random.default_rng([seed, 9]), 9):
             M = MATROIDS[matroid]()
             fast = solve(fn, M, config)
-            fast_from_empty = local_search(fn, M, M.extend_to_base(0), config)[:4]
+            fast_from_empty = local_search(fn, M, M.greedy(range(M.n)), config)[:4]
             weights = []
             with monkeypatch.context() as m:
                 force_reference_loops(m)
                 m.setattr(search, "max_weight_matching_k",
                           lambda w, k: weights.append(w) or max_weight_matching_k(w, k))
                 ref = solve(fn, M, config)
-                ref_from_empty = local_search(fn, M, M.extend_to_base(0), config)[:4]
+                ref_from_empty = local_search(fn, M, M.greedy(range(M.n)), config)[:4]
                 sd = [[second_difference(fn, i, j, ref.S) for j in range(9) if not ref.S >> j & 1]
                       for i in elements_of(ref.S)]
             case = (matroid, pivot, seed, fn.kind)
             assert fast_from_empty == ref_from_empty, case
-            assert ref_from_empty == scalar_local_search(fn, M, M.extend_to_base(0), config), case
+            assert ref_from_empty == scalar_local_search(fn, M, M.greedy(range(M.n)), config), case
             assert ref.initial == scalar_best_pair(fn, M), case
             for key in ("initial", "S", "S_prime", "chosen", "trace", "iterations",
                         "evaluations", "matching_k", "S_value", "S_prime_value", "chosen_value"):
@@ -615,7 +643,7 @@ def test_the_solver_reads_f_of_s_from_the_neighbourhood(monkeypatch):
         if fn.kind == "table":
             continue  # no override: the base neighbourhood calls value
         M = UniformMatroid(9, 4)
-        S, iterations, _, _, around = local_search(fn, M, M.extend_to_base(0))
+        S, iterations, _, _, around = local_search(fn, M, M.greedy(range(M.n)))
         matching_step(M, S, around)
         assert iterations and calls == [], fn.kind
         solve(fn, M)
