@@ -226,6 +226,7 @@ def test_exit_code_guard_error(tmp_path):
     ["gen", "metric-random", "--n", "5"],
     ["analyze", "{inst}"],
     ["solve", "{inst}"],
+    ["solve", "{inst}", "--with-opt"],
     ["verify", "matching", "--samples", "2"],
 ])
 def test_an_unwritable_out_exits_2_with_one_error_line(argv, tmp_path, capsys):
