@@ -98,11 +98,7 @@ def build_matroid(n: int, desc: dict) -> MatroidOracle:
     if kind == "uniform":
         return UniformMatroid(n, desc["r"])
     if kind == "partition":
-        blocks = [[check_integer(v, "partition block element") for v in block]
-                  for block in desc["blocks"]]
-        if not all(0 <= v < n for block in blocks for v in block):
-            raise ValidationError(f"partition blocks must hold elements of [0, {n})")
-        M = PartitionMatroid(blocks, desc["caps"])
+        M = PartitionMatroid(desc["blocks"], desc["caps"])
         if M.n != n:
             raise ValidationError(f"partition blocks cover {M.n} elements, not n={n}")
         return M

@@ -3,7 +3,8 @@
 Each oracle answers independence queries over bitmask subsets and caches
 its rank and minimum circuit size. `greedy` takes elements in the order
 given, so runs are reproducible; the solver extends its seed pair by gain
-instead, reading which elements may join from `add_feasible`.
+instead, reading which elements may join from `add_feasible`, exact for any
+S; the base `swap_feasible` reads each swap S - i + j from `add_feasible(S - i)`.
 """
 
 from __future__ import annotations
@@ -45,22 +46,22 @@ class MatroidOracle:
         """Independence of S - i + j for i in S (rows) and j not in S
         (columns), in elements_of order.
 
-        One is_independent call per entry: the reference that the overrides,
-        which may assume S independent, must match.
+        S - i + j is (S - i) + j, so row i is add_feasible(S - i) less the
+        column of i itself, exact on any S as add_feasible is. The overrides,
+        which may assume S independent, must match it.
         """
         check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
-        feasible = [
-            self.is_independent((mask & ~(1 << int(i))) | (1 << int(j)))
-            for i in inside for j in outside
-        ]
-        return np.array(feasible, dtype=bool).reshape(len(inside), len(outside))
+        rows = [self.add_feasible(mask ^ (1 << int(i))) for i in inside]
+        feasible = np.array(rows, dtype=bool).reshape(len(inside), len(outside) + 1)
+        keep = np.arange(len(outside) + 1) != np.searchsorted(outside, inside)[:, None]
+        return feasible[keep].reshape(len(inside), len(outside))
 
     def add_feasible(self, mask: int) -> np.ndarray:
-        """Independence of S + j for j not in S, in elements_of order.
+        """Independence of S + j for j not in S, in elements_of order, on any S.
 
-        One is_independent call per entry: the reference that the overrides,
-        which may assume S independent, must match.
+        One is_independent call per entry: the reference that the overrides
+        must match.
         """
         check_mask(mask, self.n)
         outside = split(mask, self.n)[1]
@@ -206,12 +207,13 @@ class PartitionMatroid(MatroidOracle):
         return (self._block_of[inside][:, None] == into) | self._below_cap(mask)[into]
 
     def add_feasible(self, mask: int) -> np.ndarray:
-        # from an independent S, S + j is independent when j's block is below its cap in S
+        # S + j is independent when j's block is below its cap in S and no block is over it
         check_mask(mask, self.n)
         return self._below_cap(mask)[self._block_of[split(mask, self.n)[1]]]
 
     def _below_cap(self, mask: int) -> np.ndarray:
-        return np.array([(mask & m).bit_count() < c for m, c in zip(self.block_masks, self.caps)])
+        counts = np.array([(mask & m).bit_count() for m in self.block_masks])
+        return (counts < self.caps) & np.all(counts <= self.caps)
 
     def _fill_independence(self) -> np.ndarray:
         # |S & block| is the size of the mask S & block

@@ -77,10 +77,8 @@ def best_pair_init(fn: SetFunctionOracle, M: MatroidOracle) -> int:
         # the first maximum in row-major order, as in a strict-> scan over (i, j)
         i, j = divmod(int(np.argmax(np.where(pairs, fn.pair_values(), -np.inf))), fn.n)
         return (1 << i) | (1 << j)
-    independent = M.add_feasible(0)
-    if not independent.any():
-        return 0
-    return 1 << int(np.argmax(np.where(independent, fn.neighbourhood(0)[2], -np.inf)))
+    # no independent pair, so the rank is at most 1: one greedy step, or none
+    return fn.greedy_extend(M, 0)
 
 
 def _accepts(current: float, candidate: float | np.ndarray, threshold: float):

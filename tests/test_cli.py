@@ -630,7 +630,15 @@ def test_analyze_a_single_element_instance(tmp_path):
     ("uniform", "n", "9" * 400, "ground set size"),
     ("partition", "blocks", "[[" + "[" * 900 + "]" * 900 + ", 1], [2]]", "must be an integer"),
     ("graphic", "edges", "[[0, " + "9" * 400 + "], [1, 2], [2, 0]]", "unknown vertex"),
-], ids=["400-digit-n", "900-deep-block-element", "400-digit-edge-endpoint"])
+    # block elements outside [0, n) or not integers, which the partition matroid rejects
+    ("partition", "blocks", "[[0, 1], [3]]", "densely"),
+    ("partition", "blocks", "[[0, 1], [-1]]", "densely"),
+    ("partition", "blocks", f"[[0, 1], [{10**9}]]", "densely"),
+    ("partition", "blocks", "[[0, 1], [1.5]]", "must be an integer"),
+    ("partition", "blocks", "[[0, 1], [true]]", "must be an integer"),
+], ids=["400-digit-n", "900-deep-block-element", "400-digit-edge-endpoint", "block-element-n",
+        "block-element-negative", "block-element-1e9", "block-element-fraction",
+        "block-element-bool"])
 def test_error_lines_truncate_the_offending_value(matroid, key, raw, says, tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(_small_doc(matroid, **{key: "VALUE"})).replace('"VALUE"', raw))

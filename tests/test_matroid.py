@@ -211,6 +211,7 @@ def test_swap_feasible_overrides_match_the_independence_loop():
         UniformMatroid(7, 7),
         PartitionMatroid([[0, 1, 2], [3, 4], [5, 6]], [2, 1, 0]),
         PartitionMatroid([[0, 3, 5], [1, 2, 4, 6]], [1, 2]),
+        PartitionMatroid([[0, 1, 2], [3, 4], [5, 6]], [10**30, 1, 2**63]),  # past int64
         GraphicMatroid(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (0, 0)]),
     ):
         for mask in range(1 << M.n):  # overrides may assume S independent, the base may not
@@ -224,9 +225,11 @@ def test_swap_feasible_overrides_match_the_independence_loop():
                 np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {mask:#x}")
 
 
-def test_add_feasible_overrides_match_the_independence_loop():
-    rng = np.random.default_rng(8)
-    random_graphs = [  # few vertices, so loops and parallel edges are common
+def random_small_matroids(seed):
+    """Uniform matroids up to n=7, 100 random partitions and 300 random graphs
+    of up to 9 edges on at most 5 vertices, so loops and parallel edges are common."""
+    rng = np.random.default_rng(seed)
+    random_graphs = [
         GraphicMatroid(v, [tuple(int(u) for u in rng.integers(0, v, size=2))
                            for _ in range(int(rng.integers(1, 10)))])
         for v in rng.integers(1, 6, size=300)
@@ -236,21 +239,56 @@ def test_add_feasible_overrides_match_the_independence_loop():
         labels = rng.integers(0, 3, size=n)
         blocks = [block for b in range(3) if (block := np.flatnonzero(labels == b).tolist())]
         random_partitions.append(PartitionMatroid(blocks, rng.integers(0, 3, size=len(blocks))))
+    return [*(UniformMatroid(n, r) for n in range(1, 8) for r in range(n + 2)),
+            *random_partitions, *random_graphs]
+
+
+def test_add_feasible_overrides_match_the_independence_loop():
     checked = {}
-    for M in (
-        *(UniformMatroid(n, r) for n in range(1, 8) for r in range(n + 2)),
-        *random_partitions,
-        *random_graphs,
-    ):
-        for mask in all_independent(M):  # overrides may assume S independent
+    for M in random_small_matroids(8):
+        for mask in range(1 << M.n):  # dependent S too: S + j is then dependent
             outside = [j for j in range(M.n) if not mask >> j & 1]
             want = np.array([M.is_independent(mask | (1 << j)) for j in outside], dtype=bool)
             for method in (MatroidOracle.add_feasible, type(M).add_feasible):
                 got = method(M, mask)
                 assert got.dtype == bool and got.shape == want.shape
                 np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {mask:#x}")
-            checked[M.kind] = checked.get(M.kind, 0) + 1
-    assert min(checked.values()) > 1000, checked
+            if not M.is_independent(mask):
+                checked[M.kind] = checked.get(M.kind, 0) + 1
+    assert min(checked.values()) > 500, checked  # dependent masks of each kind
+
+
+def test_base_swap_feasible_matches_the_independence_loop_on_every_mask():
+    checked = {}
+    for M in random_small_matroids(9):
+        for mask in range(1 << M.n):
+            want = loop_swap_feasible(M, mask)
+            got = MatroidOracle.swap_feasible(M, mask)
+            assert got.dtype == bool and got.shape == want.shape
+            np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {mask:#x}")
+            if not M.is_independent(mask):
+                checked[M.kind] = checked.get(M.kind, 0) + 1
+    assert min(checked.values()) > 500, checked  # dependent masks of each kind
+
+
+def test_graphic_swap_feasible_on_bases_and_at_the_ends():
+    rng = np.random.default_rng(62)
+    graphs = [GraphicMatroid(v, [tuple(int(u) for u in rng.integers(0, v, size=2))
+                                 for _ in range(62)])
+              for v in (2, 12, 21, 40, 63)]
+    graphs.append(GraphicMatroid(3, [(v, v) for v in (0, 1, 2, 0, 1)]))  # all loops, rank 0
+    for M in graphs:
+        # three greedy bases, then S = the empty set and S = the whole ground set,
+        # whose blocks have no rows and no columns
+        for mask in [*(M.greedy(rng.permutation(M.n)) for _ in range(3)), 0, (1 << M.n) - 1]:
+            got = M.swap_feasible(mask)
+            assert got.dtype == bool and got.shape == (mask.bit_count(), M.n - mask.bit_count())
+            np.testing.assert_array_equal(got, loop_swap_feasible(M, mask),
+                                          err_msg=f"{M.n} {mask:#x}")
+        # from a base, every edge outside it but a loop swaps with its cycle
+        base = M.greedy(range(M.n))
+        assert M.swap_feasible(base).any() == any(
+            u != v for j, (u, v) in enumerate(M.edges) if not base >> j & 1)
 
 
 def test_graphic_add_feasible_never_adds_a_loop_or_closes_a_cycle():

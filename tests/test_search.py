@@ -100,11 +100,19 @@ def test_best_pair_rank_one_fallback():
         # few distinct values, so that ties show the first maximum is kept
         values = rng.integers(-2, 3, 1 << 5).astype(float)
         values[0] = 0.0
-        fn = TableFunction(values)
-        for M in matroids:
-            assert M.rank <= 1
-            assert best_pair_init(fn, M) == scalar_best_singleton(fn, M), (trial, M.kind)
-    assert best_pair_init(fn, matroids[-1]) == 0
+        # diversity and coverage run their own greedy_extend, the table the base one
+        fns = [TableFunction(values),
+               DiversityFunction(random_metric(rng, 5), weights=rng.integers(0, 3, 5) * 1.0),
+               signed_zero_diversity(rng, 5),
+               *awkward_diversities(rng, 5),
+               CoverageFunction([np.flatnonzero(rng.random(4) < 0.4) for _ in range(5)],
+                                rng.integers(0, 3, 4) * 1.0)]
+        for fn in fns:
+            for M in matroids:
+                assert M.rank <= 1
+                assert best_pair_init(fn, M) == scalar_best_singleton(fn, M), (
+                    trial, fn.kind, M.kind)
+            assert best_pair_init(fn, matroids[-1]) == 0
 
 
 def test_local_search_certificate():
