@@ -453,11 +453,19 @@ def cmd_verify(args) -> int:
 # -------------------------------------------------------------------- main
 
 
+class _Parser(argparse.ArgumentParser):
+    """An unknown or malformed option is a ValidationError, so it exits 2
+    through main with one error line, as every other bad input does."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """Each subcommand declares only the options it reads. Built once: parsing
     leaves the parser unchanged."""
-    parser = argparse.ArgumentParser(prog="metasub")
+    parser = _Parser(prog="metasub")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("gen", help="generate a random instance")
@@ -501,9 +509,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        args = make_parser().parse_args(argv)
         # overflow shows as a non-finite result, which emit turns into exit 2
         with np.errstate(over="ignore", invalid="ignore"):
             code = args.func(args)

@@ -4,7 +4,9 @@ Everything here works by full enumeration over the 2^n value table, through
 one ExactTables per oracle: the meta-submodularity parameter, the
 monotonicity/curvature classification, the gradient and Hessian of the
 multilinear extension, one-sided-smoothness checks, and a battery of
-structural-inequality checks (lemma_checks).
+structural-inequality checks (lemma_checks). The probabilities p_x of the
+multilinear extension come from one doubling, ExactTables.probabilities,
+which the gradient, the Hessian and the gradient-growth check all read.
 
 Overflow has one rule: ExactTables raises OverflowError when max |f| is above
 the largest float over 8n, and below that bound no reduction here meets a NaN.
@@ -90,11 +92,11 @@ class ExactTables:
         w[:] = self.A[p].reshape(w[:, :1, :, :1].shape)
         return out
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def gradient(self, x: np.ndarray, given: int = 0) -> np.ndarray:
         """grad F(x), one vecdot of each row of B with p: the same dot product per
         row and point as b @ q, where a matrix product may sum in another order.
-        On a stack of points, one gradient per point."""
-        return np.vecdot(self.B, self.probabilities(x)[..., None, :])
+        On a stack of points, one gradient per point; `given` as in probabilities."""
+        return np.vecdot(self.B, self.probabilities(x, given)[..., None, :])
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of F(x): E_x[A_ij] at (i, j) and (j, i), zero diagonal, one
@@ -107,17 +109,28 @@ class ExactTables:
             H[i, j] = H[j, i] = self.expand(q, out=row) @ p
         return H
 
-    def probabilities(self, x: np.ndarray) -> np.ndarray:
+    def probabilities(self, x: np.ndarray, given: int = 0) -> np.ndarray:
         """p_x over all masks; bit k of the index is element k. On a stack of
-        points (one per row), one row of p per point."""
+        points (one per row), one row of p per point.
+
+        The elements of the mask `given` must be exactly 1.0 at every point:
+        each mask without one of them takes a factor 1 - 1.0 and is 0.0, and
+        each factor they give a superset is 1.0, so p there is the doubling
+        over the other elements alone, the same products in the same order.
+        """
         x = np.asarray(x, dtype=float)
-        p = np.empty(x.shape[:-1] + (1 << self.n,))
-        p[..., 0] = 1.0
-        for i in range(self.n):  # in place: the masks with bit i, then those without
-            h, xi = 1 << i, x[..., i, None]
-            np.multiply(p[..., :h], xi, out=p[..., h:2 * h])
-            np.multiply(p[..., :h], 1.0 - xi, out=p[..., :h])
-        return p
+        points = x.reshape(-1, self.n)
+        factors = np.stack([1.0 - points, points], axis=-1)  # without and with each element
+        P = len(points)
+        p = np.ones((P, 1))
+        for k in range(self.n):
+            if not given >> k & 1:  # the sets without k, then those with it
+                p = (factors[:, k, :, None] * p[:, None, :]).reshape(P, -1)
+        if given:
+            full = np.zeros((P, 1 << self.n))
+            full[:, np.flatnonzero(np.arange(1 << self.n) & given == given)] = p
+            p = full
+        return p.reshape(x.shape[:-1] + (1 << self.n,))
 
 
 def _tables(fn: SetFunctionOracle) -> ExactTables:
@@ -449,7 +462,7 @@ def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaChec
         # rows where u is nonzero are read from the dot products with p
         along = np.flatnonzero(u)
         g = np.zeros(t.n)
-        dots = np.vecdot(t.B, _probabilities_above(t.n, mask, points)[:, None, :])
+        dots = t.gradient(points, given=mask)
         for eps, d in zip(STEPS, dots):
             g[along] = d[along]
             moved = float(u @ g)
@@ -483,23 +496,6 @@ def _growth_samples(n: int, seed: int):
         u = np.maximum(ind, x) - ind
         if u.sum() > 0:
             yield mask, u, np.array([ind + eps * u for eps in STEPS])
-
-
-def _probabilities_above(n: int, R: int, points: np.ndarray) -> np.ndarray:
-    """ExactTables.probabilities of points in [0, 1] that are 1.0 on R, without the
-    factors R contributes: each mask off the supersets of R takes a factor
-    1 - 1.0 and is 0.0, and on the supersets each factor of R is 1.0, so p there
-    is the doubling over the elements outside R alone, the same products in the
-    same order, scattered to the supersets in mask order."""
-    factors = np.stack([1.0 - points, points], axis=-1)  # without and with each element
-    part = np.ones((len(points), 1))
-    for k in range(n):
-        if not R >> k & 1:  # the sets without k, then those with it
-            part = (factors[:, k, :, None] * part[:, None, :]).reshape(len(points), -1)
-    supersets = np.flatnonzero(np.arange(1 << n) & R == R)
-    p = np.zeros((len(points), 1 << n))
-    p[:, supersets] = part
-    return p
 
 
 def _check_kleinberg(t: ExactTables, g: GammaReport) -> LemmaCheck:

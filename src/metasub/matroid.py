@@ -5,6 +5,7 @@ its rank and minimum circuit size. `greedy` takes elements in the order
 given, so runs are reproducible; the solver extends its seed pair by gain
 instead, reading which elements may join from `add_feasible`, exact for any
 S; the base `swap_feasible` reads each swap S - i + j from `add_feasible(S - i)`.
+A partition's blocks list each element of its ground set exactly once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .setfn import (
     check_integer,
     check_mask,
     elements_of,
-    iter_elements,
     mask_of,
     split,
     subset_sizes,
@@ -90,13 +90,10 @@ class MatroidOracle:
         forms must match."""
         return np.array([self.is_independent(mask) for mask in range(1 << self.n)], dtype=bool)
 
-    def greedy(self, order: Iterable[int], start: int = 0) -> int:
-        """Greedy independent superset of an independent start: each element
-        of order, in turn, joins when the set stays independent."""
-        check_mask(start, self.n)
-        if not self.is_independent(start):
-            raise ValidationError(f"set {start:#x} is not independent")
-        acc = start
+    def greedy(self, order: Iterable[int]) -> int:
+        """Greedy independent set: each element of order, in turn, joins
+        when the set stays independent."""
+        acc = 0
         for v in order:
             bit = 1 << int(v)
             if not acc & bit and self.is_independent(acc | bit):
@@ -163,26 +160,22 @@ class PartitionMatroid(MatroidOracle):
         if len(blocks) != len(caps):
             raise ValidationError("one cap per block required")
         blocks = [[check_integer(v, "partition block element") for v in block] for block in blocks]
-        # a dense, disjoint cover of count elements is exactly 0 .. count - 1
+        # count distinct elements of 0 .. count - 1 cover it: checked before any
+        # shift, so a huge element builds no mask
         count = sum(map(len, blocks))
-        if not all(0 <= v < count for block in blocks for v in block):
+        if count == 0:
             raise ValidationError("blocks must cover the ground set densely")
-        seen = 0
-        masks = []
-        for block in blocks:
-            m = mask_of(block)
-            if m & seen:
-                raise ValidationError("blocks must be disjoint")
-            seen |= m
-            masks.append(m)
-        n = seen.bit_length()
-        if seen != (1 << n) - 1 or n == 0:
-            raise ValidationError("blocks must cover the ground set densely")
-        super().__init__(n)
-        self.block_masks = masks
-        self._block_of = np.empty(n, dtype=np.int64)
-        for b, m in enumerate(masks):
-            self._block_of[elements_of(m)] = b
+        block_of: list[int | None] = [None] * count
+        for b, block in enumerate(blocks):
+            for v in block:
+                if not 0 <= v < count:
+                    raise ValidationError("blocks must cover the ground set densely")
+                if block_of[v] is not None:
+                    raise ValidationError(f"blocks must be disjoint: element {v} is listed twice")
+                block_of[v] = b
+        super().__init__(count)
+        masks = self.block_masks = [mask_of(block) for block in blocks]
+        self._block_of = np.array(block_of, dtype=np.int64)
         self.caps = caps
         if any(c < 0 for c in self.caps):
             raise ValidationError("caps must be non-negative")
@@ -285,7 +278,7 @@ class GraphicMatroid(MatroidOracle):
     def _forest(self, mask: int) -> list[int] | None:
         """Union-find links over the edges of S, or None once an edge closes a cycle."""
         parent = list(range(self._order))
-        for e in iter_elements(mask):
+        for e in elements_of(mask):
             u, v = self._ends[e]
             ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:

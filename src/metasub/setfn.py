@@ -45,16 +45,14 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
-def iter_elements(mask: int):
+def elements_of(mask: int) -> list[int]:
+    out = []
     mask = int(mask)
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
-
-
-def elements_of(mask: int) -> list[int]:
-    return list(iter_elements(mask))
+    return out
 
 
 def split(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,6 @@ from metasub.diag import (
     _check_gradient_growth,
     _check_kleinberg,
     _growth_samples,
-    _probabilities_above,
     _tables,
     check_discrete_integral,
     check_expectation_inequality,
@@ -42,6 +41,7 @@ from util import (
     fresh_oracles,
     loop_gradient,
     loop_gradient_growth,
+    loop_probabilities,
     marginal,
     multilinear,
     random_coverage,
@@ -837,16 +837,29 @@ def test_vecdot_is_one_dot_product_per_row():
 
 
 def test_growth_probabilities_match_the_doubling():
-    """At every point the check draws, p from the elements outside R alone is
-    probabilities' p byte for byte, R with a single outside element among them."""
+    """At every point the growth check draws, p with R given and without it is
+    the in-place doubling's p byte for byte, R with a single outside element
+    among them; so on random single points and stacks with some coordinates
+    exactly 0.0 or 1.0, the coordinates that are 1.0 at every point given."""
     single = 0
+    rng = np.random.default_rng(39)
     for n in range(1, 13):
         t = _tables(TableFunction(np.zeros(1 << n)))
         for seed in range(50):
             for mask, u, points in _growth_samples(n, seed):
-                got = _probabilities_above(n, mask, points)
-                assert got.tobytes() == t.probabilities(points).tobytes(), (n, seed, mask)
+                want = loop_probabilities(n, points).tobytes()
+                assert t.probabilities(points, mask).tobytes() == want, (n, seed, mask)
+                assert t.probabilities(points).tobytes() == want, (n, seed, mask)
                 single += n - mask.bit_count() == 1
+        for shape in [(n,), (1, n), (4, n)] * 3:
+            x = rng.random(shape)
+            x[..., rng.random(n) < 0.3] = 1.0
+            x[rng.random(shape) < 0.2] = 0.0
+            x[rng.random(shape) < 0.2] = 1.0
+            want = loop_probabilities(n, x).tobytes()
+            assert t.probabilities(x).tobytes() == want, (n, shape)
+            given = mask_of(np.flatnonzero(x.reshape(-1, n).min(axis=0) == 1.0))
+            assert t.probabilities(x, given).tobytes() == want, (n, shape, given)
     assert single
 
 

@@ -71,6 +71,12 @@ def test_partition_rejects_elements_outside_the_count_before_any_shift():
     assert peak < 1 << 20, peak  # no mask of 10^9 bits was built
 
 
+@pytest.mark.parametrize("blocks", [[[0, 0], [1]], [[0, 1], [1]]], ids=["within", "across"])
+def test_partition_rejects_a_repeated_element(blocks):
+    with pytest.raises(ValidationError, match="listed twice"):
+        PartitionMatroid(blocks, [1, 1])
+
+
 def test_graphic_triangle():
     M = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
     assert not M.is_independent(0b111)
@@ -140,12 +146,12 @@ def test_rank_of_is_monotone_submodular():
 
 
 def test_greedy_extends_an_independent_start():
+    # an independent start listed first joins whole, and the rest extends it
     M = UniformMatroid(4, 2)
-    assert M.greedy(range(M.n), mask_of([3])) == mask_of([0, 3])
+    assert M.greedy([3, *range(M.n)]) == mask_of([0, 3])
     base = mask_of([1, 2])
-    assert M.greedy(range(M.n), base) == base
-    with pytest.raises(ValidationError):
-        M.greedy(range(M.n), mask_of([0, 1, 2]))
+    assert M.greedy([*elements_of(base), *range(M.n)]) == base
+    assert M.greedy([2, 1, 0, 3]) == base
     path = GraphicMatroid(3, [(0, 1), (1, 2)])
     assert path.greedy(range(path.n)) == 0b11
 
@@ -193,7 +199,7 @@ def test_exchange_bijection_fails_loudly_without_feasible_swaps(monkeypatch):
 def test_greedy_follows_the_given_order():
     M = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
     assert M.greedy([2, 0, 1]) == mask_of([0, 2])
-    assert M.greedy(range(M.n), mask_of([1])) == mask_of([0, 1])
+    assert M.greedy([1, *range(M.n)]) == mask_of([0, 1])
     assert M.greedy(np.array([1, 1, 2])) == mask_of([1, 2])
     assert PartitionMatroid([[0, 1], [2]], [1, 1]).greedy([1, 0, 2]) == mask_of([1, 2])
 

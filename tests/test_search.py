@@ -121,7 +121,7 @@ def test_local_search_certificate():
         fn = random_diversity(rng, 8)
         M = UniformMatroid(8, 4)
         cfg = SolveConfig()
-        start = M.greedy(range(M.n), best_pair_init(fn, M))
+        start = M.greedy([*elements_of(best_pair_init(fn, M)), *range(M.n)])
         S, iters, _, trace, _ = local_search(fn, M, start, cfg)
         assert S.bit_count() == M.rank
         assert M.is_independent(S)
@@ -273,7 +273,7 @@ def test_matching_step_supermodular_value_dominates_weight():
     for _ in range(10):
         fn = random_diversity(rng, 8)
         M = UniformMatroid(8, 4)
-        S = M.greedy(range(M.n), best_pair_init(fn, M))
+        S = M.greedy([*elements_of(best_pair_init(fn, M)), *range(M.n)])
         S_prime, matching, k = matching_step(M, S, fn.neighbourhood(S))
         if matching is not None:
             assert fn.value(S_prime) >= matching.total_weight - 1e-9

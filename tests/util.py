@@ -15,7 +15,6 @@ from metasub.setfn import (
     SetFunctionOracle,
     TableFunction,
     elements_of,
-    iter_elements,
 )
 
 # 5 elements, 124 of whose 320 second differences are infinite: past the value
@@ -131,7 +130,20 @@ def loop_brute_force_opt(fn, M) -> tuple[int, float]:
 
 def rank(M, mask: int) -> int:
     """Reference matroid rank: the size of a greedy independent subset of mask."""
-    return M.greedy(iter_elements(mask)).bit_count()
+    return M.greedy(elements_of(mask)).bit_count()
+
+
+def loop_probabilities(n: int, x) -> np.ndarray:
+    """Reference p_x over all 2^n masks by in-place doubling: the masks with
+    bit i, then those without. On a stack of points, one row per point."""
+    x = np.asarray(x, dtype=float)
+    p = np.empty(x.shape[:-1] + (1 << n,))
+    p[..., 0] = 1.0
+    for i in range(n):
+        h, xi = 1 << i, x[..., i, None]
+        np.multiply(p[..., :h], xi, out=p[..., h:2 * h])
+        np.multiply(p[..., :h], 1.0 - xi, out=p[..., :h])
+    return p
 
 
 def multilinear(t, x) -> float:
