@@ -145,21 +145,23 @@ def load_instance(path: str | None) -> tuple[dict, str]:
 # --------------------------------------------------------------- generators
 
 
-def generate_distance(kind: str, n: int, rng, args) -> tuple[np.ndarray, float, dict]:
-    """A diversity generator's distance matrix, declared sigma and further metadata."""
+def generate_distance(kind: str, n: int, rng, *, dim: int = 3, power: float = 2.0,
+                      support: int = 4) -> tuple[np.ndarray, float, dict]:
+    """A diversity generator's distance matrix, declared sigma and further
+    metadata; the keyword defaults are gen's."""
     if kind == "js-random":
-        return metric.js_divergence_matrix(rng.dirichlet(np.ones(args.support), size=n)), 2.0, {}
-    D = metric.euclidean(rng.standard_normal((n, args.dim)))
+        return metric.js_divergence_matrix(rng.dirichlet(np.ones(support), size=n)), 2.0, {}
+    D = metric.euclidean(rng.standard_normal((n, dim)))
     if kind == "metric-random":
         return D, 1.0, {}
     if kind == "semimetric-power":
-        if not 1.0 <= args.power < np.inf:
-            raise ValidationError(f"--power must be a finite number at least 1, got {args.power}")
+        if not 1.0 <= power < np.inf:
+            raise ValidationError(f"--power must be a finite number at least 1, got {power}")
         try:
-            sigma = 2.0 ** (args.power - 1)
+            sigma = 2.0 ** (power - 1)
         except OverflowError:  # +inf past the float range, as in search.growth: emit refuses it
             sigma = np.inf
-        return D ** args.power, sigma, {"power": args.power}
+        return D ** power, sigma, {"power": power}
     if kind == "negtype-sqeuclid":
         return D ** 2, 2.0, {"negative_type": True}
     raise ValidationError(f"unknown generator {kind!r}")
@@ -181,7 +183,8 @@ def generate(kind: str, n: int, seed: int, args) -> dict:
             "universe_weights": rng.random(m).tolist(),
         }
     else:
-        D, meta["sigma"], extra = generate_distance(kind, n, rng, args)
+        D, meta["sigma"], extra = generate_distance(kind, n, rng, dim=args.dim, power=args.power,
+                                                    support=args.support)
         meta.update(extra)
         function = {"kind": "diversity", "distance": D.tolist()}
     return {"n": n, "function": function, "matroid": matroid, "metadata": meta}
@@ -296,8 +299,7 @@ def cmd_analyze(args) -> int:
 def cmd_solve(args) -> int:
     instance, instance_sha256 = load_instance(args.instance)
     fn, M = parse_instance(instance)
-    config = SolveConfig(epsilon=args.epsilon, pivot=args.pivot)
-    result = solve(fn, M, config)
+    result = solve(fn, M, SolveConfig(epsilon=args.epsilon))
     payload = result.to_dict()
     if args.with_opt:
         opt_mask, opt_value = brute_force_opt(fn, M)
@@ -315,58 +317,52 @@ def cmd_solve(args) -> int:
 # ------------------------------------------------------------ verify suites
 
 
-def _random_diversity(rng, n: int, kind: str = "metric"):
-    D = metric.euclidean(rng.standard_normal((n, 3)))
-    if kind == "squared":
-        D = D**2
-    return DiversityFunction(D)
+def _random_diversity(rng, t: int, n: int) -> DiversityFunction:
+    """Trial t's diversity: gen's metric-random distances on even trials,
+    its negtype-sqeuclid (squared) ones on odd trials."""
+    kind = "negtype-sqeuclid" if t % 2 else "metric-random"
+    return DiversityFunction(generate_distance(kind, n, rng)[0])
 
 
-def verify_lemma_suite(rng, samples: int, n: int) -> list[dict]:
-    failures = []
-    for t in range(samples):
-        fn = _random_diversity(rng, n, "squared" if t % 2 else "metric")
-        M = UniformMatroid(n, max(2, n // 2))
-        cls, g = diag.classify(fn), diag.gamma_parameter(fn)
-        for name, chk in diag.lemma_checks(fn, cls, g, matroid=M, seed=t).items():
-            if chk.passed is False:
-                failures.append({"trial": t, "lemma": name, "detail": chk.to_dict()})
-    return failures
+# Each suite checks one trial t and yields a dict per failure it finds.
 
 
-def verify_smoothness_suite(rng, samples: int, n: int) -> list[dict]:
-    failures = []
-    for t in range(samples):
-        fn = _random_diversity(rng, n, "squared" if t % 2 else "metric")
-        g = diag.gamma_parameter(fn)
-        sigma = max(3.0 * g.gamma, 2.0 * g.gamma + 1.0)
-        for _ in range(5):
-            x = rng.random(n) * 0.9 + 0.05
-            u = rng.random(n)
-            chk = diag.check_one_sided_smooth(fn, x, u, sigma)
-            if chk.residual > metric.scaled_tol(metric.REL_TOL, abs(chk.rhs)):
-                failures.append({"trial": t, "check": chk.to_dict()})
-            i, j = rng.integers(0, n, size=2)
-            if i != j:
-                gap = diag.check_expectation_inequality(fn, x, int(i), int(j), sigma)
-                if gap > 1e-9:
-                    failures.append({"trial": t, "expectation_gap": gap})
-    return failures
+def verify_lemma_suite(rng, t: int, n: int):
+    fn = _random_diversity(rng, t, n)
+    M = UniformMatroid(n, max(2, n // 2))
+    cls, g = diag.classify(fn), diag.gamma_parameter(fn)
+    for name, chk in diag.lemma_checks(fn, cls, g, matroid=M, seed=t).items():
+        if chk.passed is False:
+            yield {"lemma": name, "detail": chk.to_dict()}
 
 
-def verify_matching_suite(rng, samples: int, n: int) -> list[dict]:
+def verify_smoothness_suite(rng, t: int, n: int):
+    fn = _random_diversity(rng, t, n)
+    g = diag.gamma_parameter(fn)
+    sigma = max(3.0 * g.gamma, 2.0 * g.gamma + 1.0)
+    for _ in range(5):
+        x = rng.random(n) * 0.9 + 0.05
+        u = rng.random(n)
+        chk = diag.check_one_sided_smooth(fn, x, u, sigma)
+        if chk.residual > metric.scaled_tol(metric.REL_TOL, abs(chk.rhs)):
+            yield {"check": chk.to_dict()}
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            gap = diag.check_expectation_inequality(fn, x, int(i), int(j), sigma)
+            if gap > 1e-9:
+                yield {"expectation_gap": gap}
+
+
+def verify_matching_suite(rng, t: int, n: int):
     """Matrices of 1 to 6 rows and columns against exhaustive search, whatever n is."""
-    failures = []
-    for t in range(samples):
-        rows = int(rng.integers(1, 7))
-        cols = int(rng.integers(1, 7))
-        w = rng.standard_normal((rows, cols))
-        for k in range(min(rows, cols) + 1):
-            got = max_weight_matching_k(w, k)
-            want = exhaustive_matching(w, k)
-            if abs(got.total_weight - want) > 1e-9:
-                failures.append({"trial": t, "k": k, "got": got.total_weight, "want": want})
-    return failures
+    rows = int(rng.integers(1, 7))
+    cols = int(rng.integers(1, 7))
+    w = rng.standard_normal((rows, cols))
+    for k in range(min(rows, cols) + 1):
+        got = max_weight_matching_k(w, k)
+        want = exhaustive_matching(w, k)
+        if abs(got.total_weight - want) > 1e-9:
+            yield {"k": k, "got": got.total_weight, "want": want}
 
 
 def _random_matroid(rng, n: int) -> MatroidOracle:
@@ -384,48 +380,42 @@ def _random_matroid(rng, n: int) -> MatroidOracle:
     return GraphicMatroid(v, edges)
 
 
-def verify_matroid_suite(rng, samples: int, n: int) -> list[dict]:
-    failures = []
-    for t in range(samples):
-        M = _random_matroid(rng, n)
-        if M.min_circuit_size != generic_min_circuit(M):
-            failures.append({"trial": t, "kind": M.kind, "bad": "min_circuit_size"})
-        base1 = M.greedy(range(M.n))
-        for i, j in M.exchange_bijection(base1, M.greedy(rng.permutation(M.n))):
-            if not M.is_independent((base1 & ~(1 << i)) | (1 << j)):
-                failures.append({"trial": t, "kind": M.kind, "bad": "exchange", "pair": [i, j]})
-    return failures
+def verify_matroid_suite(rng, t: int, n: int):
+    M = _random_matroid(rng, n)
+    if M.min_circuit_size != generic_min_circuit(M):
+        yield {"kind": M.kind, "bad": "min_circuit_size"}
+    base1 = M.greedy(range(M.n))
+    for i, j in M.exchange_bijection(base1, M.greedy(rng.permutation(M.n))):
+        if not M.is_independent((base1 & ~(1 << i)) | (1 << j)):
+            yield {"kind": M.kind, "bad": "exchange", "pair": [i, j]}
 
 
-def verify_ratio_suite(rng, samples: int, n: int) -> list[dict]:
-    failures = []
-    for t in range(samples):
-        fn = _random_diversity(rng, n, "squared" if t % 2 else "metric")
-        r = int(rng.integers(2, max(3, n // 2 + 1)))
-        M = UniformMatroid(n, r)
-        g = diag.gamma_parameter(fn)
-        gamma = max(g.gamma, 1.0)
-        result = solve(fn, M)
-        _, opt_value = brute_force_opt(fn, M)
-        if result.chosen_value <= 0:
-            if opt_value > 1e-9:
-                failures.append({"trial": t, "bad": "zero output, positive opt"})
-            continue
-        ratio = opt_value / result.chosen_value
-        cls = diag.classify(fn)
-        bound = guarantee_general(gamma, M.rank, DEFAULT_EPSILON, n)
-        if cls.supermodular:
-            bound = min(
-                bound,
-                guarantee_supermodular(gamma, M.rank, DEFAULT_EPSILON, n, M.min_circuit_size,
-                                       cls.second_order_submodular),
-            )
-        if ratio > bound * (1 + 1e-9):
-            failures.append({"trial": t, "ratio": ratio, "bound": bound})
-        limit = iteration_bound(n, M.rank, gamma, DEFAULT_EPSILON)
-        if result.iterations > limit:
-            failures.append({"trial": t, "iterations": result.iterations, "limit": limit})
-    return failures
+def verify_ratio_suite(rng, t: int, n: int):
+    fn = _random_diversity(rng, t, n)
+    r = int(rng.integers(2, max(3, n // 2 + 1)))
+    M = UniformMatroid(n, r)
+    g = diag.gamma_parameter(fn)
+    gamma = max(g.gamma, 1.0)
+    result = solve(fn, M)
+    _, opt_value = brute_force_opt(fn, M)
+    if result.chosen_value <= 0:
+        if opt_value > 1e-9:
+            yield {"bad": "zero output, positive opt"}
+        return
+    ratio = opt_value / result.chosen_value
+    cls = diag.classify(fn)
+    bound = guarantee_general(gamma, M.rank, DEFAULT_EPSILON, n)
+    if cls.supermodular:
+        bound = min(
+            bound,
+            guarantee_supermodular(gamma, M.rank, DEFAULT_EPSILON, n, M.min_circuit_size,
+                                   cls.second_order_submodular),
+        )
+    if ratio > bound * (1 + 1e-9):
+        yield {"ratio": ratio, "bound": bound}
+    limit = iteration_bound(n, M.rank, gamma, DEFAULT_EPSILON)
+    if result.iterations > limit:
+        yield {"iterations": result.iterations, "limit": limit}
 
 
 # verify suite -> (its check, the largest n it draws, whatever --n-max says above that)
@@ -441,7 +431,8 @@ SUITES = {
 def cmd_verify(args) -> int:
     _at_least(args, samples=0, n_max=1, seed=0)
     check, largest = SUITES[args.suite]
-    failures = check(np.random.default_rng(args.seed), args.samples, min(args.n_max, largest))
+    rng, n = np.random.default_rng(args.seed), min(args.n_max, largest)
+    failures = [{"trial": t, **f} for t in range(args.samples) for f in check(rng, t, n)]
     results = {"suite": args.suite, "samples": args.samples, "failures": failures,
                "passed": not failures}
     emit(make_report(args, results, {"samples": args.samples}), args)
@@ -492,7 +483,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the local-search pipeline")
     p.add_argument("instance", nargs="?", default=None)
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--pivot", choices=["first", "best"], default="first")
+    p.add_argument("--pivot", choices=["first"], default="first",
+                   help="the one pick rule, the first accepted swap; kept for old commands")
     p.add_argument("--with-opt", dest="with_opt", action="store_true")
     p.set_defaults(func=cmd_solve)
 

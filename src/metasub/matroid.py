@@ -95,7 +95,10 @@ class MatroidOracle:
         when the set stays independent."""
         acc = 0
         for v in order:
-            bit = 1 << int(v)
+            v = check_integer(v, "greedy order element")
+            if not 0 <= v < self.n:
+                raise ValidationError(f"greedy order element {v} outside [0, {self.n})")
+            bit = 1 << v
             if not acc & bit and self.is_independent(acc | bit):
                 acc |= bit
         return acc

@@ -26,13 +26,10 @@ DEFAULT_MAX_ITERATIONS = 1_000_000
 @dataclass(frozen=True)
 class SolveConfig:
     epsilon: float = DEFAULT_EPSILON
-    pivot: str = "first"  # "first" or "best"
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.pivot not in ("first", "best"):
-            raise ValidationError(f"unknown pivot rule {self.pivot!r}")
 
 
 @dataclass
@@ -42,13 +39,20 @@ class SolveResult:
     S_value: float
     S_prime: int
     S_prime_value: float
-    chosen: int
-    chosen_value: float
     iterations: int
     evaluations: int
     trace: list[dict] = field(default_factory=list)
     matching: Matching | None = None
     matching_k: int = 0
+
+    @property
+    def chosen(self) -> int:
+        """The better candidate; the locally-optimal base wins ties."""
+        return self.S_prime if self.S_prime_value > self.S_value else self.S
+
+    @property
+    def chosen_value(self) -> float:
+        return self.S_prime_value if self.S_prime_value > self.S_value else self.S_value
 
     def to_dict(self) -> dict:
         return {
@@ -101,13 +105,13 @@ def local_search(
     1 + epsilon/n^2 (any strict improvement when the current value is not
     positive).
     Each round scores the whole neighbourhood at once and picks the first
-    accepted swap in (i, j) scan order, or the first best one; evaluations
-    count the feasible swaps a one-at-a-time scan would have scored. A pick
-    is taken only if f(T), as neighbourhood(T) gives it for the set T it
-    moves to, clears the test too, else the next accepted swap in pick order
-    is tried: a closed-form score that differs from f(T) in its last bits
-    cannot accept a swap that does not improve f, so every taken swap raises
-    the current value and the search ends.
+    accepted swap in (i, j) scan order; evaluations count the feasible swaps
+    a one-at-a-time scan would have scored. A pick is taken only if f(T), as
+    neighbourhood(T) gives it for the set T it moves to, clears the test too,
+    else the next accepted swap in scan order is tried: a closed-form score
+    that differs from f(T) in its last bits cannot accept a swap that does
+    not improve f, so every taken swap raises the current value and the
+    search ends.
     """
     n = fn.n
     threshold = 1.0 + config.epsilon / (n * n)
@@ -122,12 +126,8 @@ def local_search(
     while True:
         current, _, _, swap = around
         inside, outside = split(S, n)
-        values = swap.ravel()
         feasible = M.swap_feasible(S).ravel()
-        accepted = np.flatnonzero(feasible & _accepts(current, values, threshold))
-        if config.pivot == "best":  # best first, ties in scan order
-            accepted = accepted[np.argsort(-values[accepted], kind="stable")]
-        for pick in accepted:
+        for pick in np.flatnonzero(feasible & _accepts(current, swap.ravel(), threshold)):
             a, b = divmod(int(pick), len(outside))
             i, j = int(inside[a]), int(outside[b])
             T = (S & ~(1 << i)) | (1 << j)
@@ -137,7 +137,7 @@ def local_search(
         else:
             evaluations += int(feasible.sum())
             break
-        evaluations += int(feasible[: pick + 1].sum() if config.pivot == "first" else feasible.sum())
+        evaluations += int(feasible[: pick + 1].sum())
         S, around = T, after
         iterations += 1
         trace.append({"iteration": iterations, "removed": i, "inserted": j, "value": around[0]})
@@ -186,21 +186,13 @@ def solve(
     seed = best_pair_init(fn, M)
     base = fn.greedy_extend(M, seed)
     S, iterations, evaluations, trace, around = local_search(fn, M, base, config)
-    s_value = around[0]
     S_prime, matching, k = matching_step(M, S, around)
-    sp_value = fn.value(S_prime)
-    if sp_value > s_value:
-        chosen, chosen_value = S_prime, sp_value
-    else:
-        chosen, chosen_value = S, s_value
     return SolveResult(
         initial=seed,
         S=S,
-        S_value=s_value,
+        S_value=around[0],
         S_prime=S_prime,
-        S_prime_value=sp_value,
-        chosen=chosen,
-        chosen_value=chosen_value,
+        S_prime_value=fn.value(S_prime),
         iterations=iterations,
         evaluations=evaluations,
         trace=trace,

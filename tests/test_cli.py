@@ -92,11 +92,11 @@ def test_analyze_digest_covers_its_flags(tmp_path):
 def test_solve_digest_covers_its_flags(tmp_path):
     _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "9"], tmp_path, "inst.json")
     digests = {}
-    for flags in (["--pivot", "first"], ["--epsilon", "0.5"], ["--pivot", "best"],
+    for flags in (["--pivot", "first"], ["--epsilon", "0.5"], ["--epsilon", "0.5", "--with-opt"],
                   ["--with-opt"], []):
         _, rep = run(["solve", str(inst), *flags], tmp_path, "rep.json")
         digests[tuple(flags)] = json.loads(rep.read_text())["inputs_digest"]
-    assert digests[()] == digests[("--pivot", "first")]  # the default pivot
+    assert digests[()] == digests[("--pivot", "first")]  # the default, and only, pivot
     assert len(set(digests.values())) == 4
 
 
@@ -104,7 +104,7 @@ def test_the_one_parser_leaks_no_option_into_the_next_call(tmp_path):
     # main parses every call with the same cached parser
     assert cli.make_parser() is cli.make_parser()
     _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "9"], tmp_path, "inst.json")
-    _, with_opt = run(["solve", str(inst), "--with-opt", "--pivot", "best"], tmp_path, "a.json")
+    _, with_opt = run(["solve", str(inst), "--with-opt", "--epsilon", "0.5"], tmp_path, "a.json")
     _, plain = run(["solve", str(inst)], tmp_path, "b.json")
     with_opt, plain = (json.loads(path.read_text()) for path in (with_opt, plain))
     assert "opt" in with_opt["results"] and "opt" not in plain["results"]
@@ -117,9 +117,9 @@ def test_the_one_parser_leaks_no_option_into_the_next_call(tmp_path):
 def test_inputs_digest_hashes_the_instance_bytes_and_the_options(tmp_path):
     _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "9"], tmp_path, "inst.json")
     sha = hashlib.sha256(inst.read_bytes()).hexdigest()
-    _, rep = run(["solve", str(inst), "--epsilon", "0.5", "--pivot", "best"], tmp_path, "s.json")
+    _, rep = run(["solve", str(inst), "--epsilon", "0.5", "--with-opt"], tmp_path, "s.json")
     assert json.loads(rep.read_text())["inputs_digest"] == cli.digest(
-        {"instance_sha256": sha, "epsilon": 0.5, "pivot": "best", "with_opt": False})
+        {"instance_sha256": sha, "epsilon": 0.5, "pivot": "first", "with_opt": True})
     _, rep = run(["analyze", str(inst), "--tolerance", "1e-6", "--n-max", "10"], tmp_path,
                  "a.json")
     assert json.loads(rep.read_text())["inputs_digest"] == cli.digest(
@@ -278,8 +278,24 @@ def test_a_failed_allocation_exits_3_with_one_guard_line(monkeypatch, capsys):
 
 
 def test_exit_code_property_failure(tmp_path, monkeypatch):
-    monkeypatch.setitem(cli.SUITES, "matching", (lambda rng, samples, n: [{"bad": True}], 6))
-    assert cli.main(["verify", "matching", "--out", str(tmp_path / "v.json")]) == 4
+    # a suite checks one trial; the one loop in cmd_verify tags each failure with it
+    monkeypatch.setitem(cli.SUITES, "matching", (lambda rng, t, n: [{"bad": t}] * (t % 2), 6))
+    code, out = run(["verify", "matching", "--samples", "4"], tmp_path, "v.json")
+    assert code == 4
+    assert json.loads(out.read_text())["results"]["failures"] == [
+        {"trial": 1, "bad": 1}, {"trial": 3, "bad": 3}]
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_verify_draws_the_distances_gen_writes(n):
+    # the verify suites' diversities are gen's, so the two cannot drift apart
+    seed = 11
+    for kind, trials in (("metric-random", (0, 4)), ("negtype-sqeuclid", (1, 3))):
+        args = cli.make_parser().parse_args(["gen", kind, "--n", str(n), "--seed", str(seed)])
+        written = np.array(cli.generate(kind, n, seed, args)["function"]["distance"])
+        for t in trials:
+            drawn = cli._random_diversity(np.random.default_rng(seed), t, n).distance
+            np.testing.assert_array_equal(drawn, written, err_msg=f"{kind} t={t}")
 
 
 def test_verify_suites_pass(tmp_path):
@@ -379,6 +395,7 @@ def test_reports_follow_schema_v2(tmp_path):
     ["gen", "metric-random", "--n", "70"],
     ["gen", "js-random", "--n", "4", "--support", "-1"],
     ["gen", "metric-random", "--n", "4", "--r", "-1"],
+    ["solve", "inst.json", "--pivot", "best"],  # first-improvement is the only pivot rule
 ])
 def test_removed_options_are_rejected(argv, capsys):
     assert cli.main(argv) == 2

@@ -201,7 +201,17 @@ def test_greedy_follows_the_given_order():
     assert M.greedy([2, 0, 1]) == mask_of([0, 2])
     assert M.greedy([1, *range(M.n)]) == mask_of([0, 1])
     assert M.greedy(np.array([1, 1, 2])) == mask_of([1, 2])
+    assert M.greedy([np.uint8(2), np.int64(1)]) == mask_of([1, 2])
     assert PartitionMatroid([[0, 1], [2]], [1, 1]).greedy([1, 0, 2]) == mask_of([1, 2])
+    perm = np.random.default_rng(0).permutation(4)
+    assert UniformMatroid(4, 2).greedy(perm) == mask_of(perm[:2].tolist())
+
+
+@pytest.mark.parametrize("element", [-1, 1.5, True, 4, "1", None])
+def test_greedy_rejects_an_order_element_that_is_no_element(element):
+    # neither a shift error nor a truncation to int: 1.5 and True are not element 1
+    with pytest.raises(ValidationError):
+        UniformMatroid(4, 2).greedy([element])
 
 
 def loop_swap_feasible(M, mask):

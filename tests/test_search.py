@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -51,8 +52,6 @@ def test_config_validation():
     for epsilon in (0.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ValidationError):
             SolveConfig(epsilon=epsilon)
-    with pytest.raises(ValidationError):
-        SolveConfig(pivot="random")
 
 
 def test_best_pair_symmetric_tie_is_lexicographic():
@@ -163,25 +162,23 @@ class OneUlpSwaps(TableFunction):
         return current, drop, add, np.nextafter(swap, np.inf)
 
 
-@pytest.mark.parametrize("pivot", ["first", "best"])
-def test_local_search_ends_when_swap_scores_overstate_f(pivot, monkeypatch):
+def test_local_search_ends_when_swap_scores_overstate_f(monkeypatch):
     # at a value <= 0 any strict gain is accepted, and a score one ulp above an
     # equal f(T) is one; a search that took scores on trust would swap forever
     monkeypatch.setattr(search, "DEFAULT_MAX_ITERATIONS", 100)
-    config = SolveConfig(pivot=pivot)
     M = UniformMatroid(4, 2)
     start = M.greedy(range(M.n))
     assert start == 0b0011
     S, iterations, evaluations, trace, around = local_search(
-        OneUlpSwaps(np.zeros(16)), M, start, config)
+        OneUlpSwaps(np.zeros(16)), M, start)
     assert (S, iterations, evaluations, trace, around[0]) == (start, 0, 4, [], 0.0)
     # f = -1 off the empty set and -0.5 at {0, 3}: the first three accepted
     # scores from {0, 1} are not confirmed by f, the swap to {0, 3}, last in
-    # scan order and best, is
+    # scan order, is
     values = np.where(np.arange(16) == 0b1001, -0.5, -1.0)
     values[0] = 0.0
     S, iterations, evaluations, trace, around = local_search(
-        OneUlpSwaps(values), M, start, config)
+        OneUlpSwaps(values), M, start)
     assert (S, iterations, evaluations, around[0]) == (0b1001, 1, 8, -0.5)
     assert trace == [{"iteration": 1, "removed": 1, "inserted": 3, "value": -0.5}]
 
@@ -304,6 +301,12 @@ def test_solve_chosen_is_argmax_and_prefers_S_on_tie():
     if result.S_value == result.S_prime_value:
         assert result.chosen == result.S
     assert result.S_prime.bit_count() == 2 * result.matching_k
+    # the pick is derived from the two candidates: S' only when strictly better
+    assert result.S != result.S_prime
+    tie = dataclasses.replace(result, S_prime_value=result.S_value)
+    assert (tie.chosen, tie.chosen_value) == (tie.S, tie.S_value)
+    above = dataclasses.replace(result, S_prime_value=result.S_value + 1.0)
+    assert (above.chosen, above.chosen_value) == (above.S_prime, above.S_value + 1.0)
 
 
 def test_epsilon_orders_iteration_counts():
@@ -428,7 +431,7 @@ def scalar_best_pair(fn, M):
 
 def scalar_local_search(fn, M, S, config):
     """One candidate at a time: value and independence per swap, stopping at
-    the first accepted swap under the "first" pivot."""
+    the first accepted swap."""
     n = fn.n
     threshold = 1.0 + config.epsilon / (n * n)
     iterations = evaluations = 0
@@ -444,11 +447,9 @@ def scalar_local_search(fn, M, S, config):
                 v = fn.value(cand)
                 evaluations += 1
                 if v >= threshold * current if current > 0 else v > current:
-                    if pick is None or v > pick[2]:
-                        pick = (i, j, v)
-                    if config.pivot == "first":
-                        break
-            if config.pivot == "first" and pick is not None:
+                    pick = (i, j, v)
+                    break
+            if pick is not None:
                 break
         if pick is None:
             return S, iterations, evaluations, trace
@@ -487,10 +488,9 @@ MATROIDS = {
 }
 
 
-@pytest.mark.parametrize("pivot", ["first", "best"])
 @pytest.mark.parametrize("matroid", sorted(MATROIDS))
-def test_solve_with_overrides_matches_the_reference_loops(matroid, pivot, monkeypatch):
-    config = SolveConfig(epsilon=0.01, pivot=pivot)
+def test_solve_with_overrides_matches_the_reference_loops(matroid, monkeypatch):
+    config = SolveConfig(epsilon=0.01)
     for seed in range(3):
         for fn in fresh_oracles(np.random.default_rng([seed, 9]), 9):
             M = MATROIDS[matroid]()
@@ -505,7 +505,7 @@ def test_solve_with_overrides_matches_the_reference_loops(matroid, pivot, monkey
                 ref_from_empty = local_search(fn, M, M.greedy(range(M.n)), config)[:4]
                 sd = [[second_difference(fn, i, j, ref.S) for j in range(9) if not ref.S >> j & 1]
                       for i in elements_of(ref.S)]
-            case = (matroid, pivot, seed, fn.kind)
+            case = (matroid, seed, fn.kind)
             assert fast_from_empty == ref_from_empty, case
             assert ref_from_empty == scalar_local_search(fn, M, M.greedy(range(M.n)), config), case
             assert ref.initial == scalar_best_pair(fn, M), case
@@ -628,9 +628,8 @@ def test_solve_past_62_elements_is_the_same_on_the_base_oracle_methods(monkeypat
     assert close(fast.chosen_value, ref.chosen_value)
 
 
-@pytest.mark.parametrize("pivot", ["first", "best"])
-def test_solve_reports_the_same_before_and_after_the_table(pivot):
-    config = SolveConfig(epsilon=0.01, pivot=pivot)
+def test_solve_reports_the_same_before_and_after_the_table():
+    config = SolveConfig(epsilon=0.01)
     for seed in range(3):
         rng = np.random.default_rng([seed, 13])
         for fn in [*fresh_oracles(rng, 10), *awkward_diversities(rng, 10)]:
@@ -659,9 +658,8 @@ def test_the_solver_reads_f_of_s_from_the_neighbourhood(monkeypatch):
         calls.clear()
 
 
-@pytest.mark.parametrize("pivot", ["first", "best"])
 @pytest.mark.parametrize("matroid", sorted(MATROIDS))
-def test_a_solve_computes_each_neighbourhood_once(matroid, pivot, monkeypatch):
+def test_a_solve_computes_each_neighbourhood_once(matroid, monkeypatch):
     # local search hands its last neighbourhood to the matching step, which
     # then calls no oracle method at all
     calls = []
@@ -687,7 +685,7 @@ def test_a_solve_computes_each_neighbourhood_once(matroid, pivot, monkeypatch):
     monkeypatch.setattr(search, "matching_step", recorded_step)
     for fn in fresh_oracles(np.random.default_rng(19), 9):
         calls.clear()
-        result = solve(fn, MATROIDS[matroid](), SolveConfig(epsilon=0.01, pivot=pivot))
+        result = solve(fn, MATROIDS[matroid](), SolveConfig(epsilon=0.01))
         assert result.matching_k > 0, fn.kind
         masks = [args[0] for self, name, args, _ in calls if self is fn and name == "neighbourhood"]
         assert len(masks) == len(set(masks)), fn.kind
