@@ -73,6 +73,18 @@ def _section(desc, name: str) -> dict:
     return desc
 
 
+def _arrays(items, name: str) -> list:
+    """items, checked to be a JSON array of arrays. The constructors iterate
+    any iterable, so an object or a string would be read as its keys or
+    characters, and an empty one as an empty set."""
+    if not isinstance(items, list):
+        raise ValidationError(f"{name} must be an array, got {reprlib.repr(items)}")
+    for k, item in enumerate(items):
+        if not isinstance(item, list):
+            raise ValidationError(f"{name} entry {k} must be an array, got {reprlib.repr(item)}")
+    return items
+
+
 def build_function(n: int, desc: dict) -> SetFunctionOracle:
     kind = _section(desc, "function").get("kind")
     if kind in ("diversity", "diversity_plus_modular"):
@@ -81,7 +93,7 @@ def build_function(n: int, desc: dict) -> SetFunctionOracle:
             raise ValidationError(f"distance shape {D.shape} does not match n={n}")
         return DiversityFunction(D, desc.get("weights"))
     if kind == "coverage":
-        incidence = desc["incidence"]
+        incidence = _arrays(desc["incidence"], "incidence")
         if len(incidence) != n:
             raise ValidationError(f"incidence length {len(incidence)} does not match n={n}")
         return CoverageFunction(incidence, desc["universe_weights"])
@@ -98,7 +110,7 @@ def build_matroid(n: int, desc: dict) -> MatroidOracle:
     if kind == "uniform":
         return UniformMatroid(n, desc["r"])
     if kind == "partition":
-        M = PartitionMatroid(desc["blocks"], desc["caps"])
+        M = PartitionMatroid(_arrays(desc["blocks"], "blocks"), desc["caps"])
         if M.n != n:
             raise ValidationError(f"partition blocks cover {M.n} elements, not n={n}")
         return M

@@ -39,11 +39,14 @@ class SolveResult:
     S_value: float
     S_prime: int
     S_prime_value: float
-    iterations: int
     evaluations: int
     trace: list[dict] = field(default_factory=list)
     matching: Matching | None = None
-    matching_k: int = 0
+
+    @property
+    def iterations(self) -> int:
+        """Accepted swaps: each one appends one trace entry."""
+        return len(self.trace)
 
     @property
     def chosen(self) -> int:
@@ -61,7 +64,7 @@ class SolveResult:
             "matching_candidate": {
                 "S": elements_of(self.S_prime),
                 "value": self.S_prime_value,
-                "k": self.matching_k,
+                "k": len(self.matching.pairs) if self.matching else 0,
                 "matching": self.matching.to_dict() if self.matching else None,
             },
             "chosen": {"S": elements_of(self.chosen), "value": self.chosen_value},
@@ -97,9 +100,9 @@ def local_search(
     M: MatroidOracle,
     start: int,
     config: SolveConfig = SolveConfig(),
-) -> tuple[int, int, int, list[dict], tuple]:
-    """Swap search from a base; returns (S, iterations, evaluations, trace,
-    neighbourhood(S)).
+) -> tuple[int, int, list[dict], tuple]:
+    """Swap search from a base; returns (S, evaluations, trace, neighbourhood(S)),
+    with one trace entry per accepted swap.
 
     A swap S - i + j is accepted when it clears the multiplicative threshold
     1 + epsilon/n^2 (any strict improvement when the current value is not
@@ -119,7 +122,6 @@ def local_search(
         raise ValidationError(f"epsilon {config.epsilon!r} is too small for n={n}: "
                               "1 + epsilon/n^2 rounds to 1")
     S = start
-    iterations = 0
     evaluations = 0
     trace: list[dict] = []
     around = fn.neighbourhood(S)
@@ -139,12 +141,12 @@ def local_search(
             break
         evaluations += int(feasible[: pick + 1].sum())
         S, around = T, after
-        iterations += 1
-        trace.append({"iteration": iterations, "removed": i, "inserted": j, "value": around[0]})
-        if iterations >= DEFAULT_MAX_ITERATIONS:
+        trace.append({"iteration": len(trace) + 1, "removed": i, "inserted": j,
+                      "value": around[0]})
+        if len(trace) >= DEFAULT_MAX_ITERATIONS:
             raise GuardError(f"local search exceeded {DEFAULT_MAX_ITERATIONS} accepted swaps; "
                              f"last value {around[0]!r}")
-    return S, iterations, evaluations, trace, around
+    return S, evaluations, trace, around
 
 
 def matching_cardinality(M: MatroidOracle, S: int) -> int:
@@ -159,12 +161,12 @@ def matching_cardinality(M: MatroidOracle, S: int) -> int:
     return max(0, min(k, inside, outside))
 
 
-def matching_step(M: MatroidOracle, S: int, around: tuple) -> tuple[int, Matching | None, int]:
+def matching_step(M: MatroidOracle, S: int, around: tuple) -> tuple[int, Matching | None]:
     """Candidate built from the top-k matching of second differences at S,
-    read from around = fn.neighbourhood(S)."""
+    read from around = fn.neighbourhood(S); no matching when k is 0."""
     k = matching_cardinality(M, S)
     if k <= 0:
-        return 0, None, 0
+        return 0, None
     inside, outside = split(S, M.n)
     base, drop, add, swap = around
     # A_ij(S) = f(T+a+b) - f(T+a) - f(T+b) + f(T) left to right, with T = S-i-j
@@ -175,7 +177,7 @@ def matching_step(M: MatroidOracle, S: int, around: tuple) -> tuple[int, Matchin
     mask = 0
     for a, b in matching.pairs:
         mask |= (1 << int(inside[a])) | (1 << int(outside[b]))
-    return mask, matching, k
+    return mask, matching
 
 
 def solve(
@@ -185,19 +187,17 @@ def solve(
     matching candidate."""
     seed = best_pair_init(fn, M)
     base = fn.greedy_extend(M, seed)
-    S, iterations, evaluations, trace, around = local_search(fn, M, base, config)
-    S_prime, matching, k = matching_step(M, S, around)
+    S, evaluations, trace, around = local_search(fn, M, base, config)
+    S_prime, matching = matching_step(M, S, around)
     return SolveResult(
         initial=seed,
         S=S,
         S_value=around[0],
         S_prime=S_prime,
         S_prime_value=fn.value(S_prime),
-        iterations=iterations,
         evaluations=evaluations,
         trace=trace,
         matching=matching,
-        matching_k=k,
     )
 
 

@@ -72,6 +72,29 @@ def test_gen_families_report_declared_parameters(tmp_path):
     assert res["classification"]["submodular"]
     assert res["gamma"]["vacuous"]
 
+    # at the solver's size sigma of cubed distances stays within the declared
+    # 2^(p-1) = 4, while the exhaustive diagnostics are skipped past --n-max
+    _, inst = run(["gen", "semimetric-power", "--n", "62", "--power", "3", "--seed", "1"],
+                  tmp_path, "pow62.json")
+    _, rep = run(["analyze", str(inst)], tmp_path, "pow62rep.json")
+    res = json.loads(rep.read_text())["results"]
+    assert "skipped" in res
+    assert res["metric"]["declared_sigma_delta"] <= 1e-9, res["metric"]
+
+    # gamma <= 1 for a metric, with equality at S = {0}: B_0 = 0 and B_1 = A_01 = d(0, 1)
+    _, inst = run(["gen", "metric-random", "--n", "16", "--seed", "1"], tmp_path, "m16.json")
+    _, rep = run(["analyze", str(inst), "--n-max", "16"], tmp_path, "m16rep.json")
+    g = json.loads(rep.read_text())["results"]["gamma"]
+    assert g["gamma"] == 1.0 and not g["is_infinite"], g
+    assert g["witness"] == {"S": [0], "i": 0, "j": 1}, g
+
+    # the second-order witness names a k outside its pair and an S without i, j or k
+    _, inst = run(["gen", "coverage-random", "--n", "16", "--seed", "1"], tmp_path, "c16.json")
+    _, rep = run(["analyze", str(inst), "--n-max", "16"], tmp_path, "c16rep.json")
+    w = json.loads(rep.read_text())["results"]["classification"]["witnesses"][
+        "second_order_submodular"]
+    assert w["k"] not in (w["i"], w["j"]) and not {w["i"], w["j"], w["k"]} & set(w["S"]), w
+
 
 def test_roundtrip_digest_stable(tmp_path):
     _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "9"], tmp_path, "inst.json")
@@ -91,12 +114,14 @@ def test_analyze_digest_covers_its_flags(tmp_path):
 
 def test_solve_digest_covers_its_flags(tmp_path):
     _, inst = run(["gen", "metric-random", "--n", "6", "--seed", "9"], tmp_path, "inst.json")
-    digests = {}
+    digests, reports = {}, {}
     for flags in (["--pivot", "first"], ["--epsilon", "0.5"], ["--epsilon", "0.5", "--with-opt"],
                   ["--with-opt"], []):
         _, rep = run(["solve", str(inst), *flags], tmp_path, "rep.json")
-        digests[tuple(flags)] = json.loads(rep.read_text())["inputs_digest"]
+        reports[tuple(flags)] = rep.read_bytes()
+        digests[tuple(flags)] = json.loads(reports[tuple(flags)])["inputs_digest"]
     assert digests[()] == digests[("--pivot", "first")]  # the default, and only, pivot
+    assert reports[()] == reports[("--pivot", "first")]
     assert len(set(digests.values())) == 4
 
 
@@ -164,6 +189,12 @@ def test_reports_are_deterministic(tmp_path):
         _, out = run(["solve", str(inst), "--with-opt"], tmp_path, f"s{rep}.json")
         blobs.add(out.read_bytes())
     assert len(blobs) == 1
+    # so does coverage at the bitmask cap, whose unions are masked row sums
+    _, inst = run(["gen", "coverage-random", "--n", "62", "--r", "20", "--seed", "1"], tmp_path,
+                  "cov.json")
+    blobs = {run(["solve", str(inst)], tmp_path, f"c{rep}.json")[1].read_bytes()
+             for rep in range(2)}
+    assert len(blobs) == 1
 
 
 def test_epsilon_orders_iterations(tmp_path):
@@ -191,6 +222,8 @@ def test_exit_code_validation_error(tmp_path):
     for tolerance in ("nan", "inf", "-inf", "-1e-9"):
         assert cli.main(["analyze", str(inst), f"--tolerance={tolerance}"]) == 2, tolerance
     assert run(["analyze", str(inst), "--tolerance", "0"], tmp_path, "a.json")[0] == 0
+    # an epsilon for which 1 + epsilon/n^2 rounds to 1 is rejected before the search
+    assert cli.main(["solve", str(inst), "--epsilon", "1e-20"]) == 2
 
 
 @pytest.mark.parametrize("epsilon", ["inf", "-inf", "nan", "0"])
@@ -478,12 +511,12 @@ def test_overflowing_instances_exit_2_without_a_report(doc, solve_code, tmp_path
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # stderr holds the error line and nothing else
             assert cli.main([command, str(inst), "--out", str(out)]) == code, command
+        err = capsys.readouterr().err
         if code == 0:
             json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))
         else:
             assert not out.exists()
-    err = capsys.readouterr().err
-    assert "error: " in err and "Traceback" not in err
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
 
 
 def _strict_results(out):
@@ -618,6 +651,25 @@ def test_non_integer_counts_and_indices_exit_2(doc, tmp_path, capsys):
     assert err.count("must be an integer") == 2 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc", [
+    _small_doc(incidence=[[0], [1], {}]),
+    _small_doc(incidence=[[0], [1], ""]),
+    _small_doc("partition", blocks=[[0, 1, 2], {}]),
+    _small_doc("partition", blocks=[[0, 1, 2], ""]),
+], ids=["incidence-object", "incidence-string", "block-object", "block-string"])
+@pytest.mark.parametrize("command", ["solve", "analyze"])
+def test_an_entry_that_is_not_an_array_exits_2_with_one_error_line(command, doc, tmp_path,
+                                                                   capsys):
+    # an empty object or string would iterate as no items: an empty set
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert cli.main([command, str(inst), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "must be an array" in err, err
+
+
 def test_a_nested_table_exits_2_with_one_error_line(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"n": 1, "function": {"kind": "table", "values": [[0], [1]]},
@@ -712,7 +764,7 @@ def test_every_command_runs_without_scipy(tmp_path):
         ["analyze", inst, *out],
         ["solve", inst, *out],
         *(["verify", suite, "--samples", "2", *out]
-          for suite in ("matching", "matroid", "ratios", "lemmas")),
+          for suite in ("matching", "matroid", "ratios", "lemmas", "smoothness")),
     ]
     script = ("import json, sys\n"
               "sys.modules['scipy'] = None\n"

@@ -704,7 +704,7 @@ def test_classify_guard_on_coverage_and_diversity():
     diversity's rows are constant up to rounding, so it is skipped. Both
     match the loop, witnesses included."""
     rng = np.random.default_rng(35)
-    for n in (5, 8, 10):
+    for n in (5, 8, 10, 12):
         for fn, scanned in ((random_coverage(rng, n), True), (random_diversity(rng, n), False)):
             t = _tables(fn)
             assert bool(np.any(spreads(t) > t.tol)) is scanned, (n, type(fn))

@@ -288,6 +288,8 @@ def test_base_swap_feasible_matches_the_independence_loop_on_every_mask():
 
 
 def test_graphic_swap_feasible_on_bases_and_at_the_ends():
+    # graphic swaps are the base rule, add_feasible(S - i), with no code of their own
+    assert GraphicMatroid.swap_feasible is MatroidOracle.swap_feasible
     rng = np.random.default_rng(62)
     graphs = [GraphicMatroid(v, [tuple(int(u) for u in rng.integers(0, v, size=2))
                                  for _ in range(62)])

@@ -11,6 +11,7 @@ from metasub import search
 from metasub.errors import GuardError, ValidationError
 from metasub.matching import max_weight_matching_k
 from metasub.matroid import GraphicMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
+from metasub.metric import euclidean
 from metasub.search import (
     SolveConfig,
     best_pair_init,
@@ -121,7 +122,7 @@ def test_local_search_certificate():
         M = UniformMatroid(8, 4)
         cfg = SolveConfig()
         start = M.greedy([*elements_of(best_pair_init(fn, M)), *range(M.n)])
-        S, iters, _, trace, _ = local_search(fn, M, start, cfg)
+        S, _, trace, _ = local_search(fn, M, start, cfg)
         assert S.bit_count() == M.rank
         assert M.is_independent(S)
         threshold = (1 + cfg.epsilon / 64) * fn.value(S)
@@ -131,7 +132,6 @@ def test_local_search_certificate():
                     cand = (S & ~(1 << i)) | (1 << j)
                     if M.is_independent(cand):
                         assert fn.value(cand) < threshold
-        assert len(trace) == iters
 
 
 def test_trace_values_increase_multiplicatively():
@@ -140,7 +140,7 @@ def test_trace_values_increase_multiplicatively():
     M = UniformMatroid(9, 4)
     cfg = SolveConfig(epsilon=0.3)
     start = M.greedy(range(M.n))  # poor start to force swaps
-    S, _, _, trace, _ = local_search(fn, M, start, cfg)
+    S, _, trace, _ = local_search(fn, M, start, cfg)
     prev = fn.value(start)
     factor = 1 + cfg.epsilon / 81
     for step in trace:
@@ -169,17 +169,15 @@ def test_local_search_ends_when_swap_scores_overstate_f(monkeypatch):
     M = UniformMatroid(4, 2)
     start = M.greedy(range(M.n))
     assert start == 0b0011
-    S, iterations, evaluations, trace, around = local_search(
-        OneUlpSwaps(np.zeros(16)), M, start)
-    assert (S, iterations, evaluations, trace, around[0]) == (start, 0, 4, [], 0.0)
+    S, evaluations, trace, around = local_search(OneUlpSwaps(np.zeros(16)), M, start)
+    assert (S, evaluations, trace, around[0]) == (start, 4, [], 0.0)
     # f = -1 off the empty set and -0.5 at {0, 3}: the first three accepted
     # scores from {0, 1} are not confirmed by f, the swap to {0, 3}, last in
     # scan order, is
     values = np.where(np.arange(16) == 0b1001, -0.5, -1.0)
     values[0] = 0.0
-    S, iterations, evaluations, trace, around = local_search(
-        OneUlpSwaps(values), M, start)
-    assert (S, iterations, evaluations, around[0]) == (0b1001, 1, 8, -0.5)
+    S, evaluations, trace, around = local_search(OneUlpSwaps(values), M, start)
+    assert (S, evaluations, around[0]) == (0b1001, 8, -0.5)
     assert trace == [{"iteration": 1, "removed": 1, "inserted": 3, "value": -0.5}]
 
 
@@ -255,8 +253,8 @@ def test_matching_step_best_pair_when_k_is_one():
     fn = random_diversity(rng, 6)
     M = UniformMatroid(6, 2)  # c = 3 -> k = 1
     S = mask_of([0, 1])
-    S_prime, matching, k = matching_step(M, S, fn.neighbourhood(S))
-    assert k == 1 and len(matching.pairs) == 1
+    S_prime, matching = matching_step(M, S, fn.neighbourhood(S))
+    assert len(matching.pairs) == 1
     best = max(
         ((i, j) for i in [0, 1] for j in range(2, 6)),
         key=lambda p: second_difference(fn, p[0], p[1], S),
@@ -271,7 +269,7 @@ def test_matching_step_supermodular_value_dominates_weight():
         fn = random_diversity(rng, 8)
         M = UniformMatroid(8, 4)
         S = M.greedy([*elements_of(best_pair_init(fn, M)), *range(M.n)])
-        S_prime, matching, k = matching_step(M, S, fn.neighbourhood(S))
+        S_prime, matching = matching_step(M, S, fn.neighbourhood(S))
         if matching is not None:
             assert fn.value(S_prime) >= matching.total_weight - 1e-9
 
@@ -300,7 +298,7 @@ def test_solve_chosen_is_argmax_and_prefers_S_on_tie():
     assert result.chosen_value == max(result.S_value, result.S_prime_value)
     if result.S_value == result.S_prime_value:
         assert result.chosen == result.S
-    assert result.S_prime.bit_count() == 2 * result.matching_k
+    assert result.S_prime.bit_count() == 2 * len(result.matching.pairs)
     # the pick is derived from the two candidates: S' only when strictly better
     assert result.S != result.S_prime
     tie = dataclasses.replace(result, S_prime_value=result.S_value)
@@ -314,9 +312,9 @@ def test_epsilon_orders_iteration_counts():
     fn = random_diversity(rng, 9)
     M = UniformMatroid(9, 4)
     start = M.greedy(range(M.n))
-    _, coarse, _, _, _ = local_search(fn, M, start, SolveConfig(epsilon=0.5))
-    _, fine, _, _, _ = local_search(fn, M, start, SolveConfig(epsilon=0.01))
-    assert fine >= coarse
+    _, _, coarse, _ = local_search(fn, M, start, SolveConfig(epsilon=0.5))
+    _, _, fine, _ = local_search(fn, M, start, SolveConfig(epsilon=0.01))
+    assert len(fine) >= len(coarse)
 
 
 def test_brute_force_known_cases():
@@ -431,10 +429,10 @@ def scalar_best_pair(fn, M):
 
 def scalar_local_search(fn, M, S, config):
     """One candidate at a time: value and independence per swap, stopping at
-    the first accepted swap."""
+    the first accepted swap; returns (S, evaluations, trace)."""
     n = fn.n
     threshold = 1.0 + config.epsilon / (n * n)
-    iterations = evaluations = 0
+    evaluations = 0
     trace = []
     current = fn.value(S)
     while True:
@@ -452,11 +450,10 @@ def scalar_local_search(fn, M, S, config):
             if pick is not None:
                 break
         if pick is None:
-            return S, iterations, evaluations, trace
+            return S, evaluations, trace
         S = (S & ~(1 << pick[0])) | (1 << pick[1])
         current = pick[2]
-        iterations += 1
-        trace.append({"iteration": iterations, "removed": pick[0], "inserted": pick[1],
+        trace.append({"iteration": len(trace) + 1, "removed": pick[0], "inserted": pick[1],
                       "value": current})
 
 
@@ -495,14 +492,14 @@ def test_solve_with_overrides_matches_the_reference_loops(matroid, monkeypatch):
         for fn in fresh_oracles(np.random.default_rng([seed, 9]), 9):
             M = MATROIDS[matroid]()
             fast = solve(fn, M, config)
-            fast_from_empty = local_search(fn, M, M.greedy(range(M.n)), config)[:4]
+            fast_from_empty = local_search(fn, M, M.greedy(range(M.n)), config)[:3]
             weights = []
             with monkeypatch.context() as m:
                 force_reference_loops(m)
                 m.setattr(search, "max_weight_matching_k",
                           lambda w, k: weights.append(w) or max_weight_matching_k(w, k))
                 ref = solve(fn, M, config)
-                ref_from_empty = local_search(fn, M, M.greedy(range(M.n)), config)[:4]
+                ref_from_empty = local_search(fn, M, M.greedy(range(M.n)), config)[:3]
                 sd = [[second_difference(fn, i, j, ref.S) for j in range(9) if not ref.S >> j & 1]
                       for i in elements_of(ref.S)]
             case = (matroid, seed, fn.kind)
@@ -510,7 +507,7 @@ def test_solve_with_overrides_matches_the_reference_loops(matroid, monkeypatch):
             assert ref_from_empty == scalar_local_search(fn, M, M.greedy(range(M.n)), config), case
             assert ref.initial == scalar_best_pair(fn, M), case
             for key in ("initial", "S", "S_prime", "chosen", "trace", "iterations",
-                        "evaluations", "matching_k", "S_value", "S_prime_value", "chosen_value"):
+                        "evaluations", "S_value", "S_prime_value", "chosen_value"):
                 assert getattr(fast, key) == getattr(ref, key), (case, key)
             assert (fast.matching is None) == (ref.matching is None), case
             if ref.matching is not None:
@@ -590,6 +587,7 @@ def test_greedy_extend_overrides_match_the_base_method_up_to_62(matroid):
                random_coverage(rng, n), random_coverage(rng, n, m=int(rng.integers(1, 5))),
                CoverageFunction([[]] * n, [])]
         for fn in fns:
+            assert "greedy_extend" in vars(type(fn)), type(fn)  # the override, not the base
             for start in (0, best_pair_init(fn, M)):
                 want = scalar_greedy_extend(fn, M, start)
                 case = (matroid, n, fn.kind, start)
@@ -626,6 +624,9 @@ def test_solve_past_62_elements_is_the_same_on_the_base_oracle_methods(monkeypat
         ref = solve(fn, M)
     assert fast.chosen == ref.chosen and fast.chosen.bit_count() == 10
     assert close(fast.chosen_value, ref.chosen_value)
+    # the oracles have no cap of their own: 100 points in R^3 under a rank of 30
+    fn = DiversityFunction(euclidean(np.random.default_rng(0).standard_normal((100, 3))))
+    assert solve(fn, UniformMatroid(100, 30)).chosen.bit_count() == 30
 
 
 def test_solve_reports_the_same_before_and_after_the_table():
@@ -650,9 +651,9 @@ def test_the_solver_reads_f_of_s_from_the_neighbourhood(monkeypatch):
         if fn.kind == "table":
             continue  # no override: the base neighbourhood calls value
         M = UniformMatroid(9, 4)
-        S, iterations, _, _, around = local_search(fn, M, M.greedy(range(M.n)))
+        S, _, trace, around = local_search(fn, M, M.greedy(range(M.n)))
         matching_step(M, S, around)
-        assert iterations and calls == [], fn.kind
+        assert trace and calls == [], fn.kind
         solve(fn, M)
         assert [c for c in calls if c is fn] == [fn], fn.kind  # f(S') only
         calls.clear()
@@ -686,7 +687,7 @@ def test_a_solve_computes_each_neighbourhood_once(matroid, monkeypatch):
     for fn in fresh_oracles(np.random.default_rng(19), 9):
         calls.clear()
         result = solve(fn, MATROIDS[matroid](), SolveConfig(epsilon=0.01))
-        assert result.matching_k > 0, fn.kind
+        assert result.matching is not None, fn.kind
         masks = [args[0] for self, name, args, _ in calls if self is fn and name == "neighbourhood"]
         assert len(masks) == len(set(masks)), fn.kind
         assert not [call for call in calls if call[3]], fn.kind
