@@ -178,6 +178,13 @@ class DiversityFunction(SetFunctionOracle):
             raise ValidationError("modular weights must be non-negative")
         self.weights = weights
         self._check_finite_total()
+        # the closed forms read d(i, j) where value does, from the upper
+        # triangle, and no diagonal: the validation lets D be asymmetric and its
+        # diagonal nonzero within ABS_TOL. A zero keeps its sign, so a D that is
+        # symmetric bit for bit, with a zero diagonal, is read as given
+        D = self.distance
+        self._symmetric = np.where(np.triu(np.ones((n, n), dtype=bool), 1), D, D.T)
+        np.fill_diagonal(self._symmetric, D.diagonal() * 0.0)
 
     def _raw_value(self, mask: int) -> float:
         return self._sum(split(mask, self.n)[0])
@@ -207,15 +214,16 @@ class DiversityFunction(SetFunctionOracle):
         check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
         current = self._sum(inside)
-        g = self.distance[:, inside].sum(axis=1) + self.weights
+        D = self._symmetric
+        g = D[:, inside].sum(axis=1) + self.weights
         drop = current - g[inside]
-        swap = drop[:, None] + g[outside] - self.distance.take(inside, 0).take(outside, 1)
+        swap = drop[:, None] + g[outside] - D.take(inside, 0).take(outside, 1)
         return current, drop, current + g[outside], swap
 
     def pair_values(self) -> np.ndarray:
         # neighbourhood({i}) gives f({i, j}) = f({i}) + g_j with f({i}) = w_i
         # and g_j = d(j, i) + w_j, summed here in the same order
-        values = self.weights[:, None] + (self.distance.T + self.weights)
+        values = self.weights[:, None] + (self._symmetric.T + self.weights)
         np.fill_diagonal(values, 0.0)
         return values
 
@@ -224,12 +232,12 @@ class DiversityFunction(SetFunctionOracle):
         # = D[:, S].sum(1) + w gains the column D[:, j] when j joins
         check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
-        g = self.distance[:, inside].sum(axis=1) + self.weights
+        g = self._symmetric[:, inside].sum(axis=1) + self.weights
         while mask.bit_count() < M.rank:
             j = int(outside[np.argmax(np.where(M.add_feasible(mask), g[outside], -np.inf))])
             mask |= 1 << j
             outside = outside[outside != j]
-            g += self.distance[:, j]
+            g += self._symmetric[:, j]
         return mask
 
 

@@ -37,6 +37,7 @@ from metasub.setfn import (
 )
 from util import (
     OVERFLOWING_TABLE,
+    all_ones_diversity,
     awkward_diversities,
     fresh_oracles,
     loop_gradient,
@@ -51,10 +52,6 @@ from util import (
     random_table,
     second_difference,
 )
-
-
-def all_ones_diversity(n=4):
-    return DiversityFunction(np.ones((n, n)) - np.eye(n))
 
 
 def test_gamma_all_ones_diversity():

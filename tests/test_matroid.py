@@ -1,17 +1,10 @@
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from metasub.errors import GuardError, ValidationError
-from metasub.matroid import (
-    GraphicMatroid,
-    MatroidOracle,
-    PartitionMatroid,
-    UniformMatroid,
-    generic_min_circuit,
-)
+from metasub.matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
 from metasub.setfn import elements_of, mask_of
 from util import rank
 
@@ -100,38 +93,6 @@ def test_graphic_girth_cases():
     assert square.min_circuit_size == 4
 
 
-def min_circuit_cases():
-    rng = np.random.default_rng(0)
-    for trial in range(30):
-        kind = trial % 3
-        if kind == 0:
-            yield UniformMatroid(6, int(rng.integers(1, 7)))
-        elif kind == 1:
-            cut = int(rng.integers(1, 6))
-            yield PartitionMatroid(
-                [list(range(cut)), list(range(cut, 6))],
-                [int(rng.integers(1, cut + 1)), int(rng.integers(1, 7 - cut))],
-            )
-        else:
-            v = int(rng.integers(2, 5))
-            yield GraphicMatroid(v, [tuple(rng.integers(0, v, 2)) for _ in range(6)])
-    # multigraphs with loops, parallel edges and isolated vertices
-    rng = np.random.default_rng(1)
-    for _ in range(300):
-        v = int(rng.integers(1, 7))
-        yield GraphicMatroid(v, [tuple(rng.integers(0, v, 2)) for _ in range(rng.integers(1, 9))])
-
-
-def test_min_circuit_matches_generic_search():
-    for M in min_circuit_cases():
-        assert M.min_circuit_size == generic_min_circuit(M)
-        # every set below the circuit size is independent
-        c = M.min_circuit_size or M.n + 1
-        for size in range(min(c, M.n + 1)):
-            for combo in itertools.combinations(range(M.n), size):
-                assert M.is_independent(mask_of(combo))
-
-
 def test_rank_of_is_monotone_submodular():
     M = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     for s in range(1 << M.n):
@@ -214,96 +175,15 @@ def test_greedy_rejects_an_order_element_that_is_no_element(element):
         UniformMatroid(4, 2).greedy([element])
 
 
-def loop_swap_feasible(M, mask):
-    inside = elements_of(mask)
-    outside = elements_of(((1 << M.n) - 1) & ~mask)
-    rows = [[M.is_independent((mask & ~(1 << i)) | (1 << j)) for j in outside] for i in inside]
-    return np.array(rows, dtype=bool).reshape(len(inside), len(outside))
-
-
-def test_swap_feasible_overrides_match_the_independence_loop():
-    for M in (
-        UniformMatroid(7, 3),
-        UniformMatroid(7, 7),
-        PartitionMatroid([[0, 1, 2], [3, 4], [5, 6]], [2, 1, 0]),
-        PartitionMatroid([[0, 3, 5], [1, 2, 4, 6]], [1, 2]),
-        PartitionMatroid([[0, 1, 2], [3, 4], [5, 6]], [10**30, 1, 2**63]),  # past int64
-        GraphicMatroid(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (0, 0)]),
-    ):
-        for mask in range(1 << M.n):  # overrides may assume S independent, the base may not
-            want = loop_swap_feasible(M, mask)
-            methods = [MatroidOracle.swap_feasible]
-            if M.is_independent(mask):
-                methods.append(type(M).swap_feasible)
-            for method in methods:
-                got = method(M, mask)
-                assert got.dtype == bool and got.shape == want.shape
-                np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {mask:#x}")
-
-
-def random_small_matroids(seed):
-    """Uniform matroids up to n=7, 100 random partitions and 300 random graphs
-    of up to 9 edges on at most 5 vertices, so loops and parallel edges are common."""
-    rng = np.random.default_rng(seed)
-    random_graphs = [
-        GraphicMatroid(v, [tuple(int(u) for u in rng.integers(0, v, size=2))
-                           for _ in range(int(rng.integers(1, 10)))])
-        for v in rng.integers(1, 6, size=300)
-    ]
-    random_partitions = []
-    for n in rng.integers(1, 9, size=100):
-        labels = rng.integers(0, 3, size=n)
-        blocks = [block for b in range(3) if (block := np.flatnonzero(labels == b).tolist())]
-        random_partitions.append(PartitionMatroid(blocks, rng.integers(0, 3, size=len(blocks))))
-    return [*(UniformMatroid(n, r) for n in range(1, 8) for r in range(n + 2)),
-            *random_partitions, *random_graphs]
-
-
-def test_add_feasible_overrides_match_the_independence_loop():
-    checked = {}
-    for M in random_small_matroids(8):
-        for mask in range(1 << M.n):  # dependent S too: S + j is then dependent
-            outside = [j for j in range(M.n) if not mask >> j & 1]
-            want = np.array([M.is_independent(mask | (1 << j)) for j in outside], dtype=bool)
-            for method in (MatroidOracle.add_feasible, type(M).add_feasible):
-                got = method(M, mask)
-                assert got.dtype == bool and got.shape == want.shape
-                np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {mask:#x}")
-            if not M.is_independent(mask):
-                checked[M.kind] = checked.get(M.kind, 0) + 1
-    assert min(checked.values()) > 500, checked  # dependent masks of each kind
-
-
-def test_base_swap_feasible_matches_the_independence_loop_on_every_mask():
-    checked = {}
-    for M in random_small_matroids(9):
-        for mask in range(1 << M.n):
-            want = loop_swap_feasible(M, mask)
-            got = MatroidOracle.swap_feasible(M, mask)
-            assert got.dtype == bool and got.shape == want.shape
-            np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {mask:#x}")
-            if not M.is_independent(mask):
-                checked[M.kind] = checked.get(M.kind, 0) + 1
-    assert min(checked.values()) > 500, checked  # dependent masks of each kind
-
-
-def test_graphic_swap_feasible_on_bases_and_at_the_ends():
-    # graphic swaps are the base rule, add_feasible(S - i), with no code of their own
-    assert GraphicMatroid.swap_feasible is MatroidOracle.swap_feasible
+def test_graphic_swaps_from_a_base_reach_every_edge_but_a_loop():
+    # an edge outside a spanning forest closes a cycle with it, so it swaps
+    # with the cycle's other edges; a loop closes a cycle alone
     rng = np.random.default_rng(62)
     graphs = [GraphicMatroid(v, [tuple(int(u) for u in rng.integers(0, v, size=2))
                                  for _ in range(62)])
               for v in (2, 12, 21, 40, 63)]
     graphs.append(GraphicMatroid(3, [(v, v) for v in (0, 1, 2, 0, 1)]))  # all loops, rank 0
     for M in graphs:
-        # three greedy bases, then S = the empty set and S = the whole ground set,
-        # whose blocks have no rows and no columns
-        for mask in [*(M.greedy(rng.permutation(M.n)) for _ in range(3)), 0, (1 << M.n) - 1]:
-            got = M.swap_feasible(mask)
-            assert got.dtype == bool and got.shape == (mask.bit_count(), M.n - mask.bit_count())
-            np.testing.assert_array_equal(got, loop_swap_feasible(M, mask),
-                                          err_msg=f"{M.n} {mask:#x}")
-        # from a base, every edge outside it but a loop swaps with its cycle
         base = M.greedy(range(M.n))
         assert M.swap_feasible(base).any() == any(
             u != v for j, (u, v) in enumerate(M.edges) if not base >> j & 1)
@@ -326,50 +206,6 @@ def test_partition_swaps_at_the_cap_stay_inside_a_block():
     # the first block has room, so anything may move into it
     np.testing.assert_array_equal(M.swap_feasible(mask_of([0, 3])),
                                   [[True, True, False], [True, True, True]])
-
-
-def test_pair_feasible_overrides_match_the_independence_loop():
-    rng = np.random.default_rng(4)
-    random_graphs = [  # few vertices, so loops and parallel edges are common
-        GraphicMatroid(3, [tuple(int(v) for v in rng.integers(0, 3, size=2)) for _ in range(8)])
-        for _ in range(5)
-    ]
-    for M in (
-        UniformMatroid(6, 0),
-        UniformMatroid(6, 1),
-        UniformMatroid(6, 2),
-        UniformMatroid(1, 1),
-        PartitionMatroid([[0, 1, 2], [3, 4], [5], [6, 7]], [0, 1, 2, 2]),
-        PartitionMatroid([[0, 2, 4], [1, 3, 5]], [1, 2]),
-        PartitionMatroid([[0], [1, 2]], [0, 0]),
-        GraphicMatroid(4, [(0, 1), (1, 0), (2, 2), (1, 2), (0, 1), (3, 3), (2, 3)]),
-        GraphicMatroid(1, [(0, 0), (0, 0)]),
-        *random_graphs,
-    ):
-        want = MatroidOracle.pair_feasible(M)
-        for i, j in itertools.product(range(M.n), repeat=2):
-            assert want[i, j] == (i != j and M.is_independent(mask_of([i, j])))
-        got = M.pair_feasible()
-        assert got.dtype == bool and got.shape == (M.n, M.n)
-        np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {M.n}")
-
-
-def test_independence_vector_overrides_match_the_independence_loop():
-    rng = np.random.default_rng(6)
-    for n in range(1, 11):
-        labels = rng.integers(0, 3, size=n)
-        v = n // 2 + 2
-        for M in (
-            UniformMatroid(n, int(rng.integers(0, n + 1))),
-            PartitionMatroid([np.flatnonzero(labels == b).tolist() for b in range(3)],
-                             rng.integers(0, 3, size=3).tolist()),
-            GraphicMatroid(v, [tuple(int(u) for u in rng.integers(0, v, size=2))
-                               for _ in range(n)]),
-        ):
-            want = [M.is_independent(mask) for mask in range(1 << n)]
-            for got in (M.independence_vector(), MatroidOracle._fill_independence(M)):
-                assert got.dtype == bool and got.shape == (1 << n,)
-                np.testing.assert_array_equal(got, want, err_msg=f"{M.kind} {n}")
 
 
 def test_independence_vector_stops_at_the_table_guard():

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import math
 
@@ -10,7 +9,7 @@ from metasub.diag import classify, gamma_parameter
 from metasub import search
 from metasub.errors import GuardError, ValidationError
 from metasub.matching import max_weight_matching_k
-from metasub.matroid import GraphicMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
+from metasub.matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
 from metasub.metric import euclidean
 from metasub.search import (
     SolveConfig,
@@ -34,19 +33,20 @@ from metasub.setfn import (
     mask_of,
 )
 from util import (
+    MATROIDS,
+    all_ones_diversity,
     awkward_diversities,
     close,
+    force_reference_loops,
     fresh_oracles,
     loop_brute_force_opt,
     random_coverage,
     random_diversity,
     random_metric,
     second_difference,
+    signed_zero_diversity,
+    subclasses,
 )
-
-
-def all_ones_diversity(n=4):
-    return DiversityFunction(np.ones((n, n)) - np.eye(n))
 
 
 def test_config_validation():
@@ -457,34 +457,6 @@ def scalar_local_search(fn, M, S, config):
                       "value": current})
 
 
-def subclasses(base):
-    """Every class below base, at any depth."""
-    todo = list(base.__subclasses__())
-    while todo:
-        cls = todo.pop()
-        todo += cls.__subclasses__()
-        yield cls
-
-
-def force_reference_loops(monkeypatch):
-    """Route every override of the neighbourhood, pair and greedy methods to the base loop."""
-    for base, name in ((SetFunctionOracle, "neighbourhood"), (SetFunctionOracle, "pair_values"),
-                       (SetFunctionOracle, "greedy_extend"),
-                       (MatroidOracle, "swap_feasible"), (MatroidOracle, "pair_feasible"),
-                       (MatroidOracle, "add_feasible")):
-        for cls in subclasses(base):
-            if name in vars(cls):
-                monkeypatch.setattr(cls, name, getattr(base, name))
-
-
-MATROIDS = {
-    "uniform": lambda: UniformMatroid(9, 4),
-    "partition": lambda: PartitionMatroid([[0, 1, 2, 3], [4, 5, 6, 7, 8]], [2, 2]),
-    "graphic": lambda: GraphicMatroid(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
-                                          (5, 3), (1, 4), (0, 5)]),
-}
-
-
 @pytest.mark.parametrize("matroid", sorted(MATROIDS))
 def test_solve_with_overrides_matches_the_reference_loops(matroid, monkeypatch):
     config = SolveConfig(epsilon=0.01)
@@ -517,84 +489,6 @@ def test_solve_with_overrides_matches_the_reference_loops(matroid, monkeypatch):
                 np.testing.assert_array_equal(weights[0], sd, err_msg=str(case))
 
 
-def scalar_greedy_extend(fn, M, S):
-    """Reference extension from value and is_independent calls only: the
-    first strict maximum of f(S + j) over the j that keep S independent."""
-    while S.bit_count() < M.rank:
-        best = None
-        for j in range(fn.n):
-            if not S >> j & 1 and M.is_independent(S | (1 << j)):
-                v = fn.value(S | (1 << j))
-                if best is None or v > best[0]:
-                    best = (v, j)
-        S |= 1 << best[1]
-    return S
-
-
-def signed_zero_diversity(rng, n):
-    """Distances of 1.0, 0.0 and -0.0 and weights of 0.0 and -0.0: most gains
-    tie, among them -0.0 against 0.0, so the first index must win."""
-    D = np.triu(rng.choice([1.0, 0.0, -0.0], size=(n, n)), 1)
-    D = D + D.T
-    D[(D == 0) & (rng.random((n, n)) < 0.5)] = -0.0  # either side of a pair, the diagonal too
-    return DiversityFunction(D, weights=rng.choice([0.0, -0.0], size=n))
-
-
-@pytest.mark.parametrize("matroid", sorted(MATROIDS))
-def test_greedy_extend_matches_the_scalar_greedy_loop(matroid, monkeypatch):
-    for seed in range(4):
-        rng = np.random.default_rng([seed, 23])
-        # all-ones distances tie every gain, so the first index must win
-        for fn in [*fresh_oracles(rng, 9), *awkward_diversities(rng, 9), all_ones_diversity(9),
-                   signed_zero_diversity(rng, 9)]:
-            M = MATROIDS[matroid]()
-            singles = [1 << i for i in range(9) if M.is_independent(1 << i)]
-            for start in (0, best_pair_init(fn, M), singles[seed % len(singles)]):
-                want = scalar_greedy_extend(fn, M, start)
-                assert want & start == start and want.bit_count() == M.rank
-                assert M.is_independent(want)
-                assert fn.greedy_extend(M, start) == want, (matroid, seed, fn.kind, start)
-                # the base method, reading the neighbourhood override
-                assert SetFunctionOracle.greedy_extend(fn, M, start) == want, (
-                    matroid, seed, fn.kind, start)
-                with monkeypatch.context() as m:
-                    force_reference_loops(m)
-                    assert fn.greedy_extend(M, start) == want, (matroid, seed, fn.kind, start)
-
-
-def large_matroid(kind, n, rng):
-    """A matroid of the given kind over n elements, rank up to 20."""
-    if kind == "uniform":
-        return UniformMatroid(n, min(20, n - 1))
-    if kind == "partition":
-        cuts = np.sort(rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
-        blocks = [part.tolist() for part in np.split(np.arange(n), cuts)]
-        return PartitionMatroid(blocks, [int(c) for c in rng.integers(0, 8, size=len(blocks))])
-    vertices = max(2, n // 5)
-    return GraphicMatroid(vertices, [tuple(int(v) for v in rng.integers(0, vertices, size=2))
-                                     for _ in range(n)])
-
-
-@pytest.mark.parametrize("matroid", ["uniform", "partition", "graphic"])
-def test_greedy_extend_overrides_match_the_base_method_up_to_62(matroid):
-    rng = np.random.default_rng(28)
-    for n in (2, 5, 17, 40, 62):
-        M = large_matroid(matroid, n, rng)
-        fns = [random_diversity(rng, n),
-               DiversityFunction(random_metric(rng, n), weights=rng.random(n)),
-               *itertools.islice(awkward_diversities(rng, n), 2), all_ones_diversity(n),
-               signed_zero_diversity(rng, n),
-               random_coverage(rng, n), random_coverage(rng, n, m=int(rng.integers(1, 5))),
-               CoverageFunction([[]] * n, [])]
-        for fn in fns:
-            assert "greedy_extend" in vars(type(fn)), type(fn)  # the override, not the base
-            for start in (0, best_pair_init(fn, M)):
-                want = scalar_greedy_extend(fn, M, start)
-                case = (matroid, n, fn.kind, start)
-                assert SetFunctionOracle.greedy_extend(fn, M, start) == want, case
-                assert fn.greedy_extend(M, start) == want, case
-
-
 @pytest.mark.parametrize("matroid", ["uniform", "partition", "graphic"])
 def test_best_pair_at_the_bitmask_cap_matches_the_scalar_scan(matroid):
     n = 62
@@ -619,8 +513,7 @@ def test_solve_past_62_elements_is_the_same_on_the_base_oracle_methods(monkeypat
     M = UniformMatroid(100, 10)
     fast = solve(fn, M)
     with monkeypatch.context() as m:
-        for name in ("neighbourhood", "pair_values", "greedy_extend"):
-            m.setattr(DiversityFunction, name, getattr(SetFunctionOracle, name))
+        force_reference_loops(m)
         ref = solve(fn, M)
     assert fast.chosen == ref.chosen and fast.chosen.bit_count() == 10
     assert close(fast.chosen_value, ref.chosen_value)

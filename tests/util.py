@@ -1,12 +1,15 @@
 """Shared instance generators, brute-force oracles and scalar references for
 the tests."""
 
+import itertools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from metasub.diag import GRADIENT_SAMPLE_POINTS, LemmaCheck, _leq
 from metasub.matching import exhaustive_matching  # noqa: F401 (re-exported)
+from metasub.matroid import GraphicMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
 from metasub.metric import ABS_TOL, REL_TOL, SemiMetricReport, euclidean, scaled_tol
 from metasub.search import growth
 from metasub.setfn import (
@@ -97,6 +100,27 @@ def awkward_diversities(rng, n):
     yield DiversityFunction(D, weights=weights)
     yield mixed_table([(DiversityFunction(D, weights=weights), 0.5),
                        (random_coverage(rng, n), 1.5)])
+
+
+def all_ones_diversity(n=4):
+    return DiversityFunction(np.ones((n, n)) - np.eye(n))
+
+
+def signed_zero_diversity(rng, n):
+    """Distances of 1.0, 0.0 and -0.0 and weights of 0.0 and -0.0: most gains
+    tie, among them -0.0 against 0.0, so the first index must win."""
+    D = np.triu(rng.choice([1.0, 0.0, -0.0], size=(n, n)), 1)
+    D = D + D.T
+    D[(D == 0) & (rng.random((n, n)) < 0.5)] = -0.0  # either side of a pair, the diagonal too
+    return DiversityFunction(D, weights=rng.choice([0.0, -0.0], size=n))
+
+
+MATROIDS = {
+    "uniform": lambda: UniformMatroid(9, 4),
+    "partition": lambda: PartitionMatroid([[0, 1, 2, 3], [4, 5, 6, 7, 8]], [2, 2]),
+    "graphic": lambda: GraphicMatroid(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
+                                          (5, 3), (1, 4), (0, 5)]),
+}
 
 
 def marginal(fn, i: int, mask: int) -> float:
@@ -260,3 +284,154 @@ def loop_js_divergence(probs) -> np.ndarray:
                 total += 0.5 * float(np.sum(a[pos] * np.log(a[pos] / m[pos])))
             D[i, j] = D[j, i] = total
     return D
+
+
+# ------------------------------------------------- overridable oracle methods
+#
+# Each reference loop reads one scalar method of an oracle over n elements
+# (value, _raw_value or is_independent), passed in as a callable, and its
+# entries have that method's type: float or bool.
+
+
+def loop_every_mask(scalar, n: int) -> np.ndarray:
+    return np.array([scalar(mask) for mask in range(1 << n)], dtype=type(scalar(0)))
+
+
+def loop_pairs(scalar, n: int) -> np.ndarray:
+    """scalar({i, j}) for i != j, one call per pair, on a zero (False) diagonal."""
+    out = np.zeros((n, n), dtype=type(scalar(0)))
+    for i, j in itertools.combinations(range(n), 2):
+        out[i, j] = out[j, i] = scalar((1 << i) | (1 << j))
+    return out
+
+
+def loop_adds(scalar, n: int, mask: int) -> np.ndarray:
+    """scalar(S + j) for j not in S, ascending."""
+    return np.array([scalar(mask | (1 << j)) for j in range(n) if not mask >> j & 1],
+                    dtype=type(scalar(0)))
+
+
+def loop_swaps(scalar, n: int, mask: int) -> np.ndarray:
+    """scalar(S - i + j) for i in S (rows) and j not in S (columns), ascending."""
+    inside = [i for i in range(n) if mask >> i & 1]
+    outside = [j for j in range(n) if not mask >> j & 1]
+    rows = [[scalar((mask & ~(1 << i)) | (1 << j)) for j in outside] for i in inside]
+    return np.array(rows, dtype=type(scalar(0))).reshape(len(inside), len(outside))
+
+
+def loop_neighbourhood(value, n: int, mask: int):
+    """f(S), then f(S - i), f(S + j) and f(S - i + j): one value call per entry."""
+    drop = [value(mask & ~(1 << i)) for i in range(n) if mask >> i & 1]
+    return (value(mask), np.array(drop, dtype=float), loop_adds(value, n, mask),
+            loop_swaps(value, n, mask))
+
+
+def scalar_greedy_extend(value, n: int, M, S: int) -> int:
+    """The first strict maximum of f(S + j) over the j that keep S
+    independent, one element at a time up to the rank."""
+    while S.bit_count() < M.rank:
+        best = None
+        for j in range(n):
+            if not S >> j & 1 and M.is_independent(S | (1 << j)):
+                v = value(S | (1 << j))
+                if best is None or v > best[0]:
+                    best = (v, j)
+        S |= 1 << best[1]
+    return S
+
+
+# Each check takes the reference's result, the production call's (None where
+# it was not run), the base method's, and whether the production call must
+# give the reference's bits or may round.
+
+
+def assert_equal_arrays(got, want) -> None:
+    """np.testing.assert_array_equal with equal shapes and dtypes, which it
+    calls only to report a difference."""
+    if not (got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+def check_equal(want, got, base, exact: bool) -> None:
+    for path in (got, base):
+        if isinstance(path, np.ndarray):
+            assert_equal_arrays(path, want)
+        elif path is not None:
+            assert path == want, (path, want)
+
+
+def check_neighbourhood(want, got, base, exact: bool) -> None:
+    """f(S) is a float with value's bits on both paths; the base arrays have
+    the reference's bits, and the production call's too or, where it may
+    round, are close to them."""
+    current, *arrays = want
+    for path in (got, base):
+        assert isinstance(path[0], float) and path[0].hex() == current.hex(), (path[0], current)
+    for b, g, w in zip(base[1:], got[1:], arrays):
+        assert_equal_arrays(b, w)
+        if exact:
+            assert_equal_arrays(g, w)
+        else:
+            assert g.shape == w.shape and all(map(close, g.ravel(), w.ravel())), (g, w)
+
+
+def check_pair_values(want, got, base, exact: bool) -> None:
+    """The base rows are close to f({i, j}) on a zero diagonal, and the
+    production call has their bits."""
+    assert base.shape == want.shape and not base.diagonal().any(), base
+    assert all(map(close, base.ravel(), want.ravel())), (base, want)
+    assert_equal_arrays(got, base)
+
+
+class Method(NamedTuple):
+    """An oracle method that subclasses may override for speed. The base
+    class's method is the reference path. `reference` loops over the oracle's
+    `scalar` method, and `check` compares both paths with it. `takes` is the
+    argument: a mask, a (matroid, start) pair, or nothing ("" or, for a fill
+    of all 2^n masks, "every mask"). An override of an `independent_only`
+    method may assume S independent."""
+
+    base: type
+    scalar: str
+    reference: Callable
+    check: Callable
+    takes: str
+    independent_only: bool = False
+
+
+METHODS = {
+    "neighbourhood": Method(SetFunctionOracle, "value", loop_neighbourhood, check_neighbourhood,
+                            "mask"),
+    "pair_values": Method(SetFunctionOracle, "value", loop_pairs, check_pair_values, ""),
+    "greedy_extend": Method(SetFunctionOracle, "value", scalar_greedy_extend, check_equal,
+                            "start"),
+    "_fill_table": Method(SetFunctionOracle, "_raw_value", loop_every_mask, check_equal,
+                          "every mask"),
+    "add_feasible": Method(MatroidOracle, "is_independent", loop_adds, check_equal, "mask"),
+    "swap_feasible": Method(MatroidOracle, "is_independent", loop_swaps, check_equal, "mask",
+                            independent_only=True),
+    "pair_feasible": Method(MatroidOracle, "is_independent", loop_pairs, check_equal, ""),
+    "_fill_independence": Method(MatroidOracle, "is_independent", loop_every_mask, check_equal,
+                                 "every mask"),
+}
+
+# overrides whose entries may differ from the reference in the last bits:
+# diversity's closed form sums g_i and d(i, j) in another order than value
+ROUNDED = {(DiversityFunction, "neighbourhood")}
+
+
+def subclasses(base):
+    """Every class below base, at any depth."""
+    todo = list(base.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        yield cls
+
+
+def force_reference_loops(monkeypatch):
+    """Route every override of a METHODS name to its base method."""
+    for name, method in METHODS.items():
+        for cls in subclasses(method.base):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, getattr(method.base, name))
