@@ -37,9 +37,11 @@ from util import (
     awkward_diversities,
     force_reference_loops,
     fresh_oracles,
+    large_matroids,
     mixed_table,
     random_coverage,
     random_diversity,
+    random_graph,
     random_metric,
     signed_zero_diversity,
     subclasses,
@@ -110,24 +112,6 @@ def set_function_pool():
     rng = np.random.default_rng(70)
     fn = DiversityFunction(random_metric(rng, 70), weights=rng.random(70))
     return [*pool, (fn, [0, 1 << 69, mask_of(rng.choice(70, size=20, replace=False)) | 1 << 65])]
-
-
-def random_graph(rng, vertices, edges):
-    return GraphicMatroid(vertices, [tuple(int(v) for v in rng.integers(0, vertices, size=2))
-                                     for _ in range(edges)])
-
-
-def large_matroids(rng, kind):
-    """A matroid of the given kind, rank up to 20, at each n in (2, 5, 17, 40, 62)."""
-    for n in (2, 5, 17, 40, 62):
-        if kind == "uniform":
-            yield UniformMatroid(n, min(20, n - 1))
-        elif kind == "partition":
-            cuts = np.sort(rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
-            yield PartitionMatroid([part.tolist() for part in np.split(np.arange(n), cuts)],
-                                   [int(c) for c in rng.integers(0, 8, size=len(cuts) + 1)])
-        else:
-            yield random_graph(rng, max(2, n // 5), n)
 
 
 def greedy_pool():

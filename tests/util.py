@@ -123,6 +123,24 @@ MATROIDS = {
 }
 
 
+def random_graph(rng, vertices, edges):
+    return GraphicMatroid(vertices, [tuple(int(v) for v in rng.integers(0, vertices, size=2))
+                                     for _ in range(edges)])
+
+
+def large_matroids(rng, kind):
+    """A matroid of the given kind, rank up to 20, at each n in (2, 5, 17, 40, 62)."""
+    for n in (2, 5, 17, 40, 62):
+        if kind == "uniform":
+            yield UniformMatroid(n, min(20, n - 1))
+        elif kind == "partition":
+            cuts = np.sort(rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
+            yield PartitionMatroid([part.tolist() for part in np.split(np.arange(n), cuts)],
+                                   [int(c) for c in rng.integers(0, 8, size=len(cuts) + 1)])
+        else:
+            yield random_graph(rng, max(2, n // 5), n)
+
+
 def marginal(fn, i: int, mask: int) -> float:
     """Reference B_i(S) = f(S+i) - f(S-i), from two value calls."""
     bit = 1 << i
