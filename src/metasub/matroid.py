@@ -2,9 +2,11 @@
 
 Each oracle answers independence queries over bitmask subsets and caches
 its rank and minimum circuit size. `greedy` takes elements in the order
-given, so runs are reproducible; the solver extends its seed pair by gain
-instead, reading which elements may join from `add_feasible`, exact for any
-S; the base `swap_feasible` reads each swap S - i + j from `add_feasible(S - i)`.
+given, so runs are reproducible. The solver's seed scan reads the rank to
+know that some pair is independent, then asks `is_independent` of the
+best-valued pairs in turn; it extends its seed pair by gain, reading which
+elements may join from `add_feasible`, exact for any S; the base
+`swap_feasible` reads each swap S - i + j from `add_feasible(S - i)`.
 A partition's blocks list each element of its ground set exactly once.
 """
 
@@ -66,19 +68,6 @@ class MatroidOracle:
         check_mask(mask, self.n)
         outside = split(mask, self.n)[1]
         return np.array([self.is_independent(mask | (1 << int(j))) for j in outside], dtype=bool)
-
-    def pair_feasible(self) -> np.ndarray:
-        """Independence of {i, j} for i != j as an n x n boolean matrix, with
-        a False diagonal.
-
-        One is_independent call per pair: the reference that the closed
-        forms must match.
-        """
-        feasible = np.zeros((self.n, self.n), dtype=bool)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                feasible[i, j] = feasible[j, i] = self.is_independent((1 << i) | (1 << j))
-        return feasible
 
     def independence_vector(self) -> np.ndarray:
         """Boolean vector of is_independent over all 2^n masks (n capped)."""
@@ -147,9 +136,6 @@ class UniformMatroid(MatroidOracle):
         check_mask(mask, self.n)
         size = mask.bit_count()
         return np.full(self.n - size, size < self.rank)
-
-    def pair_feasible(self) -> np.ndarray:
-        return ~np.eye(self.n, dtype=bool) & (self.rank >= 2)
 
     def _fill_independence(self) -> np.ndarray:
         return subset_sizes(self.n) <= self.rank
@@ -220,15 +206,6 @@ class PartitionMatroid(MatroidOracle):
             independent &= sizes[masks & m] <= c
         return independent
 
-    def pair_feasible(self) -> np.ndarray:
-        # two elements of one block need its cap >= 2; of two blocks, both caps >= 1
-        block = self._block_of
-        cap = np.array(self.caps)[block]
-        same = block[:, None] == block
-        feasible = np.where(same, cap[:, None] >= 2, (cap[:, None] >= 1) & (cap >= 1))
-        np.fill_diagonal(feasible, False)
-        return feasible
-
 
 class GraphicMatroid(MatroidOracle):
     """Ground set = edges of a graph; independent sets are forests."""
@@ -253,14 +230,6 @@ class GraphicMatroid(MatroidOracle):
         self._end_array = np.array(self._ends)
         self.rank = self.greedy(range(self.n)).bit_count()
         self.min_circuit_size = self._girth()
-
-    def pair_feasible(self) -> np.ndarray:
-        # two edges are a forest unless one is a loop or they are parallel
-        ends = self._end_array
-        low, high = ends.min(1), ends.max(1)
-        parallel = (low[:, None] == low) & (high[:, None] == high)  # the diagonal too
-        proper = low != high
-        return proper[:, None] & proper & ~parallel
 
     def is_independent(self, mask: int) -> bool:
         check_mask(mask, self.n)

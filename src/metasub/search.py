@@ -79,13 +79,20 @@ def best_pair_init(fn: SetFunctionOracle, M: MatroidOracle) -> int:
     the best singleton (or the empty set) when the rank is short."""
     if fn.n != M.n:
         raise ValidationError("oracle and matroid ground sets differ")
-    pairs = np.triu(M.pair_feasible(), 1)
-    if pairs.any():
-        # the first maximum in row-major order, as in a strict-> scan over (i, j)
-        i, j = divmod(int(np.argmax(np.where(pairs, fn.pair_values(), -np.inf))), fn.n)
-        return (1 << i) | (1 << j)
-    # no independent pair, so the rank is at most 1: one greedy step, or none
-    return fn.greedy_extend(M, 0)
+    if M.rank < 2:
+        # no independent pair: one greedy step, or none
+        return fn.greedy_extend(M, 0)
+    # some pair is independent. The first maximum in row-major order, as in a
+    # strict-> scan over (i, j), is asked of the matroid, and struck off when
+    # dependent; pair values are finite or overflow to +inf, so a struck cell
+    # ranks below every pair left
+    values = np.where(np.tri(fn.n, dtype=bool), -np.inf, fn.pair_values())
+    while True:
+        i, j = divmod(int(np.argmax(values)), fn.n)
+        pair = (1 << i) | (1 << j)
+        if M.is_independent(pair):
+            return pair
+        values[i, j] = -np.inf
 
 
 def _accepts(current: float, candidate: float | np.ndarray, threshold: float):

@@ -51,9 +51,9 @@ OVERRIDES = {
     DiversityFunction: {"neighbourhood", "pair_values", "greedy_extend", "_fill_table"},
     CoverageFunction: {"neighbourhood", "pair_values", "greedy_extend"},
     TableFunction: set(),
-    UniformMatroid: {"swap_feasible", "add_feasible", "pair_feasible", "_fill_independence"},
-    PartitionMatroid: {"swap_feasible", "add_feasible", "pair_feasible", "_fill_independence"},
-    GraphicMatroid: {"add_feasible", "pair_feasible"},
+    UniformMatroid: {"swap_feasible", "add_feasible", "_fill_independence"},
+    PartitionMatroid: {"swap_feasible", "add_feasible", "_fill_independence"},
+    GraphicMatroid: {"add_feasible"},
 }
 
 CLASSES = sorted((cls for base in (SetFunctionOracle, MatroidOracle) for cls in subclasses(base)

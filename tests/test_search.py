@@ -552,6 +552,49 @@ def test_best_pair_at_the_bitmask_cap_matches_the_scalar_scan(matroid):
         assert best_pair_init(fn, M) == scalar_best_pair(fn, M), fn.kind
 
 
+def test_best_pair_matches_the_scalar_scan_on_ties():
+    matroids = [
+        *(make() for make in MATROIDS.values()),
+        # dependent pairs: two elements of the cap-1 block; a loop, and two
+        # parallel edges
+        PartitionMatroid([[0, 1, 2, 3], [4, 5, 6, 7, 8]], [1, 2]),
+        GraphicMatroid(4, [(0, 1), (1, 0), (2, 2), (1, 2), (2, 3), (3, 1), (1, 2), (0, 3),
+                           (3, 3)]),
+        # below rank 2 the seed is the best singleton; rank 1 before rank 0
+        UniformMatroid(9, 1),
+        UniformMatroid(9, 0),
+    ]
+    for seed in range(5):
+        rng = np.random.default_rng([seed, 37])
+        # the pool oracles, with signed zeros and all-equal pair values among
+        # them, and an integer table of five distinct values
+        table = rng.integers(-2, 3, 1 << 9).astype(float)
+        table[0] = 0.0
+        fns = [*fresh_oracles(rng, 9), *awkward_diversities(rng, 9),
+               signed_zero_diversity(rng, 9), all_ones_diversity(9), TableFunction(table)]
+        for M in matroids:
+            for fn in fns:
+                want = scalar_best_pair(fn, M) or scalar_best_singleton(fn, M)
+                assert best_pair_init(fn, M) == want, (seed, M.kind, M.rank, fn.kind)
+
+
+def test_best_pair_strikes_off_dependent_top_pairs(monkeypatch):
+    # 50 far-apart points in a cap-1 block: most of the highest-valued pairs
+    # lie in that block and are dependent
+    rng = np.random.default_rng(50)
+    points = np.vstack([rng.standard_normal((50, 3)) * 1000.0, rng.standard_normal((12, 3))])
+    fn = DiversityFunction(euclidean(points))
+    M = PartitionMatroid([list(range(50)), list(range(50, 62))], [1, 2])
+    want = scalar_best_pair(fn, M)
+    calls = []
+    is_independent = M.is_independent
+    monkeypatch.setattr(M, "is_independent",
+                        lambda mask: calls.append(mask) or is_independent(mask))
+    assert best_pair_init(fn, M) == want
+    assert len(calls) > 1 and calls[-1] == want
+    assert not any(map(is_independent, calls[:-1]))
+
+
 def test_solve_past_62_elements_is_the_same_on_the_base_oracle_methods(monkeypatch):
     rng = np.random.default_rng(100)
     fn = DiversityFunction(random_metric(rng, 100))

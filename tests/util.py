@@ -316,7 +316,7 @@ def loop_every_mask(scalar, n: int) -> np.ndarray:
 
 
 def loop_pairs(scalar, n: int) -> np.ndarray:
-    """scalar({i, j}) for i != j, one call per pair, on a zero (False) diagonal."""
+    """scalar({i, j}) for i != j, one call per pair, on a zero diagonal."""
     out = np.zeros((n, n), dtype=type(scalar(0)))
     for i, j in itertools.combinations(range(n), 2):
         out[i, j] = out[j, i] = scalar((1 << i) | (1 << j))
@@ -428,7 +428,6 @@ METHODS = {
     "add_feasible": Method(MatroidOracle, "is_independent", loop_adds, check_equal, "mask"),
     "swap_feasible": Method(MatroidOracle, "is_independent", loop_swaps, check_equal, "mask",
                             independent_only=True),
-    "pair_feasible": Method(MatroidOracle, "is_independent", loop_pairs, check_equal, ""),
     "_fill_independence": Method(MatroidOracle, "is_independent", loop_every_mask, check_equal,
                                  "every mask"),
 }
