@@ -11,7 +11,8 @@ its terms, and so does that tolerance once that size is at least 1, so the
 verdicts of the ratios sigma and gamma stay as they are when D or f is scaled
 up by a power of two.
 Validation of outside input (`validate_distance`, a table's f(empty)) keeps
-the absolute ABS_TOL.
+the absolute ABS_TOL. `validate_distance` returns a canonical copy: the one
+matrix that a diversity oracle sums and that the checks here read.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ def scaled_tol(eps, size):
 
 
 def validate_distance(raw) -> np.ndarray:
-    """Return the validated matrix or raise listing the first ten violated
+    """Return a new, canonical matrix, the upper triangle mirrored below it on
+    a zero diagonal of the sign given, or raise listing the first ten violated
     cells and the count of the rest."""
     D = np.asarray(raw, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -46,6 +48,8 @@ def validate_distance(raw) -> np.ndarray:
     negative = D < -ABS_TOL
     finite = np.isfinite(D).all()
     if finite and not (diagonal.any() or asymmetric.any() or negative.any()):
+        D = np.where(np.tri(len(D), dtype=bool), D.T, D)  # a symmetric D keeps its bits
+        np.fill_diagonal(D, D.diagonal() * 0.0)
         return D
     # a check failed: list the cells, an asymmetric pair once, from its upper cell
     diagonal = np.flatnonzero(diagonal)
@@ -126,10 +130,10 @@ def is_negative_type(D: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
 
 
 def is_sqrt_metric(D: np.ndarray, tol: float = 1e-9) -> tuple[bool, tuple[int, int, int] | None]:
-    """True iff the entrywise square root satisfies every triangle inequality
-    up to scaled_tol(tol, sqrt(max |D|)), the size of the roots it compares;
-    the witness is the first broken (i, j > i, k), one row i at a time."""
-    root = np.sqrt(D)
+    """True iff the entrywise square root (0 at an accepted negative) satisfies
+    every triangle inequality up to scaled_tol(tol, sqrt(max |D|)), the size of
+    the roots it compares; the witness is the first broken (i, j > i, k)."""
+    root = np.sqrt(np.maximum(D, 0.0))
     n = D.shape[0]
     tol = scaled_tol(tol, np.sqrt(np.abs(D).max()))
     off_diagonal = ~np.eye(n, dtype=bool)

@@ -164,27 +164,21 @@ class SetFunctionOracle:
 
 class DiversityFunction(SetFunctionOracle):
     """Pairwise dissimilarity sum plus non-negative modular weights (zeros
-    when none are given), summed in one order on every path."""
+    when none are given), summed in one order on every path. It owns copies of
+    both, `distance` as metric.validate_distance makes it canonical."""
 
     def __init__(self, distance: np.ndarray, weights: Sequence[float] | None = None):
         self.distance = metric.validate_distance(distance)
         n = self.distance.shape[0]
         super().__init__(n)
         self.kind = "diversity" if weights is None else "diversity_plus_modular"
-        weights = np.zeros(n) if weights is None else np.asarray(weights, dtype=float)
+        weights = np.zeros(n) if weights is None else np.array(weights, dtype=float)
         if weights.shape != (n,):
             raise ValidationError("modular weights must have length n")
         if np.any(weights < 0):
             raise ValidationError("modular weights must be non-negative")
         self.weights = weights
         self._check_finite_total()
-        # the closed forms read d(i, j) where value does, from the upper
-        # triangle, and no diagonal: the validation lets D be asymmetric and its
-        # diagonal nonzero within ABS_TOL. A zero keeps its sign, so a D that is
-        # symmetric bit for bit, with a zero diagonal, is read as given
-        D = self.distance
-        self._symmetric = np.where(np.triu(np.ones((n, n), dtype=bool), 1), D, D.T)
-        np.fill_diagonal(self._symmetric, D.diagonal() * 0.0)
 
     def _raw_value(self, mask: int) -> float:
         return self._sum(split(mask, self.n)[0])
@@ -214,7 +208,7 @@ class DiversityFunction(SetFunctionOracle):
         check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
         current = self._sum(inside)
-        D = self._symmetric
+        D = self.distance
         g = D[:, inside].sum(axis=1) + self.weights
         drop = current - g[inside]
         swap = drop[:, None] + g[outside] - D.take(inside, 0).take(outside, 1)
@@ -223,7 +217,7 @@ class DiversityFunction(SetFunctionOracle):
     def pair_values(self) -> np.ndarray:
         # neighbourhood({i}) gives f({i, j}) = f({i}) + g_j with f({i}) = w_i
         # and g_j = d(j, i) + w_j, summed here in the same order
-        values = self.weights[:, None] + (self._symmetric.T + self.weights)
+        values = self.weights[:, None] + (self.distance + self.weights)
         np.fill_diagonal(values, 0.0)
         return values
 
@@ -232,12 +226,12 @@ class DiversityFunction(SetFunctionOracle):
         # = D[:, S].sum(1) + w gains the column D[:, j] when j joins
         check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
-        g = self._symmetric[:, inside].sum(axis=1) + self.weights
+        g = self.distance[:, inside].sum(axis=1) + self.weights
         while mask.bit_count() < M.rank:
             j = int(outside[np.argmax(np.where(M.add_feasible(mask), g[outside], -np.inf))])
             mask |= 1 << j
             outside = outside[outside != j]
-            g += self._symmetric[:, j]
+            g += self.distance[:, j]
         return mask
 
 
@@ -248,7 +242,7 @@ class CoverageFunction(SetFunctionOracle):
 
     def __init__(self, incidence: Sequence[Iterable[int]], universe_weights: Sequence[float]):
         super().__init__(len(incidence))
-        weights = np.asarray(universe_weights, dtype=float)
+        weights = np.array(universe_weights, dtype=float)
         if weights.ndim != 1:
             raise ValidationError("universe weights must be a flat list")
         if np.any(weights < 0):
@@ -311,7 +305,7 @@ class TableFunction(SetFunctionOracle):
     kind = "table"
 
     def __init__(self, values: Sequence[float]):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.ndim != 1:
             raise ValidationError(f"table values must be a flat list, got shape {values.shape}")
         size = len(values)
@@ -323,7 +317,8 @@ class TableFunction(SetFunctionOracle):
         if abs(values[0]) > metric.ABS_TOL:
             raise ValidationError("table value at the empty set must be 0")
         super().__init__(n)
-        self._table = values.copy()
+        values[0] *= 0.0  # f(empty) = 0 exactly, of the sign given
+        self._table = values
 
     def _raw_value(self, mask: int) -> float:
         return float(self._table[mask])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from metasub import cli, diag, search
-from util import OVERFLOWING_TABLE
+from util import OVERFLOWING_TABLE, random_metric
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -680,6 +680,32 @@ def test_a_nested_table_exits_2_with_one_error_line(tmp_path, capsys):
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: table values must be a flat list, got shape (2, 1)"], err
+
+
+def test_analyze_reads_the_matrix_that_f_sums(tmp_path):
+    # asymmetric and on the diagonal within 9e-13, with one pair at -5e-13: the
+    # whole report is that of the twin with the upper triangle mirrored
+    rng = np.random.default_rng(8)
+    D = random_metric(rng, 8) + rng.random((8, 8)) * 9e-13
+    D[1, 6] = D[6, 1] = -5e-13
+    twin = np.triu(D, 1) + np.triu(D, 1).T
+    results = []
+    for name, matrix in (("raw", D), ("twin", twin)):
+        inst = tmp_path / f"{name}.json"
+        inst.write_text(json.dumps(_diversity_doc(matrix.tolist(), r=3)))
+        code, out = run(["analyze", str(inst)], tmp_path, f"{name}-report.json")
+        assert code == 0
+        results.append(_strict_results(out))
+    assert results[0] == results[1]
+
+
+def test_analyze_takes_the_root_of_an_accepted_negative_as_zero(tmp_path):
+    # sqrt(1) > sqrt(0) + sqrt(0.1); a NaN root at -5e-13 passed every triangle
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_diversity_doc([[0, -5e-13, 1], [-5e-13, 0, 0.1], [1, 0.1, 0]])))
+    code, out = run(["analyze", str(inst)], tmp_path)
+    assert code == 0
+    assert _strict_results(out)["metric"]["sqrt_metric"] == {"holds": False, "witness": [0, 2, 1]}
 
 
 def test_analyze_a_single_element_instance(tmp_path):

@@ -13,7 +13,7 @@ from metasub.metric import (
     validate_distance,
 )
 from util import (
-    awkward_diversities,
+    awkward_inputs,
     euclidean,
     loop_is_sqrt_metric,
     loop_js_divergence,
@@ -61,6 +61,27 @@ def test_validate_lists_every_violation_in_order():
         with pytest.raises(ValidationError) as info:
             validate_distance(D)
     assert str(info.value) == want
+
+
+def test_validate_returns_a_new_canonical_matrix():
+    rng = np.random.default_rng(38)
+    # symmetric with a zero diagonal, -0.0 cells and a -0.0 diagonal entry
+    # among them: the same bits come back, in a new array
+    D = random_metric(rng, 6)
+    D[0, 0] = D[1, 2] = D[2, 1] = -0.0
+    got = validate_distance(D)
+    assert got.tobytes() == D.tobytes() and not np.shares_memory(got, D)
+    # accepted asymmetry, negatives and diagonal: the upper triangle mirrored,
+    # on the diagonal times 0.0
+    for n in (1, 2, 7):
+        raw = awkward_inputs(rng, n)[0]
+        want = np.empty((n, n))
+        for i in range(n):
+            want[i, i] = raw[i, i] * 0.0
+            for j in range(i + 1, n):
+                want[i, j] = want[j, i] = raw[i, j]
+        got = validate_distance(raw)
+        assert got.tobytes() == want.tobytes() and not np.shares_memory(got, raw), n
 
 
 def test_semi_metric_all_ones_triangle():
@@ -193,7 +214,7 @@ def differential_matrices(rng, n):
         a, b = rng.choice(n, 2, replace=False)
         lone[a, b] = lone[b, a] = rng.random()
     yield lone
-    yield next(awkward_diversities(rng, n)).distance
+    yield awkward_inputs(rng, n)[0]  # raw: asymmetric, -0.0 cells, negatives
     # entries near the tolerance: a stuck pair can follow a positive ratio in its row
     tiny = np.triu(rng.choice([-1e-12, 0.0, 5e-13, 1.5e-12, 1.0, 2.0], size=(n, n)), 1)
     yield tiny + tiny.T
@@ -217,10 +238,8 @@ def test_array_checks_match_the_triple_loops():
         assert float.hex(float(got.sigma)) == float.hex(float(want.sigma)), D
         assert (got.is_infinite, got.witness) == (want.is_infinite, want.witness), D
         infinite += got.is_infinite
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the root of an entry down to -1e-12 is NaN
-            for tol in (1e-9, 0.0):
-                assert is_sqrt_metric(D, tol) == loop_is_sqrt_metric(D, tol), D
+        for tol in (1e-9, 0.0):
+            assert is_sqrt_metric(D, tol) == loop_is_sqrt_metric(D, tol), D
     assert infinite
 
 

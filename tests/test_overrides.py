@@ -84,7 +84,8 @@ def set_function_pool():
     pool = []
     for n in (1, 2, 7):
         rng = np.random.default_rng(n)
-        # asymmetric within the validation tolerance, so the summation order shows
+        # asymmetric within the validation tolerance: override and base must
+        # read the one canonical matrix that value sums
         D = random_metric(rng, n) + np.triu(rng.random((n, n)), 1) * 1e-13
         fns = [*fresh_oracles(rng, n), *awkward_diversities(rng, n),
                signed_zero_diversity(rng, n), all_ones_diversity(n),

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import metasub
 from metasub import cli, diag
 from metasub.errors import GuardError, ValidationError
+from metasub.matroid import UniformMatroid
 from metasub.setfn import (
     CoverageFunction,
     DiversityFunction,
@@ -78,6 +81,45 @@ def test_table_validation():
     fn = TableFunction([0.0, 1.0, 2.0, 5.0])
     assert fn.n == 2
     assert fn.value(3) == 5.0
+
+
+def test_a_table_holds_a_zero_of_the_sign_given_at_the_empty_set():
+    for empty in (1e-13, -1e-13, 0.0, -0.0):
+        fn = TableFunction([empty, 1.0, 1.0, 2.0])
+        assert fn.value(0) == 0.0 and math.copysign(1.0, fn.value(0)) == math.copysign(1.0, empty)
+        assert fn.value_table()[0].tobytes() == np.float64(fn.value(0)).tobytes()
+
+
+def test_an_oracle_reads_its_own_copy_of_each_input():
+    # the caller edits its arrays after construction; every path still reads
+    # what a twin built from untouched copies reads, bit for bit
+    rng = np.random.default_rng(38)
+    n = 6
+    D, weights, cover = random_metric(rng, n), rng.random(n), rng.random(2 * n)
+    incidence = [np.flatnonzero(row).tolist() for row in rng.random((n, 2 * n)) < 0.4]
+    fns = [DiversityFunction(D), DiversityFunction(D, weights=weights),
+           CoverageFunction(incidence, cover)]
+    twins = [DiversityFunction(D.copy()), DiversityFunction(D.copy(), weights=weights.copy()),
+             CoverageFunction(incidence, cover.copy())]
+    D[0, 1] = D[1, 0] = 99.0
+    weights[:] = 7.0
+    cover[:] = 9.0
+    owned = [fns[0].distance, fns[1].distance, fns[1].weights, fns[2].universe_weights]
+    assert not any(np.shares_memory(mine, theirs)
+                   for mine, theirs in zip(owned, (D, D, weights, cover)))
+
+    def bits(*arrays):
+        return [np.asarray(a).tobytes() for a in arrays]
+
+    M = UniformMatroid(n, 3)
+    for fn, twin in zip(fns, twins):
+        for mask in range(1 << n):
+            assert bits(*fn.neighbourhood(mask)) == bits(*twin.neighbourhood(mask)), mask
+            assert fn.value(mask).hex() == twin.value(mask).hex(), mask
+        assert bits(fn.pair_values()) == bits(twin.pair_values())
+        assert [fn.greedy_extend(M, 1 << i) for i in range(n)] == [
+            twin.greedy_extend(M, 1 << i) for i in range(n)]
+        assert bits(fn.value_table()) == bits(twin.value_table())
 
 
 def test_public_names_resolve():

@@ -84,9 +84,10 @@ def fresh_oracles(rng, n: int):
     yield mixed_table([(random_diversity(rng, n), 0.5), (random_coverage(rng, n), 1.5)])
 
 
-def awkward_diversities(rng, n):
-    """Diversity with -0.0 cells, entries down to -1e-12 and asymmetry within
-    1e-12, which the validation accepts, without and with weights holding -0.0."""
+def awkward_inputs(rng, n):
+    """A raw distance matrix with -0.0 cells, entries down to -1e-12 and
+    asymmetry within 1e-12, which the validation accepts, and weights holding
+    -0.0."""
     D = random_metric(rng, n) * 10.0 ** rng.integers(-3, 4, size=(n, n))
     D = np.minimum(D, D.T) + np.triu(rng.random((n, n)), 1) * 9e-13
     zero = np.triu(rng.random((n, n)) < 0.2)
@@ -96,6 +97,12 @@ def awkward_diversities(rng, n):
     D[tiny.T] = -1e-12 * rng.random(tiny.sum())
     weights = rng.random(n) * (rng.random(n) < 0.5)
     weights[rng.random(n) < 0.5] = -0.0
+    return D, weights
+
+
+def awkward_diversities(rng, n):
+    """Diversity over awkward_inputs, without and with its weights."""
+    D, weights = awkward_inputs(rng, n)
     yield DiversityFunction(D)
     yield DiversityFunction(D, weights=weights)
     yield mixed_table([(DiversityFunction(D, weights=weights), 0.5),
@@ -273,8 +280,8 @@ def loop_semi_metric_parameter(D: np.ndarray) -> SemiMetricReport:
 def loop_is_sqrt_metric(D: np.ndarray, tol: float = 1e-9):
     """Reference square-root-metric test by a triple loop, up to
     scaled_tol(tol, the largest root): the first broken (i, j > i, k) in
-    loop order, or None."""
-    root = np.sqrt(D)
+    loop order, or None. The root of a negative entry is 0."""
+    root = np.sqrt(np.maximum(D, 0.0))
     n = D.shape[0]
     tol = scaled_tol(tol, math.sqrt(max(abs(float(d)) for d in D.flat)))
     for i in range(n):
