@@ -19,7 +19,7 @@ from .setfn import (
     elements_of,
     mask_of,
 )
-from .search import SolveConfig, SolveResult, brute_force_opt, solve
+from .search import SolveResult, brute_force_opt, solve
 
 __all__ = [
     "GuardError",
@@ -36,7 +36,6 @@ __all__ = [
     "TableFunction",
     "mask_of",
     "elements_of",
-    "SolveConfig",
     "SolveResult",
     "solve",
     "brute_force_opt",

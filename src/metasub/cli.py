@@ -32,7 +32,6 @@ from .matroid import (
 )
 from .search import (
     DEFAULT_EPSILON,
-    SolveConfig,
     brute_force_opt,
     guarantee_general,
     guarantee_supermodular,
@@ -179,7 +178,9 @@ def generate_distance(kind: str, n: int, rng, *, dim: int = 3, power: float = 2.
     raise ValidationError(f"unknown generator {kind!r}")
 
 
-def generate(kind: str, n: int, seed: int, args) -> dict:
+def generate(args) -> dict:
+    """The instance document gen writes for the parsed options."""
+    kind, n, seed = args.kind, args.n, args.seed
     if not 2 <= n <= MAX_GROUND_SET:
         raise ValidationError(f"generated instances need 2 <= n <= {MAX_GROUND_SET}, got {n}")
     _at_least(args, dim=0, support=1, universe=0, r=0, seed=0)
@@ -257,8 +258,7 @@ def _at_least(args, **lows) -> None:
 
 
 def cmd_gen(args) -> int:
-    instance = generate(args.kind, args.n, args.seed, args)
-    emit(instance, args)
+    emit(generate(args), args)
     return 0
 
 
@@ -311,7 +311,7 @@ def cmd_analyze(args) -> int:
 def cmd_solve(args) -> int:
     instance, instance_sha256 = load_instance(args.instance)
     fn, M = parse_instance(instance)
-    result = solve(fn, M, SolveConfig(epsilon=args.epsilon))
+    result = solve(fn, M, args.epsilon)
     payload = result.to_dict()
     if args.with_opt:
         opt_mask, opt_value = brute_force_opt(fn, M)

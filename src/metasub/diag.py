@@ -26,7 +26,7 @@ import numpy as np
 from . import search
 from .errors import GuardError
 from .metric import ABS_TOL, REL_TOL, scaled_tol
-from .setfn import SetFunctionOracle, elements_of, subset_sizes
+from .setfn import SetFunctionOracle, elements_of, mask_of
 
 DEFAULT_N_MAX = 14  # the default --n-max of analyze and verify
 GRADIENT_SAMPLE_POINTS = 10  # sets R drawn by the gradient-growth check
@@ -58,7 +58,7 @@ class ExactTables:
         # does, so scaling f by a power of two leaves every zero test as it was once m >= 1.
         # A denominator above tol also keeps gamma = |S| A / (B_i + B_j) below 4n 10^12
         self.tol = scaled_tol(ABS_TOL, m)
-        self.sizes = subset_sizes(n)
+        self.sizes = np.bitwise_count(np.arange(1 << n))
         self.pairs = np.transpose(np.triu_indices(n, 1))
         # f(S+i) - f(S-i) on the view over bit i, and A_ij(T) = f(T+i+j) - f(T+i) - f(T+j)
         # + f(T) on the view over bits i, j, whose first difference is B_j(T+i)
@@ -92,11 +92,11 @@ class ExactTables:
         w[:] = self.A[p].reshape(w[:, :1, :, :1].shape)
         return out
 
-    def gradient(self, x: np.ndarray, given: int = 0) -> np.ndarray:
+    def gradient(self, x: np.ndarray) -> np.ndarray:
         """grad F(x), one vecdot of each row of B with p: the same dot product per
         row and point as b @ q, where a matrix product may sum in another order.
-        On a stack of points, one gradient per point; `given` as in probabilities."""
-        return np.vecdot(self.B, self.probabilities(x, given)[..., None, :])
+        On a stack of points, one gradient per point."""
+        return np.vecdot(self.B, self.probabilities(x)[..., None, :])
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of F(x): E_x[A_ij] at (i, j) and (j, i), zero diagonal, one
@@ -109,24 +109,28 @@ class ExactTables:
             H[i, j] = H[j, i] = self.expand(q, out=row) @ p
         return H
 
-    def probabilities(self, x: np.ndarray, given: int = 0) -> np.ndarray:
+    def probabilities(self, x: np.ndarray) -> np.ndarray:
         """p_x over all masks; bit k of the index is element k. On a stack of
         points (one per row), one row of p per point.
 
-        The elements of the mask `given` must be exactly 1.0 at every point:
-        each mask without one of them takes a factor 1 - 1.0 and is 0.0, and
-        each factor they give a superset is 1.0, so p there is the doubling
-        over the other elements alone, the same products in the same order.
+        The elements that are exactly 1.0 at every point (R at the growth
+        check's points 1_R + eps u) are left out of the doubling: each mask
+        without one of them takes a factor 1 - 1.0 and is 0.0, and each factor
+        they give a superset is 1.0, so p there is the doubling over the other
+        elements alone, the same products in the same order, scattered to the
+        supersets. That holds on [0, 1]^n; outside it the doubling can make a
+        -0.0 where the scatter leaves 0.0.
         """
         x = np.asarray(x, dtype=float)
         points = x.reshape(-1, self.n)
         factors = np.stack([1.0 - points, points], axis=-1)  # without and with each element
+        ones = np.all(points == 1.0, axis=0)
         P = len(points)
         p = np.ones((P, 1))
-        for k in range(self.n):
-            if not given >> k & 1:  # the sets without k, then those with it
-                p = (factors[:, k, :, None] * p[:, None, :]).reshape(P, -1)
-        if given:
+        for k in np.flatnonzero(~ones):  # the sets without k, then those with it
+            p = (factors[:, k, :, None] * p[:, None, :]).reshape(P, -1)
+        if ones.any():
+            given = mask_of(np.flatnonzero(ones))
             full = np.zeros((P, 1 << self.n))
             full[:, np.flatnonzero(np.arange(1 << self.n) & given == given)] = p
             p = full
@@ -462,7 +466,7 @@ def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaChec
         # rows where u is nonzero are read from the dot products with p
         along = np.flatnonzero(u)
         g = np.zeros(t.n)
-        dots = t.gradient(points, given=mask)
+        dots = t.gradient(points)
         for eps, d in zip(STEPS, dots):
             g[along] = d[along]
             moved = float(u @ g)

@@ -26,7 +26,6 @@ from .setfn import (
     elements_of,
     mask_of,
     split,
-    subset_sizes,
 )
 
 
@@ -138,7 +137,7 @@ class UniformMatroid(MatroidOracle):
         return np.full(self.n - size, size < self.rank)
 
     def _fill_independence(self) -> np.ndarray:
-        return subset_sizes(self.n) <= self.rank
+        return np.bitwise_count(np.arange(1 << self.n)) <= self.rank
 
 
 class PartitionMatroid(MatroidOracle):
@@ -199,11 +198,10 @@ class PartitionMatroid(MatroidOracle):
 
     def _fill_independence(self) -> np.ndarray:
         # |S & block| is the size of the mask S & block
-        sizes = subset_sizes(self.n)
         masks = np.arange(1 << self.n)
         independent = np.ones(1 << self.n, dtype=bool)
         for m, c in zip(self.block_masks, self.caps):
-            independent &= sizes[masks & m] <= c
+            independent &= np.bitwise_count(masks & m) <= c
         return independent
 
 

@@ -154,11 +154,13 @@ def euclidean(points: np.ndarray) -> np.ndarray:
 
 def js_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     """Jensen-Shannon divergence with natural logarithm; 0*log(0) := 0. On a
-    matrix q of distributions, one per row, one divergence per row."""
+    matrix q of distributions, one per row, one divergence per row. A sum that
+    rounds below zero (1.0 against 0.9999999999999999 gives -5.55e-17) is 0.0."""
     m = (p + q) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):  # in the terms `where` drops
-        return (0.5 * np.where(p > 0, p * np.log(p / m), 0.0).sum(-1)
-                + 0.5 * np.where(q > 0, q * np.log(q / m), 0.0).sum(-1))
+        value = (0.5 * np.where(p > 0, p * np.log(p / m), 0.0).sum(-1)
+                 + 0.5 * np.where(q > 0, q * np.log(q / m), 0.0).sum(-1))
+    return np.maximum(value, 0.0)
 
 
 def js_divergence_matrix(distributions: Sequence[Sequence[float]]) -> np.ndarray:

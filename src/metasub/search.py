@@ -23,15 +23,6 @@ DEFAULT_EPSILON = 0.1
 DEFAULT_MAX_ITERATIONS = 1_000_000
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon}")
-
-
 @dataclass
 class SolveResult:
     initial: int
@@ -106,14 +97,15 @@ def local_search(
     fn: SetFunctionOracle,
     M: MatroidOracle,
     start: int,
-    config: SolveConfig = SolveConfig(),
+    epsilon: float = DEFAULT_EPSILON,
 ) -> tuple[int, int, list[dict], tuple]:
     """Swap search from a base; returns (S, evaluations, trace, neighbourhood(S)),
     with one trace entry per accepted swap.
 
     A swap S - i + j is accepted when it clears the multiplicative threshold
     1 + epsilon/n^2 (any strict improvement when the current value is not
-    positive).
+    positive). epsilon must be positive and finite, and large enough that the
+    threshold does not round to 1.
     Each round scores the whole neighbourhood at once and picks the first
     accepted swap in (i, j) scan order; evaluations count the feasible swaps
     a one-at-a-time scan would have scored. A pick is taken only if f(T), as
@@ -124,9 +116,11 @@ def local_search(
     search ends.
     """
     n = fn.n
-    threshold = 1.0 + config.epsilon / (n * n)
+    if not 0 < epsilon < math.inf:
+        raise ValidationError(f"epsilon must be positive and finite, got {epsilon}")
+    threshold = 1.0 + epsilon / (n * n)
     if not threshold > 1.0:  # a swap that does not improve f would clear it
-        raise ValidationError(f"epsilon {config.epsilon!r} is too small for n={n}: "
+        raise ValidationError(f"epsilon {epsilon!r} is too small for n={n}: "
                               "1 + epsilon/n^2 rounds to 1")
     S = start
     evaluations = 0
@@ -187,14 +181,12 @@ def matching_step(M: MatroidOracle, S: int, around: tuple) -> tuple[int, Matchin
     return mask, matching
 
 
-def solve(
-    fn: SetFunctionOracle, M: MatroidOracle, config: SolveConfig = SolveConfig()
-) -> SolveResult:
+def solve(fn: SetFunctionOracle, M: MatroidOracle, epsilon: float = DEFAULT_EPSILON) -> SolveResult:
     """Full pipeline; the locally-optimal base wins ties against the
     matching candidate."""
     seed = best_pair_init(fn, M)
     base = fn.greedy_extend(M, seed)
-    S, evaluations, trace, around = local_search(fn, M, base, config)
+    S, evaluations, trace, around = local_search(fn, M, base, epsilon)
     S_prime, matching = matching_step(M, S, around)
     return SolveResult(
         initial=seed,

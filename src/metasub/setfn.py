@@ -68,15 +68,6 @@ def check_exhaustive(n: int, what: str) -> None:
         raise GuardError(f"{what} needs n <= {TABLE_GUARD}, got {n}")
 
 
-def subset_sizes(n: int) -> np.ndarray:
-    """|S| for every mask 0 .. 2^n - 1: each bit doubles the vector, the upper
-    half one larger."""
-    sizes = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        sizes = np.concatenate([sizes, sizes + 1])
-    return sizes
-
-
 def check_mask(mask: int, n: int) -> None:
     if mask < 0 or mask >> n:
         raise ValidationError(f"mask {mask:#x} out of range for ground set of size {n}")

@@ -23,7 +23,6 @@ from metasub.matching import max_weight_matching_k
 from metasub.matroid import GraphicMatroid, UniformMatroid
 from metasub.metric import is_negative_type, js_divergence_matrix, semi_metric_parameter
 from metasub.search import (
-    SolveConfig,
     brute_force_opt,
     guarantee_general,
     guarantee_supermodular,
@@ -204,7 +203,7 @@ def test_criterion_08_general_ratio():
         fn = random_diversity(rng, n, power=2.0 if trial % 2 else 1.0)
         M = _random_matroid_for_ratio(rng, n)
         gamma = gamma_parameter(fn).gamma
-        result = solve(fn, M, SolveConfig(epsilon=0.1))
+        result = solve(fn, M, epsilon=0.1)
         _, opt = brute_force_opt(fn, M)
         if result.chosen_value <= 0:
             ok = ok and opt <= 1e-9
@@ -225,7 +224,7 @@ def test_criterion_09_supermodular_ratio():
         cls = classify(fn)
         ok = ok and cls.supermodular and cls.second_order_submodular
         gamma = gamma_parameter(fn).gamma
-        result = solve(fn, M, SolveConfig(epsilon=0.1))
+        result = solve(fn, M, epsilon=0.1)
         _, opt = brute_force_opt(fn, M)
         if result.chosen_value <= 0:
             ok = ok and opt <= 1e-9
@@ -248,7 +247,7 @@ def test_criterion_10_iteration_bound():
         M = _random_matroid_for_ratio(rng, n)
         gamma = gamma_parameter(fn).gamma
         for eps in (0.01, 0.1, 0.5):
-            result = solve(fn, M, SolveConfig(epsilon=eps))
+            result = solve(fn, M, epsilon=eps)
             ok = ok and result.iterations <= iteration_bound(n, M.rank, gamma, eps)
     verdict(10, "swap-loop iteration bound", ok, time.monotonic() - started, 300.0)
 

@@ -237,16 +237,30 @@ def test_epsilon_outside_positive_finite_exits_2(epsilon, tmp_path, capsys):
     assert err.startswith("error: epsilon must be positive and finite") and err.count("\n") == 1
 
 
-def test_solve_ends_on_a_js_instance_whose_swap_scores_round(tmp_path, monkeypatch):
-    # one-item Dirichlet draws give divergences down to -5.6e-17, and the closed-form
-    # swap scores then exceed f in their last bits at a value <= 0: the search
-    # cycled between {1, 2, 6} and {0, 2, 6} until the guard
+def test_solve_ends_on_a_js_instance_with_negative_distances(tmp_path, monkeypatch):
+    # the document gen js-random --support 1 --n 9 --seed 2 wrote before the JS
+    # clamp: -5.6e-17, a divergence rounded below zero, between the two kinds of
+    # one-item draw (1.0 and 0.9999999999999999), else 0.0. Validation accepts
+    # it, f is <= 0 on every set, and the search must end on a strict-JSON report
     monkeypatch.setattr(search, "DEFAULT_MAX_ITERATIONS", 1000)
-    _, inst = run(["gen", "js-random", "--support", "1", "--n", "9", "--seed", "2"],
-                  tmp_path, "js.json")
+    kind = np.isin(np.arange(9), [1, 6])
+    D = np.where(kind[:, None] != kind[None, :], -5.551115123125782e-17, 0.0)
+    inst = tmp_path / "js.json"
+    inst.write_text(json.dumps({"n": 9, "function": {"kind": "diversity", "distance": D.tolist()},
+                                "matroid": {"kind": "uniform", "r": 3}}))
     code, rep = run(["solve", str(inst)], tmp_path, "solve.json")
     assert code == 0
-    assert json.loads(rep.read_text())["results"]["iterations"] <= 3
+    assert _strict_results(rep)["iterations"] <= 3
+
+
+def test_gen_js_random_writes_no_negative_distance(tmp_path):
+    # one-item Dirichlet draws are 1.0 or 0.9999999999999999, whose divergence
+    # rounds to -5.6e-17 unless clamped at zero
+    code, inst = run(["gen", "js-random", "--n", "12", "--seed", "2", "--support", "1"],
+                     tmp_path, "js.json")
+    assert code == 0
+    D = np.array(json.loads(inst.read_text())["function"]["distance"])
+    assert D.min() == 0.0 and not np.signbit(D).any()
 
 
 def test_exit_code_guard_error(tmp_path):
@@ -325,7 +339,7 @@ def test_verify_draws_the_distances_gen_writes(n):
     seed = 11
     for kind, trials in (("metric-random", (0, 4)), ("negtype-sqeuclid", (1, 3))):
         args = cli.make_parser().parse_args(["gen", kind, "--n", str(n), "--seed", str(seed)])
-        written = np.array(cli.generate(kind, n, seed, args)["function"]["distance"])
+        written = np.array(cli.generate(args)["function"]["distance"])
         for t in trials:
             drawn = cli._random_diversity(np.random.default_rng(seed), t, n).distance
             np.testing.assert_array_equal(drawn, written, err_msg=f"{kind} t={t}")

@@ -13,7 +13,7 @@ from metasub.matching import max_weight_matching_k
 from metasub.matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
 from metasub.metric import euclidean
 from metasub.search import (
-    SolveConfig,
+    DEFAULT_EPSILON,
     best_pair_init,
     brute_force_opt,
     growth,
@@ -52,10 +52,14 @@ from util import (
 )
 
 
-def test_config_validation():
+def test_solve_and_local_search_reject_an_epsilon_not_positive_and_finite():
+    fn = all_ones_diversity()
+    M = UniformMatroid(4, 2)
     for epsilon in (0.0, math.inf, -math.inf, math.nan):
-        with pytest.raises(ValidationError):
-            SolveConfig(epsilon=epsilon)
+        with pytest.raises(ValidationError, match="epsilon must be positive and finite"):
+            solve(fn, M, epsilon)
+        with pytest.raises(ValidationError, match="epsilon must be positive and finite"):
+            local_search(fn, M, mask_of([0, 1]), epsilon=epsilon)
 
 
 def test_best_pair_symmetric_tie_is_lexicographic():
@@ -123,12 +127,11 @@ def test_local_search_certificate():
     for trial in range(10):
         fn = random_diversity(rng, 8)
         M = UniformMatroid(8, 4)
-        cfg = SolveConfig()
         start = M.greedy([*elements_of(best_pair_init(fn, M)), *range(M.n)])
-        S, _, trace, _ = local_search(fn, M, start, cfg)
+        S, _, trace, _ = local_search(fn, M, start)
         assert S.bit_count() == M.rank
         assert M.is_independent(S)
-        threshold = (1 + cfg.epsilon / 64) * fn.value(S)
+        threshold = (1 + DEFAULT_EPSILON / 64) * fn.value(S)
         for i in range(8):
             for j in range(8):
                 if S & (1 << i) and not S & (1 << j):
@@ -141,11 +144,11 @@ def test_trace_values_increase_multiplicatively():
     rng = np.random.default_rng(1)
     fn = random_diversity(rng, 9)
     M = UniformMatroid(9, 4)
-    cfg = SolveConfig(epsilon=0.3)
+    epsilon = 0.3
     start = M.greedy(range(M.n))  # poor start to force swaps
-    S, _, trace, _ = local_search(fn, M, start, cfg)
+    S, _, trace, _ = local_search(fn, M, start, epsilon)
     prev = fn.value(start)
-    factor = 1 + cfg.epsilon / 81
+    factor = 1 + epsilon / 81
     for step in trace:
         if prev > 0:
             assert step["value"] >= factor * prev * (1 - 1e-12)
@@ -227,7 +230,7 @@ def test_iteration_guard(monkeypatch):
     fn = random_diversity(rng, 8)
     M = UniformMatroid(8, 4)
     with pytest.raises(GuardError):
-        local_search(fn, M, M.greedy(range(M.n)), SolveConfig(epsilon=1e-9))
+        local_search(fn, M, M.greedy(range(M.n)), 1e-9)
 
 
 def test_an_epsilon_below_float_resolution_is_rejected(monkeypatch):
@@ -238,8 +241,8 @@ def test_an_epsilon_below_float_resolution_is_rejected(monkeypatch):
     M = UniformMatroid(8, 3)
     for epsilon in (1e-20, 4e-15):
         with pytest.raises(ValidationError, match="rounds to 1"):
-            solve(fn, M, SolveConfig(epsilon=epsilon))
-    assert solve(fn, M, SolveConfig(epsilon=1e-13)).iterations == 0
+            solve(fn, M, epsilon)
+    assert solve(fn, M, 1e-13).iterations == 0
 
 
 def test_matching_cardinality_rules():
@@ -315,8 +318,8 @@ def test_epsilon_orders_iteration_counts():
     fn = random_diversity(rng, 9)
     M = UniformMatroid(9, 4)
     start = M.greedy(range(M.n))
-    _, _, coarse, _ = local_search(fn, M, start, SolveConfig(epsilon=0.5))
-    _, _, fine, _ = local_search(fn, M, start, SolveConfig(epsilon=0.01))
+    _, _, coarse, _ = local_search(fn, M, start, 0.5)
+    _, _, fine, _ = local_search(fn, M, start, 0.01)
     assert len(fine) >= len(coarse)
 
 
@@ -430,11 +433,11 @@ def scalar_best_pair(fn, M):
     return best_mask
 
 
-def scalar_local_search(fn, M, S, config):
+def scalar_local_search(fn, M, S, epsilon):
     """One candidate at a time: value and independence per swap, stopping at
     the first accepted swap; returns (S, evaluations, trace)."""
     n = fn.n
-    threshold = 1.0 + config.epsilon / (n * n)
+    threshold = 1.0 + epsilon / (n * n)
     evaluations = 0
     trace = []
     current = fn.value(S)
@@ -462,24 +465,24 @@ def scalar_local_search(fn, M, S, config):
 
 @pytest.mark.parametrize("matroid", sorted(MATROIDS))
 def test_solve_with_overrides_matches_the_reference_loops(matroid, monkeypatch):
-    config = SolveConfig(epsilon=0.01)
+    epsilon = 0.01
     for seed in range(3):
         for fn in fresh_oracles(np.random.default_rng([seed, 9]), 9):
             M = MATROIDS[matroid]()
-            fast = solve(fn, M, config)
-            fast_from_empty = local_search(fn, M, M.greedy(range(M.n)), config)[:3]
+            fast = solve(fn, M, epsilon)
+            fast_from_empty = local_search(fn, M, M.greedy(range(M.n)), epsilon)[:3]
             weights = []
             with monkeypatch.context() as m:
                 force_reference_loops(m)
                 m.setattr(search, "max_weight_matching_k",
                           lambda w, k: weights.append(w) or max_weight_matching_k(w, k))
-                ref = solve(fn, M, config)
-                ref_from_empty = local_search(fn, M, M.greedy(range(M.n)), config)[:3]
+                ref = solve(fn, M, epsilon)
+                ref_from_empty = local_search(fn, M, M.greedy(range(M.n)), epsilon)[:3]
                 sd = [[second_difference(fn, i, j, ref.S) for j in range(9) if not ref.S >> j & 1]
                       for i in elements_of(ref.S)]
             case = (matroid, seed, fn.kind)
             assert fast_from_empty == ref_from_empty, case
-            assert ref_from_empty == scalar_local_search(fn, M, M.greedy(range(M.n)), config), case
+            assert ref_from_empty == scalar_local_search(fn, M, M.greedy(range(M.n)), epsilon), case
             assert ref.initial == scalar_best_pair(fn, M), case
             for key in ("initial", "S", "S_prime", "chosen", "trace", "iterations",
                         "evaluations", "S_value", "S_prime_value", "chosen_value"):
@@ -611,14 +614,14 @@ def test_solve_past_62_elements_is_the_same_on_the_base_oracle_methods(monkeypat
 
 
 def test_solve_reports_the_same_before_and_after_the_table():
-    config = SolveConfig(epsilon=0.01)
+    epsilon = 0.01
     for seed in range(3):
         rng = np.random.default_rng([seed, 13])
         for fn in [*fresh_oracles(rng, 10), *awkward_diversities(rng, 10)]:
             M = UniformMatroid(10, 4)
-            before = json.dumps(solve(fn, M, config).to_dict(), sort_keys=True)
+            before = json.dumps(solve(fn, M, epsilon).to_dict(), sort_keys=True)
             fn.value_table()
-            after = json.dumps(solve(fn, M, config).to_dict(), sort_keys=True)
+            after = json.dumps(solve(fn, M, epsilon).to_dict(), sort_keys=True)
             assert after == before, (seed, fn.kind)
 
 
@@ -667,7 +670,7 @@ def test_a_solve_computes_each_neighbourhood_once(matroid, monkeypatch):
     monkeypatch.setattr(search, "matching_step", recorded_step)
     for fn in fresh_oracles(np.random.default_rng(19), 9):
         calls.clear()
-        result = solve(fn, MATROIDS[matroid](), SolveConfig(epsilon=0.01))
+        result = solve(fn, MATROIDS[matroid](), 0.01)
         assert result.matching is not None, fn.kind
         masks = [args[0] for self, name, args, _ in calls if self is fn and name == "neighbourhood"]
         assert len(masks) == len(set(masks)), fn.kind

@@ -296,7 +296,8 @@ def loop_is_sqrt_metric(D: np.ndarray, tol: float = 1e-9):
 
 def loop_js_divergence(probs) -> np.ndarray:
     """Reference JS matrix, pair by pair (i < j): each half sums its terms
-    over the compressed positive entries of its distribution."""
+    over the compressed positive entries of its distribution, and a total
+    that rounds below zero is 0.0, as in metric.js_divergence."""
     n = len(probs)
     D = np.zeros((n, n))
     for i in range(n):
@@ -307,7 +308,7 @@ def loop_js_divergence(probs) -> np.ndarray:
             for a in (p, q):
                 pos = a > 0
                 total += 0.5 * float(np.sum(a[pos] * np.log(a[pos] / m[pos])))
-            D[i, j] = D[j, i] = total
+            D[i, j] = D[j, i] = np.maximum(total, 0.0)
     return D
 
 
