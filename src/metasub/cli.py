@@ -356,7 +356,7 @@ def verify_smoothness_suite(rng, t: int, n: int):
         x = rng.random(n) * 0.9 + 0.05
         u = rng.random(n)
         chk = diag.check_one_sided_smooth(fn, x, u, sigma)
-        if chk.residual > metric.scaled_tol(metric.REL_TOL, abs(chk.rhs)):
+        if not diag.leq(chk.lhs, chk.rhs):
             yield {"check": chk.to_dict()}
         i, j = rng.integers(0, n, size=2)
         if i != j:
@@ -423,7 +423,7 @@ def verify_ratio_suite(rng, t: int, n: int):
             guarantee_supermodular(gamma, M.rank, DEFAULT_EPSILON, n, M.min_circuit_size,
                                    cls.second_order_submodular),
         )
-    if ratio > bound * (1 + 1e-9):
+    if not diag.leq(ratio, bound):
         yield {"ratio": ratio, "bound": bound}
     limit = iteration_bound(n, M.rank, gamma, DEFAULT_EPSILON)
     if result.iterations > limit:
@@ -486,7 +486,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="structural diagnostics for an instance")
     p.add_argument("instance", nargs="?", default=None)
-    p.add_argument("--tolerance", type=float, default=1e-9,
+    p.add_argument("--tolerance", type=float, default=metric.REL_TOL,
                    help="zero tolerance of the negative-type and square-root-metric checks, "
                         "relative to max(1, the size they compare); 0 decides exactly")
     p.add_argument("--n-max", dest="n_max", type=int, default=diag.DEFAULT_N_MAX)

@@ -13,7 +13,7 @@ the largest float over 8n, and below that bound no reduction here meets a NaN.
 Zero has one rule, the package's metric.scaled_tol: a difference of f is zero
 when its size is at most ExactTables.tol = scaled_tol(ABS_TOL, max |f|), which
 grows with f as its rounding does, and an inequality holds up to
-scaled_tol(REL_TOL, |rhs|) (_leq).
+scaled_tol(REL_TOL, |rhs|) (leq).
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ INTEGRAL_ORDERINGS = 3  # permutations drawn by the discrete-integral check
 class ExactTables:
     """Every B_i and A_ij of one oracle, built once: `B` is n x 2^n, bit k of a mask being
     element k. A_ij(S) does not depend on i, j in S, so `A` holds one row per pair i < j in
-    row-major order (`pairs`) over the 2^(n-2) sets of the others (`others`). n is
-    bounded by the value table's guard, max |f| by the bound below."""
+    row-major order (`pairs`) over the 2^(n-2) sets of the others (`others`); `pair_of[i, j]`
+    is that row, in either order, 0 on the diagonal. n is bounded by the value table's
+    guard, max |f| by the bound below."""
 
     def __init__(self, fn: SetFunctionOracle):
         n = self.n = fn.n
@@ -60,6 +61,9 @@ class ExactTables:
         self.tol = scaled_tol(ABS_TOL, m)
         self.sizes = np.bitwise_count(np.arange(1 << n))
         self.pairs = np.transpose(np.triu_indices(n, 1))
+        self.pair_of = np.zeros((n, n), dtype=np.int64)
+        lo, hi = self.pairs.T
+        self.pair_of[lo, hi] = self.pair_of[hi, lo] = np.arange(len(self.pairs))
         # f(S+i) - f(S-i) on the view over bit i, and A_ij(T) = f(T+i+j) - f(T+i) - f(T+j)
         # + f(T) on the view over bits i, j, whose first difference is B_j(T+i)
         self.B = np.empty((n, 1 << n))
@@ -80,8 +84,7 @@ class ExactTables:
 
     def pair(self, i: int, j: int) -> int:
         """The row of A that holds A_ij, for i != j in either order."""
-        i, j = min(i, j), max(i, j)
-        return i * (2 * self.n - i - 1) // 2 + j - i - 1
+        return int(self.pair_of[i, j])
 
     def expand(self, p: int, out: np.ndarray | None = None) -> np.ndarray:
         """Pair p's A_ij at every mask, into `out` (a new array by default): each
@@ -309,7 +312,7 @@ class LemmaCheck:
         return asdict(self)
 
 
-def _leq(lhs, rhs):
+def leq(lhs, rhs):
     """lhs <= rhs up to scaled_tol(REL_TOL, |rhs|), elementwise on arrays."""
     return lhs <= rhs + scaled_tol(REL_TOL, np.abs(rhs))
 
@@ -346,9 +349,7 @@ def check_discrete_integral(fn: SetFunctionOracle, seed: int = 0) -> LemmaCheck:
         key[h:2 * h] = _drop_bit(sets[:h], v)
         sets[h:2 * h] = sets[:h] | 1 << v
     # offset[i, v]: where the row of the pair (i, v) starts in A; 0 at v = i
-    offset = np.zeros((n, n), dtype=np.int64)
-    lo, hi = t.pairs.T
-    offset[lo, hi] = offset[hi, lo] = t.A.shape[1] * np.arange(len(t.pairs))
+    offset = t.A.shape[1] * t.pair_of
     half = size >> 1
     low = np.arange(half, dtype=np.int64)
     worst = 0.0
@@ -441,7 +442,7 @@ def _marginal_sum_check(name: str, t: ExactTables, marg_sum, factor: float, rows
     bound = factor * t.values[rows]
     slack = marg_sum[rows] - bound
     k = int(np.argmax(slack))
-    return LemmaCheck(name, bool(np.all(_leq(marg_sum[rows], bound))), worst_slack=float(slack[k]),
+    return LemmaCheck(name, bool(np.all(leq(marg_sum[rows], bound))), worst_slack=float(slack[k]),
                       detail={"R": elements_of(int(np.arange(1 << t.n)[rows][k]))})
 
 
@@ -462,14 +463,8 @@ def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaChec
         # that row's entry at R, and + 0.0 is what the dot product makes of a -0.0
         base = float(u @ (t.B[:, mask] + 0.0))
         zero = abs(base) <= length * t.tol
-        # where u is 0.0 its term of u @ g is a zero whatever g holds, so only the
-        # rows where u is nonzero are read from the dot products with p
-        along = np.flatnonzero(u)
-        g = np.zeros(t.n)
-        dots = t.gradient(points)
-        for eps, d in zip(STEPS, dots):
-            g[along] = d[along]
-            moved = float(u @ g)
+        for eps, d in zip(STEPS, t.gradient(points)):
+            moved = float(u @ d)
             for name, power in (
                 ("power_of_two", cap),
                 ("norm_ratio", search.growth((r + eps * length) / r, gamma)),
@@ -480,7 +475,7 @@ def _check_gradient_growth(t: ExactTables, gamma: float, seed: int) -> LemmaChec
                     worst = slack
                     detail = {"bound": name, "R": elements_of(mask), "eps": eps,
                               "lhs": moved, "rhs": rhs}
-                if not _leq(moved, rhs):
+                if not leq(moved, rhs):
                     passed = False
     return LemmaCheck("gradient_growth", passed, worst_slack=None if worst == -math.inf else worst,
                       detail=detail)
@@ -522,6 +517,6 @@ def _check_pair_seed(fn, matroid, gamma: float) -> LemmaCheck:
     seed_mask = search.best_pair_init(fn, matroid)
     opt_mask, opt_value = search.brute_force_opt(fn, matroid)
     bound = search.pair_seed_constant(matroid.rank, gamma) * fn.value(seed_mask)
-    return LemmaCheck("pair_seed_bound", bool(_leq(opt_value, bound)),
+    return LemmaCheck("pair_seed_bound", bool(leq(opt_value, bound)),
                       worst_slack=opt_value - bound,
                       detail={"optimum": elements_of(opt_mask), "seed": elements_of(seed_mask)})

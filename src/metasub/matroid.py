@@ -51,7 +51,6 @@ class MatroidOracle:
         column of i itself, exact on any S as add_feasible is. The overrides,
         which may assume S independent, must match it.
         """
-        check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
         rows = [self.add_feasible(mask ^ (1 << int(i))) for i in inside]
         feasible = np.array(rows, dtype=bool).reshape(len(inside), len(outside) + 1)
@@ -64,7 +63,6 @@ class MatroidOracle:
         One is_independent call per entry: the reference that the overrides
         must match.
         """
-        check_mask(mask, self.n)
         outside = split(mask, self.n)[1]
         return np.array([self.is_independent(mask | (1 << int(j))) for j in outside], dtype=bool)
 
@@ -182,15 +180,14 @@ class PartitionMatroid(MatroidOracle):
     def swap_feasible(self, mask: int) -> np.ndarray:
         # from an independent S, S - i + j is independent when i and j share a
         # block or j's block is below its cap in S
-        check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
         into = self._block_of[outside]
         return (self._block_of[inside][:, None] == into) | self._below_cap(mask)[into]
 
     def add_feasible(self, mask: int) -> np.ndarray:
         # S + j is independent when j's block is below its cap in S and no block is over it
-        check_mask(mask, self.n)
-        return self._below_cap(mask)[self._block_of[split(mask, self.n)[1]]]
+        outside = split(mask, self.n)[1]
+        return self._below_cap(mask)[self._block_of[outside]]
 
     def _below_cap(self, mask: int) -> np.ndarray:
         counts = np.array([(mask & m).bit_count() for m in self.block_masks])
@@ -236,7 +233,6 @@ class GraphicMatroid(MatroidOracle):
     def add_feasible(self, mask: int) -> np.ndarray:
         # S + j is a forest iff j's ends lie in different trees of S; a loop's
         # two ends share their root, so it never joins
-        check_mask(mask, self.n)
         outside = split(mask, self.n)[1]
         parent = self._forest(mask)
         if parent is None:

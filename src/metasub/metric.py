@@ -112,7 +112,7 @@ def semi_metric_parameter(D: np.ndarray) -> SemiMetricReport:
     return SemiMetricReport(best, witness=witness)
 
 
-def is_negative_type(D: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
+def is_negative_type(D: np.ndarray, tol: float = REL_TOL) -> tuple[bool, float]:
     """Decide x^T D x <= 0 for all x on the sum-zero hyperplane.
 
     Checked spectrally: the largest eigenvalue of P D P, with P the
@@ -129,7 +129,7 @@ def is_negative_type(D: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
     return bool(top <= scaled_tol(tol, np.abs(D).max())), top
 
 
-def is_sqrt_metric(D: np.ndarray, tol: float = 1e-9) -> tuple[bool, tuple[int, int, int] | None]:
+def is_sqrt_metric(D: np.ndarray, tol: float = REL_TOL) -> tuple[bool, tuple[int, int, int] | None]:
     """True iff the entrywise square root (0 at an accepted negative) satisfies
     every triangle inequality up to scaled_tol(tol, sqrt(max |D|)), the size of
     the roots it compares; the witness is the first broken (i, j > i, k)."""

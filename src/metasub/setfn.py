@@ -56,7 +56,9 @@ def elements_of(mask: int) -> list[int]:
 
 
 def split(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Elements of S = mask and of its complement, ascending (elements_of order)."""
+    """Elements of S = mask and of its complement, ascending (elements_of order),
+    once check_mask has accepted the mask."""
+    check_mask(mask, n)
     raw = np.frombuffer(int(mask).to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
     member = np.unpackbits(raw, count=n, bitorder="little").view(bool)
     return member.nonzero()[0], (~member).nonzero()[0]
@@ -84,16 +86,12 @@ class SetFunctionOracle:
         self.n = n
         self._table: np.ndarray | None = None
 
-    def _raw_value(self, mask: int) -> float:
-        raise NotImplementedError
-
     def value(self, mask: int) -> float:
-        check_mask(mask, self.n)
-        return self._raw_value(mask)
+        raise NotImplementedError
 
     def _check_finite_total(self) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
-            total = self._raw_value((1 << self.n) - 1)
+            total = self.value((1 << self.n) - 1)
         if not math.isfinite(total):
             raise ValidationError(f"{self.kind} value of the whole ground set is {total!r}, "
                                   "not a finite number")
@@ -135,6 +133,7 @@ class SetFunctionOracle:
         Reads f(S + j) from neighbourhood(S): the reference that the overrides
         must match.
         """
+        check_mask(mask, self.n)  # at the rank already, no split reads it
         while mask.bit_count() < M.rank:
             outside = split(mask, self.n)[1]
             gain = np.where(M.add_feasible(mask), self.neighbourhood(mask)[2], -np.inf)
@@ -149,8 +148,8 @@ class SetFunctionOracle:
         return self._table
 
     def _fill_table(self) -> np.ndarray:
-        """One _raw_value call per mask: the reference that fast fills must match."""
-        return np.array([self._raw_value(mask) for mask in range(1 << self.n)], dtype=float)
+        """One value call per mask: the reference that fast fills must match."""
+        return np.array([self.value(mask) for mask in range(1 << self.n)], dtype=float)
 
 
 class DiversityFunction(SetFunctionOracle):
@@ -171,7 +170,7 @@ class DiversityFunction(SetFunctionOracle):
         self.weights = weights
         self._check_finite_total()
 
-    def _raw_value(self, mask: int) -> float:
+    def value(self, mask: int) -> float:
         return self._sum(split(mask, self.n)[0])
 
     def _sum(self, idx: np.ndarray) -> float:
@@ -196,7 +195,6 @@ class DiversityFunction(SetFunctionOracle):
     def neighbourhood(self, mask: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         # with g = D[:, S].sum(1) + w: f(S-i) = f(S) - g_i, f(S+j) = f(S) + g_j
         # and f(S-i+j) = f(S) - g_i + g_j - d(i,j)
-        check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
         current = self._sum(inside)
         D = self.distance
@@ -215,7 +213,6 @@ class DiversityFunction(SetFunctionOracle):
     def greedy_extend(self, M: MatroidOracle, mask: int) -> int:
         # f(S+j) = f(S) + g_j, so the largest g_j among the allowed j wins; g
         # = D[:, S].sum(1) + w gains the column D[:, j] when j joins
-        check_mask(mask, self.n)
         inside, outside = split(mask, self.n)
         g = self.distance[:, inside].sum(axis=1) + self.weights
         while mask.bit_count() < M.rank:
@@ -250,14 +247,13 @@ class CoverageFunction(SetFunctionOracle):
             self._incidence[v, items] = True
         self._check_finite_total()
 
-    def _raw_value(self, mask: int) -> float:
+    def value(self, mask: int) -> float:
         covered = self._incidence[split(mask, self.n)[0]].any(axis=0)
         return float(np.where(covered, self.universe_weights, 0.0).sum())
 
     def neighbourhood(self, mask: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         # the union of each set one step away, from per-item cover counts, each
-        # a full-length masked row summed as _raw_value sums it, so equal unions tie exactly
-        check_mask(mask, self.n)
+        # a full-length masked row summed as value sums it, so equal unions tie exactly
         inside, outside = split(mask, self.n)
         inc, w = self._incidence, self.universe_weights
         count = inc[inside].sum(axis=0)
@@ -277,7 +273,6 @@ class CoverageFunction(SetFunctionOracle):
     def greedy_extend(self, M: MatroidOracle, mask: int) -> int:
         # the covered items of S, grown by each pick; every add is scored as
         # neighbourhood scores it, the masked row of covered | inc[j]
-        check_mask(mask, self.n)
         inc, w = self._incidence, self.universe_weights
         inside, outside = split(mask, self.n)
         covered = inc[inside].any(axis=0)
@@ -311,6 +306,7 @@ class TableFunction(SetFunctionOracle):
         values[0] *= 0.0  # f(empty) = 0 exactly, of the sign given
         self._table = values
 
-    def _raw_value(self, mask: int) -> float:
+    def value(self, mask: int) -> float:
+        check_mask(mask, self.n)
         return float(self._table[mask])
 

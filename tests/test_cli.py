@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import io
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 from metasub import cli, diag, search
+from metasub.matroid import MatroidOracle
+from metasub.setfn import elements_of
 from util import OVERFLOWING_TABLE, random_metric
 
 
@@ -361,6 +364,57 @@ def test_verify_matroid_on_one_element(tmp_path):
     assert json.loads(out.read_text())["results"]["passed"]
 
 
+def _returning(result):
+    return lambda *args, **kwargs: result
+
+
+def _every_swap(M, S, T):
+    """Each i of S paired with each j outside it: not an exchange bijection."""
+    return [(i, j) for i in elements_of(S) for j in range(M.n) if not S >> j & 1]
+
+
+# case -> the check a suite relies on, as (owner, name, stand-in), and the
+# keys of the one kind of failure record that the stand-in draws
+VERIFY_FAILURES = {
+    "lemmas": ((diag, "check_discrete_integral",
+                _returning(diag.LemmaCheck("discrete_integral", False, worst_slack=1.0))),
+               {"trial", "lemma", "detail"}),
+    "smoothness-check": ((diag, "check_one_sided_smooth",
+                          lambda fn, x, u, sigma: diag.SmoothnessCheck(sigma, 1.0, 0.0)),
+                         {"trial", "check"}),
+    "smoothness-expectation": ((diag, "check_expectation_inequality", _returning(1.0)),
+                               {"trial", "expectation_gap"}),
+    "matching": ((cli, "exhaustive_matching",
+                  lambda w, k, want=cli.exhaustive_matching: want(w, k) + 1.0),
+                 {"trial", "k", "got", "want"}),
+    "matroid-circuit": ((cli, "generic_min_circuit", _returning(0)), {"trial", "kind", "bad"}),
+    "matroid-exchange": ((MatroidOracle, "exchange_bijection", _every_swap),
+                         {"trial", "kind", "bad", "pair"}),
+    "ratios-zero": ((cli, "solve", lambda fn, M: dataclasses.replace(
+                        search.solve(fn, M), S_value=0.0, S_prime_value=0.0)),
+                    {"trial", "bad"}),
+    "ratios-bound": ((cli, "guarantee_general", _returning(0.5)), {"trial", "ratio", "bound"}),
+    "ratios-iterations": ((cli, "iteration_bound", _returning(-1)),
+                          {"trial", "iterations", "limit"}),
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_FAILURES))
+def test_a_verify_suite_reports_each_failure_it_finds(case, tmp_path, monkeypatch, capsys):
+    (owner, name, stand_in), keys = VERIFY_FAILURES[case]
+    monkeypatch.setattr(owner, name, stand_in)
+    suite = case.split("-")[0]
+    capsys.readouterr()
+    code, out = run(["verify", suite, "--samples", "6"], tmp_path)
+    assert code == 4
+    results = _strict_results(out)
+    failures = results["failures"]
+    assert results["passed"] is False and failures
+    assert all(set(failure) == keys for failure in failures), failures
+    err = capsys.readouterr().err
+    assert err == f"property failure: {len(failures)} failures in suite {suite}\n", err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "lemmas", "--samples", "-3"],
     ["verify", "matching", "--samples", "-1"],
@@ -665,6 +719,42 @@ def test_non_integer_counts_and_indices_exit_2(doc, tmp_path, capsys):
     assert err.count("must be an integer") == 2 and "Traceback" not in err
 
 
+def _two_point_doc(**function):
+    return {"n": 2, "function": {"kind": "diversity", "distance": [[0, 1], [1, 0]], **function},
+            "matroid": {"kind": "uniform", "r": 1}}
+
+
+@pytest.mark.parametrize("doc, line", [
+    (_small_doc(incidence=[[0], [1]]), "incidence length 2 does not match n=3"),
+    ({**_small_doc(), "function": {"kind": "table", "values": [0.0, 1.0, 2.0, 3.0]}},
+     "table length 4 does not match n=3"),
+    (_small_doc("partition", blocks=[[0, 1]], caps=[1]),
+     "partition blocks cover 2 elements, not n=3"),
+    (_small_doc("graphic", edges=[[0, 1], [1, 2]]), "graphic matroid needs n=3 edges, got 2"),
+    ({**_two_point_doc(), "metadata": {"sigma": "1"}},
+     "metadata 'sigma' must be a finite number, got '1'"),
+    (_small_doc(r=-1), "rank bound must be non-negative"),
+    (_small_doc("partition", caps=[1]), "one cap per block required"),
+    (_small_doc("partition", blocks=[], caps=[]), "blocks must cover the ground set densely"),
+    (_small_doc("partition", caps=[-1, 1]), "caps must be non-negative"),
+    (_small_doc("graphic", vertices=0), "graph needs at least one vertex"),
+    (_two_point_doc(weights=[1.0]), "modular weights must have length n"),
+    (_small_doc(universe_weights=[-1.0, 2.0]), "universe weights must be non-negative"),
+    (_small_doc(incidence=[[0], [1], [0, 5]]), "incidence references unknown universe item 5"),
+], ids=["incidence-length", "table-length", "blocks-cover-too-few", "edge-count",
+        "metadata-sigma", "r-negative", "cap-count", "blocks-empty", "cap-negative",
+        "vertices-zero", "weights-length", "universe-weight-negative", "incidence-item-outside"])
+def test_each_document_check_exits_2_with_its_error_line(doc, line, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    # only analyze reads the declared metadata
+    for command in ("analyze",) if "metadata" in doc else ("solve", "analyze"):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, str(inst), "--out", str(out)]) == 2, command
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {line}\n", command
+
+
 @pytest.mark.parametrize("doc", [
     _small_doc(incidence=[[0], [1], {}]),
     _small_doc(incidence=[[0], [1], ""]),
@@ -793,6 +883,17 @@ def test_a_power_whose_sigma_overflows_exits_2_with_one_line(power, tmp_path, ca
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "(34," not in err, err
     assert "not JSON compliant: inf" in err
+
+
+def test_the_module_runs_as_a_script():
+    # python -m metasub.cli, in a fresh interpreter
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "metasub.cli", "gen", "metric-random", "--n", "4"],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["n"] == 4
+    assert done.stderr.startswith("elapsed ") and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_every_command_runs_without_scipy(tmp_path):

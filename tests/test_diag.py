@@ -555,7 +555,7 @@ def reduction_cases():
 
 
 class NanTable(SetFunctionOracle):
-    def _raw_value(self, mask: int) -> float:
+    def value(self, mask: int) -> float:
         return [0.0, math.nan][mask]
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import metasub
-from metasub import cli, diag
+from metasub import cli, diag, search
 from metasub.errors import GuardError, ValidationError
-from metasub.matroid import UniformMatroid
+from metasub.matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
 from metasub.setfn import (
     CoverageFunction,
     DiversityFunction,
@@ -15,7 +15,15 @@ from metasub.setfn import (
     mask_of,
     split,
 )
-from util import awkward_diversities, fresh_oracles, random_metric, random_mixed_oracle
+from util import (
+    awkward_diversities,
+    fresh_oracles,
+    random_coverage,
+    random_diversity,
+    random_metric,
+    random_mixed_oracle,
+    random_table,
+)
 
 
 def test_mask_helpers_roundtrip():
@@ -171,3 +179,24 @@ def test_coverage_rejects_fractional_and_boolean_items():
     for item in (0.5, True, "0"):
         with pytest.raises(ValidationError, match="incidence item must be an integer"):
             CoverageFunction([[item]], [1.0])
+
+
+def test_every_mask_taking_method_rejects_a_mask_out_of_range():
+    # negative, a bit at n or above, and bits past n within n's last byte,
+    # which split would otherwise read as absent
+    n = 4
+    rng = np.random.default_rng(3)
+    fns = [random_diversity(rng, n), random_coverage(rng, n), random_table(rng, n)]
+    matroids = [UniformMatroid(n, 2), PartitionMatroid([[0, 1], [2, 3]], [1, 2]),
+                GraphicMatroid(3, [(0, 1), (1, 2), (2, 0), (0, 1)])]
+    calls = [getattr(fn, name) for fn in fns for name in ("value", "neighbourhood")]
+    calls += [lambda mask, fn=fn, M=M: fn.greedy_extend(M, mask) for fn in fns for M in matroids]
+    calls += [getattr(M, name) for M in matroids
+              for name in ("is_independent", "add_feasible", "swap_feasible")]
+    # uniform rank 2 budgets one pair at every size of these masks, so the step reads them
+    around = fns[0].neighbourhood(0b11)
+    calls.append(lambda mask: search.matching_step(matroids[0], mask, around))
+    for call in calls:
+        for mask in (-1, 1 << n, 1 << (n + 1), 0b111 << n):
+            with pytest.raises(ValidationError, match=f"mask {mask:#x} out of range"):
+                call(mask)

@@ -7,7 +7,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from metasub.diag import GRADIENT_SAMPLE_POINTS, LemmaCheck, _leq
+from metasub.diag import GRADIENT_SAMPLE_POINTS, LemmaCheck, leq
 from metasub.matching import exhaustive_matching  # noqa: F401 (re-exported)
 from metasub.matroid import GraphicMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
 from metasub.metric import ABS_TOL, REL_TOL, SemiMetricReport, euclidean, scaled_tol
@@ -239,7 +239,7 @@ def loop_gradient_growth(t, gamma: float, seed: int) -> LemmaCheck:
                     worst = slack
                     detail = {"bound": name, "R": elements_of(mask), "eps": eps,
                               "lhs": moved, "rhs": rhs}
-                if not _leq(moved, rhs):
+                if not leq(moved, rhs):
                     passed = False
     return LemmaCheck("gradient_growth", passed, worst_slack=None if worst == -math.inf else worst,
                       detail=detail)
@@ -315,8 +315,8 @@ def loop_js_divergence(probs) -> np.ndarray:
 # ------------------------------------------------- overridable oracle methods
 #
 # Each reference loop reads one scalar method of an oracle over n elements
-# (value, _raw_value or is_independent), passed in as a callable, and its
-# entries have that method's type: float or bool.
+# (value or is_independent), passed in as a callable, and its entries have
+# that method's type: float or bool.
 
 
 def loop_every_mask(scalar, n: int) -> np.ndarray:
@@ -431,7 +431,7 @@ METHODS = {
     "pair_values": Method(SetFunctionOracle, "value", loop_pairs, check_pair_values, ""),
     "greedy_extend": Method(SetFunctionOracle, "value", scalar_greedy_extend, check_equal,
                             "start"),
-    "_fill_table": Method(SetFunctionOracle, "_raw_value", loop_every_mask, check_equal,
+    "_fill_table": Method(SetFunctionOracle, "value", loop_every_mask, check_equal,
                           "every mask"),
     "add_feasible": Method(MatroidOracle, "is_independent", loop_adds, check_equal, "mask"),
     "swap_feasible": Method(MatroidOracle, "is_independent", loop_swaps, check_equal, "mask",
