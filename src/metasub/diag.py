@@ -26,7 +26,7 @@ import numpy as np
 from . import search
 from .errors import GuardError
 from .metric import ABS_TOL, REL_TOL, scaled_tol
-from .setfn import SetFunctionOracle, elements_of, mask_of
+from .setfn import SetFunctionOracle, elements_of
 
 DEFAULT_N_MAX = 14  # the default --n-max of analyze and verify
 GRADIENT_SAMPLE_POINTS = 10  # sets R drawn by the gradient-growth check
@@ -113,31 +113,17 @@ class ExactTables:
         return H
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
-        """p_x over all masks; bit k of the index is element k. On a stack of
-        points (one per row), one row of p per point.
-
-        The elements that are exactly 1.0 at every point (R at the growth
-        check's points 1_R + eps u) are left out of the doubling: each mask
-        without one of them takes a factor 1 - 1.0 and is 0.0, and each factor
-        they give a superset is 1.0, so p there is the doubling over the other
-        elements alone, the same products in the same order, scattered to the
-        supersets. That holds on [0, 1]^n; outside it the doubling can make a
-        -0.0 where the scatter leaves 0.0.
-        """
+        """p_x over all masks by one in-place doubling: bit k of the index is
+        element k, and step k fills the masks with k, then those without. On a
+        stack of points (one per row), one row of p per point."""
         x = np.asarray(x, dtype=float)
-        points = x.reshape(-1, self.n)
-        factors = np.stack([1.0 - points, points], axis=-1)  # without and with each element
-        ones = np.all(points == 1.0, axis=0)
-        P = len(points)
-        p = np.ones((P, 1))
-        for k in np.flatnonzero(~ones):  # the sets without k, then those with it
-            p = (factors[:, k, :, None] * p[:, None, :]).reshape(P, -1)
-        if ones.any():
-            given = mask_of(np.flatnonzero(ones))
-            full = np.zeros((P, 1 << self.n))
-            full[:, np.flatnonzero(np.arange(1 << self.n) & given == given)] = p
-            p = full
-        return p.reshape(x.shape[:-1] + (1 << self.n,))
+        p = np.empty(x.shape[:-1] + (1 << self.n,))
+        p[..., 0] = 1.0
+        for k in range(self.n):
+            h, xk = 1 << k, x[..., k, None]
+            np.multiply(p[..., :h], xk, out=p[..., h:2 * h])
+            p[..., :h] *= 1.0 - xk
+        return p
 
 
 def _tables(fn: SetFunctionOracle) -> ExactTables:

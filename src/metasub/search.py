@@ -165,10 +165,10 @@ def matching_cardinality(M: MatroidOracle, S: int) -> int:
 def matching_step(M: MatroidOracle, S: int, around: tuple) -> tuple[int, Matching | None]:
     """Candidate built from the top-k matching of second differences at S,
     read from around = fn.neighbourhood(S); no matching when k is 0."""
+    inside, outside = split(S, M.n)
     k = matching_cardinality(M, S)
     if k <= 0:
         return 0, None
-    inside, outside = split(S, M.n)
     base, drop, add, swap = around
     # A_ij(S) = f(T+a+b) - f(T+a) - f(T+b) + f(T) left to right, with T = S-i-j
     # and a < b the pair, so T+a is S when i < j and S-i+j when j < i

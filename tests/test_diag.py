@@ -834,10 +834,10 @@ def test_vecdot_is_one_dot_product_per_row():
 
 
 def test_growth_probabilities_match_the_doubling():
-    """At every point the growth check draws, p, which leaves R (the coordinates
-    that are 1.0 at every point) out of the doubling, is the in-place doubling's
-    p byte for byte, R with a single outside element among them; so on random
-    single points and stacks with some coordinates exactly 0.0 or 1.0."""
+    """At every point the growth check draws, whose coordinates in R are 1.0,
+    R with a single outside element among them, p is loop_probabilities' p byte
+    for byte; so on random single points and stacks with some coordinates
+    exactly 0.0 or 1.0."""
     single = 0
     rng = np.random.default_rng(39)
     for n in range(1, 13):

@@ -193,9 +193,10 @@ def test_every_mask_taking_method_rejects_a_mask_out_of_range():
     calls += [lambda mask, fn=fn, M=M: fn.greedy_extend(M, mask) for fn in fns for M in matroids]
     calls += [getattr(M, name) for M in matroids
               for name in ("is_independent", "add_feasible", "swap_feasible")]
-    # uniform rank 2 budgets one pair at every size of these masks, so the step reads them
+    # uniform rank 2 budgets one pair at every size of these masks; the partition
+    # matroid's circuit of 2 budgets none, and the step reads the mask all the same
     around = fns[0].neighbourhood(0b11)
-    calls.append(lambda mask: search.matching_step(matroids[0], mask, around))
+    calls += [lambda mask, M=M: search.matching_step(M, mask, around) for M in matroids[:2]]
     for call in calls:
         for mask in (-1, 1 << n, 1 << (n + 1), 0b111 << n):
             with pytest.raises(ValidationError, match=f"mask {mask:#x} out of range"):
