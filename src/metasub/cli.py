@@ -10,9 +10,11 @@ failed, 4 property failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
+import math
 import os
 import reprlib
 import sys
@@ -263,11 +265,13 @@ def cmd_gen(args) -> int:
 
 
 def _declared(meta: dict, key: str) -> float:
+    """A declared parameter: any finite float, or an int that converts to one."""
     value = meta[key]
-    if type(value) not in (int, float) or not -1e308 <= value <= 1e308:
-        raise ValidationError(
-            f"metadata {key!r} must be a finite number, got {reprlib.repr(value)}")
-    return float(value)
+    if type(value) in (int, float):
+        with contextlib.suppress(OverflowError):  # an int past the largest float
+            if math.isfinite(number := float(value)):
+                return number
+    raise ValidationError(f"metadata {key!r} must be a finite number, got {reprlib.repr(value)}")
 
 
 def cmd_analyze(args) -> int:

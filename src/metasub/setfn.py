@@ -2,8 +2,8 @@
 
 Every oracle is normalized so that the empty set evaluates to 0. It answers
 f(S), f at every set one drop, add or swap from S (neighbourhood) and f at
-every pair (pair_values) on Python-int masks, for any n, and grows a set to
-a matroid base by greedy gain (greedy_extend). The 2^n value table,
+every pair i < j (pair_values) on Python-int masks, for any n, and grows a
+set to a matroid base by greedy gain (greedy_extend). The 2^n value table,
 from which diag.ExactTables takes every first and second difference and
 search.brute_force_opt its optimum, serves only that exhaustive layer and
 stops at TABLE_GUARD.
@@ -41,13 +41,18 @@ def check_integer(value, what: str) -> int:
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
     for v in elements:
-        m |= 1 << operator.index(v)
+        v = check_integer(v, "element")
+        if v < 0:
+            raise ValidationError(f"element {v} is negative")
+        m |= 1 << v
     return m
 
 
 def elements_of(mask: int) -> list[int]:
     out = []
     mask = int(mask)
+    if mask < 0:  # it has no lowest set bit to end on
+        raise ValidationError(f"mask {mask:#x} is negative")
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
@@ -113,15 +118,15 @@ class SetFunctionOracle:
         return current, drop, add, swap.reshape(len(inside), len(outside))
 
     def pair_values(self) -> np.ndarray:
-        """The n x n matrix of f({i, j}) for i != j, with a zero diagonal.
+        """An n x n matrix holding f({i, j}) at every i < j, the only entries
+        the seed scan reads; the others are unspecified.
 
         Row i is read from neighbourhood({i}): the reference that
         closed-form overrides must match.
         """
         values = np.zeros((self.n, self.n))
-        off_diagonal = ~np.eye(self.n, dtype=bool)
         for i in range(self.n):
-            values[i, off_diagonal[i]] = self.neighbourhood(1 << i)[2]
+            values[i, i + 1:] = self.neighbourhood(1 << i)[2][i:]
         return values
 
     def greedy_extend(self, M: MatroidOracle, mask: int) -> int:
@@ -206,9 +211,7 @@ class DiversityFunction(SetFunctionOracle):
     def pair_values(self) -> np.ndarray:
         # neighbourhood({i}) gives f({i, j}) = f({i}) + g_j with f({i}) = w_i
         # and g_j = d(j, i) + w_j, summed here in the same order
-        values = self.weights[:, None] + (self.distance + self.weights)
-        np.fill_diagonal(values, 0.0)
-        return values
+        return self.weights[:, None] + (self.distance + self.weights)
 
     def greedy_extend(self, M: MatroidOracle, mask: int) -> int:
         # f(S+j) = f(S) + g_j, so the largest g_j among the allowed j wins; g
@@ -263,11 +266,12 @@ class CoverageFunction(SetFunctionOracle):
         return float(current), drop, add, swap
 
     def pair_values(self) -> np.ndarray:
-        # f({i, j}) as neighbourhood({i}) sums it, the masked row of the union;
-        # one i at a time, so no n x n x m block is held
+        # f({i, j}) as neighbourhood({i}) sums it, the masked row of the union,
+        # for j > i only; one i at a time, so no n x n x m block is held
         inc, w = self._incidence, self.universe_weights
-        values = np.array([np.where(row | inc, w, 0.0).sum(-1) for row in inc])
-        np.fill_diagonal(values, 0.0)
+        values = np.zeros((self.n, self.n))
+        for i, row in enumerate(inc):
+            values[i, i + 1:] = np.where(row | inc[i + 1:], w, 0.0).sum(-1)
         return values
 
     def greedy_extend(self, M: MatroidOracle, mask: int) -> int:

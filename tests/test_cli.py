@@ -733,6 +733,10 @@ def _two_point_doc(**function):
     (_small_doc("graphic", edges=[[0, 1], [1, 2]]), "graphic matroid needs n=3 edges, got 2"),
     ({**_two_point_doc(), "metadata": {"sigma": "1"}},
      "metadata 'sigma' must be a finite number, got '1'"),
+    ({**_two_point_doc(), "metadata": {"sigma": 10**400}},
+     "metadata 'sigma' must be a finite number, got 100000000000000000...0000000000000000000"),
+    ({**_two_point_doc(), "metadata": {"sigma": True}},
+     "metadata 'sigma' must be a finite number, got True"),
     (_small_doc(r=-1), "rank bound must be non-negative"),
     (_small_doc("partition", caps=[1]), "one cap per block required"),
     (_small_doc("partition", blocks=[], caps=[]), "blocks must cover the ground set densely"),
@@ -742,8 +746,9 @@ def _two_point_doc(**function):
     (_small_doc(universe_weights=[-1.0, 2.0]), "universe weights must be non-negative"),
     (_small_doc(incidence=[[0], [1], [0, 5]]), "incidence references unknown universe item 5"),
 ], ids=["incidence-length", "table-length", "blocks-cover-too-few", "edge-count",
-        "metadata-sigma", "r-negative", "cap-count", "blocks-empty", "cap-negative",
-        "vertices-zero", "weights-length", "universe-weight-negative", "incidence-item-outside"])
+        "metadata-sigma", "metadata-sigma-past-float", "metadata-sigma-bool", "r-negative",
+        "cap-count", "blocks-empty", "cap-negative", "vertices-zero", "weights-length",
+        "universe-weight-negative", "incidence-item-outside"])
 def test_each_document_check_exits_2_with_its_error_line(doc, line, tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(doc))
@@ -753,6 +758,19 @@ def test_each_document_check_exits_2_with_its_error_line(doc, line, tmp_path, ca
         assert cli.main([command, str(inst), "--out", str(out)]) == 2, command
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {line}\n", command
+
+
+@pytest.mark.parametrize("sigma", [1.5e308, 1.7976931348623157e308])
+def test_a_declared_sigma_may_be_any_finite_float(sigma, tmp_path):
+    _, inst = run(["gen", "metric-random", "--n", "5"], tmp_path, "inst.json")
+    doc = json.loads(inst.read_text())
+    doc["metadata"]["sigma"] = sigma
+    inst.write_text(json.dumps(doc))
+    code, rep = run(["analyze", str(inst)], tmp_path, "report.json")
+    assert code == 0
+    metric = json.loads(rep.read_text())["results"]["metric"]
+    delta = metric["declared_sigma_delta"]
+    assert math.isfinite(delta) and delta == metric["semi_metric"]["sigma"] - sigma, metric
 
 
 @pytest.mark.parametrize("doc", [

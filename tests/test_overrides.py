@@ -160,8 +160,8 @@ def matroid_pool():
                   PartitionMatroid([list(range(cut)), list(range(cut, 6))],
                                    [int(rng.integers(1, cut + 1)), int(rng.integers(1, 7 - cut))]),
                   random_graph(rng, int(rng.integers(2, 5)), 6)]
-    small += [random_graph(rng, int(rng.integers(1, 7)), int(rng.integers(1, 10)))
-              for _ in range(300)]
+    # one multigraph of every shape up to 6 vertices and 9 edges
+    small += [random_graph(rng, v, e) for v in range(1, 7) for e in range(1, 10)]
     for n in range(1, 11):  # one of each kind at every n up to 10
         labels = rng.integers(0, 3, size=n)
         small += [UniformMatroid(n, int(rng.integers(0, n + 1))),
@@ -228,13 +228,19 @@ def test_override_matches_the_reference(cls, name):
                     got = getattr(obj, name)(*args) if overridden else reference_path
                 try:
                     method.check(want, got, reference_path, exact)
-                    if method.takes == "start" and obj.n <= ROUTED_N:
-                        with pytest.MonkeyPatch.context() as m:
-                            force_reference_loops(m)
-                            routed = getattr(obj, name)(*args)
-                        method.check(want, routed, routed, True)
+                    if method.takes == "start":
+                        M, start = args
+                        # the reference pick is a base of M that holds the start
+                        assert want & start == start and want.bit_count() == M.rank, want
+                        assert M.is_independent(want), want
+                        if obj.n <= ROUTED_N:
+                            with pytest.MonkeyPatch.context() as m:
+                                force_reference_loops(m)
+                                routed = getattr(obj, name)(*args)
+                            method.check(want, routed, routed, True)
                 except AssertionError as error:
-                    raise AssertionError(f"{name} n={obj.n} {args} filled={filled}") from error
+                    shown = [getattr(arg, "kind", arg) for arg in args]  # a matroid by its kind
+                    raise AssertionError(f"{name} n={obj.n} {shown} filled={filled}") from error
                 checked += 1
                 dependent += counts_dependent and not scalar(*args)
     assert checked, f"no pool entry of {cls.__name__}"

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import math
 
@@ -40,12 +39,10 @@ from util import (
     close,
     force_reference_loops,
     fresh_oracles,
-    large_matroids,
     loop_brute_force_opt,
     random_coverage,
     random_diversity,
     random_metric,
-    scalar_greedy_extend,
     second_difference,
     signed_zero_diversity,
     subclasses,
@@ -79,6 +76,20 @@ def test_best_pair_dominant_entry():
     D = np.ones((4, 4)) - np.eye(4)
     D[2, 3] = D[3, 2] = 9.0
     assert best_pair_init(DiversityFunction(D), UniformMatroid(4, 2)) == mask_of([2, 3])
+
+
+def test_best_pair_reads_no_pair_value_at_i_not_below_j(monkeypatch):
+    # pair_values() promises f({i, j}) at i < j only, so NaN at every other
+    # entry changes no pick, struck-off pairs included
+    rng = np.random.default_rng(43)
+    for fn in [*fresh_oracles(rng, 9), all_ones_diversity(9), signed_zero_diversity(rng, 9)]:
+        values = fn.pair_values()
+        values[np.tril_indices(fn.n)] = np.nan
+        for M in (make() for make in MATROIDS.values()):
+            want = best_pair_init(fn, M)
+            with monkeypatch.context() as m:
+                m.setattr(fn, "pair_values", values.copy)
+                assert best_pair_init(fn, M) == want, (fn.kind, M.kind)
 
 
 def scalar_best_singleton(fn, M) -> int:
@@ -494,48 +505,6 @@ def test_solve_with_overrides_matches_the_reference_loops(matroid, monkeypatch):
                 assert close(fast.matching.total_weight, ref.matching.total_weight), case
                 # the base loops give the second differences bit for bit
                 np.testing.assert_array_equal(weights[0], sd, err_msg=str(case))
-
-
-@pytest.mark.parametrize("matroid", sorted(MATROIDS))
-def test_greedy_extend_matches_the_scalar_greedy_loop(matroid, monkeypatch):
-    for seed in range(4):
-        rng = np.random.default_rng([seed, 23])
-        # all-ones distances tie every gain, so the first index must win
-        for fn in [*fresh_oracles(rng, 9), *awkward_diversities(rng, 9), all_ones_diversity(9),
-                   signed_zero_diversity(rng, 9)]:
-            M = MATROIDS[matroid]()
-            singles = [1 << i for i in range(9) if M.is_independent(1 << i)]
-            for start in (0, best_pair_init(fn, M), singles[seed % len(singles)]):
-                want = scalar_greedy_extend(fn.value, fn.n, M, start)
-                assert want & start == start and want.bit_count() == M.rank
-                assert M.is_independent(want)
-                case = (matroid, seed, fn.kind, start)
-                assert fn.greedy_extend(M, start) == want, case
-                # the base method, reading the neighbourhood override
-                assert SetFunctionOracle.greedy_extend(fn, M, start) == want, case
-                with monkeypatch.context() as m:
-                    force_reference_loops(m)
-                    assert fn.greedy_extend(M, start) == want, case
-
-
-@pytest.mark.parametrize("matroid", ["uniform", "partition", "graphic"])
-def test_greedy_extend_overrides_match_the_base_method_up_to_62(matroid):
-    rng = np.random.default_rng(28)
-    for M in large_matroids(rng, matroid):
-        n = M.n
-        fns = [random_diversity(rng, n),
-               DiversityFunction(random_metric(rng, n), weights=rng.random(n)),
-               *itertools.islice(awkward_diversities(rng, n), 2), all_ones_diversity(n),
-               signed_zero_diversity(rng, n),
-               random_coverage(rng, n), random_coverage(rng, n, m=int(rng.integers(1, 5))),
-               CoverageFunction([[]] * n, [])]
-        for fn in fns:
-            assert "greedy_extend" in vars(type(fn)), type(fn)  # the override, not the base
-            for start in (0, best_pair_init(fn, M)):
-                want = scalar_greedy_extend(fn.value, n, M, start)
-                case = (matroid, n, fn.kind, start)
-                assert SetFunctionOracle.greedy_extend(fn, M, start) == want, case
-                assert fn.greedy_extend(M, start) == want, case
 
 
 @pytest.mark.parametrize("matroid", ["uniform", "partition", "graphic"])

@@ -36,6 +36,20 @@ def test_mask_helpers_roundtrip():
         assert outside.tolist() == elements_of(((1 << n) - 1) & ~mask)
 
 
+@pytest.mark.parametrize("element", [-1, 1.5, True, "1", None])
+def test_mask_of_rejects_an_element_that_is_no_element(element):
+    # neither a shift error nor a truncation to int: 1.5 and True are not element 1
+    with pytest.raises(ValidationError):
+        mask_of([0, element])
+
+
+@pytest.mark.parametrize("mask", [-1, -(1 << 70)])
+def test_elements_of_rejects_a_negative_mask(mask):
+    # -mask & mask always finds another low bit, so the loop would not end
+    with pytest.raises(ValidationError, match="negative"):
+        elements_of(mask)
+
+
 def test_empty_set_is_zero_for_all_builders():
     rng = np.random.default_rng(0)
     for _ in range(10):

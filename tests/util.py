@@ -324,10 +324,10 @@ def loop_every_mask(scalar, n: int) -> np.ndarray:
 
 
 def loop_pairs(scalar, n: int) -> np.ndarray:
-    """scalar({i, j}) for i != j, one call per pair, on a zero diagonal."""
+    """scalar({i, j}) at i < j, one call per pair; zero elsewhere."""
     out = np.zeros((n, n), dtype=type(scalar(0)))
     for i, j in itertools.combinations(range(n), 2):
-        out[i, j] = out[j, i] = scalar((1 << i) | (1 << j))
+        out[i, j] = scalar((1 << i) | (1 << j))
     return out
 
 
@@ -402,11 +402,12 @@ def check_neighbourhood(want, got, base, exact: bool) -> None:
 
 
 def check_pair_values(want, got, base, exact: bool) -> None:
-    """The base rows are close to f({i, j}) on a zero diagonal, and the
-    production call has their bits."""
-    assert base.shape == want.shape and not base.diagonal().any(), base
-    assert all(map(close, base.ravel(), want.ravel())), (base, want)
-    assert_equal_arrays(got, base)
+    """At i < j, the only entries the seed scan reads, the base rows are close
+    to f({i, j}) and the production call has their bits."""
+    assert base.shape == got.shape == want.shape, (base, got)
+    upper = np.triu_indices(len(want), 1)
+    assert all(map(close, base[upper], want[upper])), (base, want)
+    assert_equal_arrays(got[upper], base[upper])
 
 
 class Method(NamedTuple):
